@@ -84,4 +84,4 @@ from .oracles import (
     theta_sweep,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -1,4 +1,4 @@
-"""Market model: parameters, exposures, controlled dynamics and the Euler path simulator.
+"""Market model: parameters, exposures, controlled dynamics and the Euler engine.
 
 The traded asset midprice S and the non-tradable risk factor U follow
 arithmetic dynamics driven by correlated Brownian motions.  The agent's
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -252,82 +252,142 @@ def simulate_path(
     nu_max: float = DEFAULT_SPEED_CLAMP,
     antithetic: bool = False,
 ) -> PathBundle:
-    """Euler-Maruyama simulation of the controlled system on a uniform grid.
+    """Euler-Maruyama simulation of one path of the controlled system.
 
-    The trading speed is evaluated at the left endpoint of each step
-    (predictable control); the correlated factor shock is realized as
-    dZ = rho*dW + sqrt(1-rho^2)*dB with an independent dB.  Cash updates
-    use the execution price at the step's left endpoint:
-    x_{i+1} = x_i - (S_i + k*nu_i)*nu_i*dt.
-
-    ``antithetic=True`` negates every Gaussian increment (same seed).
-    Speeds are clamped to |nu| <= nu_max; clamp events are counted on the
-    returned bundle.
+    The path is a one-path run of the ensemble engine on substream
+    (seed, stream): it equals column 0 of ``simulate_ensemble`` with
+    n_paths = 1 and the same seed.  ``antithetic=True`` returns the mirror
+    path, whose Gaussian increments are the exact negatives of the plain
+    path's; from zero initial levels (S0 = U0 = 0) the mirror S and U paths
+    are then the exact negatives as well.  Speeds are clamped to
+    |nu| <= nu_max; clamp events are counted on the returned bundle.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     if initial.t >= params.T:
         raise ValueError(f"initial time {initial.t} must precede the horizon {params.T}")
-    rng = make_rng(seed, stream)
-    dt = (params.T - initial.t) / n_steps
-    sqdt = math.sqrt(dt)
-
-    shocks = rng.standard_normal(size=(2, n_steps))
-    if antithetic:
-        shocks = -shocks
-    dw = sqdt * shocks[0]
-    db = sqdt * shocks[1]
-    dz = params.rho * dw + math.sqrt(1.0 - params.rho**2) * db
-
-    times = initial.t + dt * np.arange(n_steps + 1)
-    w = np.concatenate([[0.0], np.cumsum(dw)])
-    z = np.concatenate([[0.0], np.cumsum(dz)])
-
-    # Prices are accumulated as deviations from their initial values so that
-    # negating every Gaussian increment negates (S - S0) and (U - U0) exactly
-    # (round-to-nearest is odd-symmetric about zero, not about S0).
-    ds = np.empty(n_steps + 1)
-    du = np.empty(n_steps + 1)
-    q = np.empty(n_steps + 1)
-    x = np.empty(n_steps + 1)
-    nu = np.empty(n_steps)
-    ds[0], du[0], q[0], x[0] = 0.0, 0.0, initial.q, initial.x
-
-    clamp_events = 0
-    for i in range(n_steps):
-        s_i = initial.s + ds[i]
-        u_i = initial.u + du[i]
-        speed = float(strategy.rule(times[i], q[i], u_i))
-        if not math.isfinite(speed):
-            raise SimulationError(
-                f"strategy '{strategy.tag}' returned non-finite speed at step {i} "
-                f"(t={times[i]:.6g}, q={q[i]:.6g}, u={u_i:.6g})"
-            )
-        if abs(speed) > nu_max:
-            speed = math.copysign(nu_max, speed)
-            clamp_events += 1
-        nu[i] = speed
-        x[i + 1] = x[i] - (s_i + params.k * speed) * speed * dt
-        q[i + 1] = q[i] + speed * dt
-        ds[i + 1] = ds[i] + (params.mu + params.b * speed) * dt + params.sigma * dw[i]
-        du[i + 1] = du[i] + (params.beta + params.c * speed) * dt + params.eta * dz[i]
-
+    names = ("w", "z", "s", "u", "q", "x", "nu")
+    (run,) = _euler_ensemble(
+        params, exposure, [strategy], initial, n_steps, seed, stream, 1, antithetic, nu_max=nu_max, record=names
+    )
+    col = 1 if antithetic else 0
     return PathBundle(
         seed=seed,
         stream=stream,
         n_steps=n_steps,
-        dt=dt,
-        times=times,
-        w_path=w,
-        z_path=z,
-        s_path=initial.s + ds,
-        u_path=initial.u + du,
-        q_path=q,
-        x_path=x,
-        nu_path=nu,
+        dt=(params.T - initial.t) / n_steps,
+        times=run["times"],
+        **{f"{name}_path": np.ascontiguousarray(run[name][:, col]) for name in names},
         strategy_tag=strategy.tag,
-        clamp_events=clamp_events,
+        clamp_events=int(run["clamp_events"][col]),
     )
+
+
+def _clamp_speeds(
+    strategy: Strategy, nu: np.ndarray, nu_max: float, step: int, t: float, state: dict[str, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Speeds clamped to [-nu_max, nu_max] and the per-path clamp mask.
+
+    A non-finite speed raises SimulationError naming the step and the state
+    of the first offending path.
+    """
+    bad = np.flatnonzero(~np.isfinite(nu))
+    if bad.size:
+        j = bad[0]
+        raise SimulationError(
+            f"strategy '{strategy.tag}' returned non-finite speed at step {step} "
+            f"(t={t:.6g}, q={state['q'][j]:.6g}, u={state['u'][j]:.6g}, path {j})"
+        )
+    return np.clip(nu, -nu_max, nu_max), np.abs(nu) > nu_max
+
+
+def _euler_ensemble(
+    params: ModelParams,
+    exposure: Exposure,
+    strategies: Sequence[Strategy],
+    initial: State,
+    n_steps: int,
+    seed: int,
+    stream: int,
+    n_base: int,
+    antithetic: bool,
+    *,
+    nu_max: float = DEFAULT_SPEED_CLAMP,
+    record: Sequence[str] = (),
+) -> list[dict]:
+    """Euler-Maruyama steps of (X, Q, S, U) for each strategy under shared shocks.
+
+    Each step draws a (2, n_base) block of standard normals from substream
+    (seed, stream); ``antithetic=True`` appends n_base mirror paths driven by
+    the negated block.  The speed is evaluated at the left endpoint of each
+    step (predictable control), the factor shock is
+    dZ = rho*dW + sqrt(1-rho^2)*dB, and cash pays the execution price at the
+    left endpoint: x_{i+1} = x_i - (S_i + k*nu_i)*nu_i*dt.
+
+    Returns one dict per strategy: the time grid ``times``, terminal arrays
+    q_T, u_T, s_T, x_T and ``wealth``, per-path ``clamp_events`` counts, and
+    for each name in ``record`` ("w", "z", "s", "u", "q", "x", "nu") its
+    (n_steps+1, n_paths) series (n_steps rows for "nu").
+    """
+    rng = make_rng(seed, stream)
+    dt = (params.T - initial.t) / n_steps
+    sq = math.sqrt(dt)
+    rho_c = math.sqrt(1.0 - params.rho**2)
+    n = 2 * n_base if antithetic else n_base
+    tracked = [name for name in ("s", "u", "q", "x", "w", "z") if name in record]
+
+    runs = []
+    for _ in strategies:
+        state = {name: np.full(n, float(getattr(initial, name))) for name in ("s", "u", "q", "x")}
+        state.update((name, np.zeros(n)) for name in ("w", "z") if name in record)
+        rec = {name: np.empty((n_steps if name == "nu" else n_steps + 1, n)) for name in record}
+        for name in tracked:
+            rec[name][0] = state[name]
+        runs.append((state, rec, np.zeros(n, dtype=np.int64)))
+
+    t = initial.t
+    for i in range(n_steps):
+        xi = rng.standard_normal((2, n_base))
+        if antithetic:
+            dw = sq * np.concatenate([xi[0], -xi[0]])
+            db = sq * np.concatenate([xi[1], -xi[1]])
+        else:
+            dw = sq * xi[0]
+            db = sq * xi[1]
+        dz = params.rho * dw + rho_c * db
+        for strategy, (st, rec, clamped) in zip(strategies, runs):
+            nu = np.asarray(strategy.rule(t, st["q"], st["u"]), dtype=float)
+            if nu.ndim == 0:
+                nu = np.full(n, float(nu))
+            # one reduction covers both the finite check and the clamp test
+            if not np.max(np.abs(nu)) <= nu_max:
+                nu, mask = _clamp_speeds(strategy, nu, nu_max, i, t, st)
+                clamped += mask
+            st["x"] -= (st["s"] + params.k * nu) * nu * dt
+            st["q"] += nu * dt
+            st["s"] += (params.mu + params.b * nu) * dt + params.sigma * dw
+            st["u"] += (params.beta + params.c * nu) * dt + params.eta * dz
+            if "w" in st:
+                st["w"] += dw
+            if "z" in st:
+                st["z"] += dz
+            if "nu" in rec:
+                rec["nu"][i] = nu
+            for name in tracked:
+                rec[name][i + 1] = st[name]
+        t += dt
+
+    times = initial.t + dt * np.arange(n_steps + 1)
+    return [
+        {
+            **{f"{name}_T": st[name] for name in ("q", "u", "s", "x")},
+            "times": times,
+            "wealth": _wealth(params, exposure, st["x"], st["q"], st["s"], st["u"]),
+            "clamp_events": clamped,
+            **rec,
+        }
+        for st, rec, clamped in runs
+    ]
 
 
 def payoff_eval(exposure: Exposure, u) -> np.ndarray | float:
@@ -346,13 +406,15 @@ def payoff_eval(exposure: Exposure, u) -> np.ndarray | float:
     raise TypeError(f"unknown exposure type: {type(exposure).__name__}")
 
 
+def _wealth(params: ModelParams, exposure: Exposure, x, q, s, u):
+    """Terminal wealth X_T + Q_T*(S_T - alpha*Q_T) + psi(U_T), elementwise."""
+    return x + q * (s - params.alpha * q) + np.asarray(payoff_eval(exposure, u), dtype=float)
+
+
 def terminal_wealth(bundle: PathBundle, params: ModelParams, exposure: Exposure) -> float:
     """Realized terminal wealth X_T + Q_T*(S_T - alpha*Q_T) + psi(U_T)."""
-    x_t = bundle.x_path[-1]
-    q_t = bundle.q_path[-1]
-    s_t = bundle.s_path[-1]
-    u_t = bundle.u_path[-1]
-    return float(x_t + q_t * (s_t - params.alpha * q_t) + payoff_eval(exposure, u_t))
+    x, q, s, u = (path[-1] for path in (bundle.x_path, bundle.q_path, bundle.s_path, bundle.u_path))
+    return float(_wealth(params, exposure, x, q, s, u))
 
 
 def utility_of(wealth, gamma: float):

@@ -29,14 +29,13 @@ from .expansion import (
     expansion_value,
 )
 from .market import (
-    DEFAULT_SPEED_CLAMP,
     Exposure,
     ModelParams,
     SimulationError,
     State,
     Strategy,
+    _euler_ensemble,
     make_rng,
-    payoff_eval,
 )
 
 __all__ = [
@@ -208,7 +207,11 @@ class McEstimate:
 
 
 def _worker_count(n_tasks: int) -> int:
-    env = os.environ.get("HEDGE_THREADS")
+    """Worker threads for n_tasks chunks: HEDGE_THREADS (a positive integer)
+    caps them; unset or empty means os.cpu_count()."""
+    env = os.environ.get("HEDGE_THREADS", "")
+    if env and not (env.isdecimal() and int(env) >= 1):
+        raise ValueError(f"HEDGE_THREADS must be a positive integer, got {env!r}")
     cap = int(env) if env else (os.cpu_count() or 1)
     return max(1, min(cap, n_tasks))
 
@@ -218,86 +221,6 @@ def _chunk_sizes(total: int, chunk: int) -> list[int]:
     if total % chunk:
         sizes.append(total % chunk)
     return sizes
-
-
-def _evolve_chunk(
-    params: ModelParams,
-    exposure: Exposure,
-    rules: Sequence[Callable],
-    initial: State,
-    n_steps: int,
-    seed: int,
-    stream: int,
-    n_base: int,
-    antithetic: bool,
-    nu_max: float = DEFAULT_SPEED_CLAMP,
-    record: Sequence[str] = (),
-) -> tuple[list[np.ndarray], list[dict[str, np.ndarray]]]:
-    """Evolve all rules under shared Brownian increments.
-
-    Returns terminal wealth per rule and, when ``record`` names state
-    variables ("q", "u", "s", "x", "nu"), their full time series per rule.
-    """
-    rng = make_rng(seed, stream)
-    dt = (params.T - initial.t) / n_steps
-    sq = math.sqrt(dt)
-    rho_c = math.sqrt(1.0 - params.rho**2)
-    n = 2 * n_base if antithetic else n_base
-
-    states = [
-        dict(
-            s=np.full(n, initial.s, dtype=float),
-            u=np.full(n, initial.u, dtype=float),
-            q=np.full(n, initial.q, dtype=float),
-            x=np.full(n, initial.x, dtype=float),
-        )
-        for _ in rules
-    ]
-    recs: list[dict[str, np.ndarray]] = []
-    for _ in rules:
-        rec = {}
-        for name in record:
-            rows = n_steps if name == "nu" else n_steps + 1
-            rec[name] = np.empty((rows, n))
-        recs.append(rec)
-
-    def snapshot(step: int):
-        for st, rec in zip(states, recs):
-            for name in record:
-                if name != "nu":
-                    rec[name][step] = st[name]
-
-    snapshot(0)
-    t = initial.t
-    for i in range(n_steps):
-        xi = rng.standard_normal((2, n_base))
-        if antithetic:
-            dw = sq * np.concatenate([xi[0], -xi[0]])
-            db = sq * np.concatenate([xi[1], -xi[1]])
-        else:
-            dw = sq * xi[0]
-            db = sq * xi[1]
-        dz = params.rho * dw + rho_c * db
-        for rule, st, rec in zip(rules, states, recs):
-            nu = np.asarray(rule(t, st["q"], st["u"]), dtype=float)
-            if nu.ndim == 0:
-                nu = np.full(n, float(nu))
-            if not np.all(np.isfinite(nu)):
-                raise SimulationError(f"strategy returned non-finite speed at step {i} (t={t:.6g})")
-            np.clip(nu, -nu_max, nu_max, out=nu)
-            if "nu" in rec:
-                rec["nu"][i] = nu
-            st["x"] -= (st["s"] + params.k * nu) * nu * dt
-            st["q"] += nu * dt
-            st["s"] += (params.mu + params.b * nu) * dt + params.sigma * dw
-            st["u"] += (params.beta + params.c * nu) * dt + params.eta * dz
-        t += dt
-        snapshot(i + 1)
-    wealth = []
-    for st in states:
-        psi = np.asarray(payoff_eval(exposure, st["u"]), dtype=float)
-        wealth.append(st["x"] + st["q"] * (st["s"] - params.alpha * st["q"]) + psi)
-    return wealth, recs, states
 
 
 def simulate_ensemble(
@@ -315,26 +238,23 @@ def simulate_ensemble(
     """Vectorized path ensemble for distributional studies.
 
     Returns terminal arrays q_T, u_T, s_T, x_T and wealth of length n_paths,
-    the time grid, and a full (n_steps+1, n_paths) series for each recorded
-    variable ("q", "u", "s", "x", "nu").  Independent paths by default
-    (figure-style runs).
+    the time grid, the number of clamped speeds ``clamp_events``, and a full
+    (n_steps+1, n_paths) series for each recorded variable ("w", "z", "q",
+    "u", "s", "x", "nu").  Independent paths by default (figure-style runs).
     """
-    wealth, recs, states = _evolve_chunk(
-        params, exposure, [strategy.rule], initial, n_steps, seed,
+    (run,) = _euler_ensemble(
+        params, exposure, [strategy], initial, n_steps, seed,
         stream=0, n_base=(n_paths // 2 if antithetic else n_paths), antithetic=antithetic,
         record=tuple(record),
     )
-    dt = (params.T - initial.t) / n_steps
-    out = {"times": initial.t + dt * np.arange(n_steps + 1), "wealth": wealth[0]}
-    out.update({f"{name}_T": states[0][name] for name in ("q", "u", "s", "x")})
-    out.update(recs[0])
-    return out
+    run["clamp_events"] = int(run["clamp_events"].sum())
+    return run
 
 
 def _mc_samples(
     params: ModelParams,
     exposure: Exposure,
-    rules: Sequence[Callable],
+    strategies: Sequence[Strategy],
     initial: State,
     n_paths: int,
     n_steps: int,
@@ -342,7 +262,10 @@ def _mc_samples(
     antithetic: bool,
     chunk_paths: int,
 ) -> list[np.ndarray]:
-    """Per-path terminal wealth per rule under common random numbers.
+    """Per-path terminal wealth per strategy under common random numbers.
+
+    Chunk i of the paths runs on Philox substream (seed, i), so results
+    depend on ``chunk_paths`` but not on the number of worker threads.
 
     With antithetic sampling the first and second halves of each returned
     array are mirrored pairs (layout preserved across chunk boundaries by
@@ -356,10 +279,8 @@ def _mc_samples(
 
     def task(args):
         idx, nb = args
-        wealth, _, _ = _evolve_chunk(
-            params, exposure, rules, initial, n_steps, seed, idx, nb, antithetic
-        )
-        return wealth
+        runs = _euler_ensemble(params, exposure, strategies, initial, n_steps, seed, idx, nb, antithetic)
+        return [run["wealth"] for run in runs]
 
     jobs = list(enumerate(sizes))
     workers = _worker_count(len(jobs))
@@ -370,7 +291,7 @@ def _mc_samples(
         results = [task(j) for j in jobs]
 
     samples = []
-    for r in range(len(rules)):
+    for r in range(len(strategies)):
         if antithetic:
             base = np.concatenate([res[r][: res[r].shape[0] // 2] for res in results])
             mirror = np.concatenate([res[r][res[r].shape[0] // 2 :] for res in results])
@@ -397,20 +318,26 @@ def _mean_and_se(values: np.ndarray, antithetic: bool) -> tuple[float, float, in
     return mean, se, n
 
 
+def _utility(wealth: np.ndarray, gamma: float) -> np.ndarray:
+    """Exponential utility -exp(-gamma * wealth); overflow raises ValueError."""
+    with np.errstate(over="ignore"):
+        util = -np.exp(-gamma * wealth)
+    if not np.all(np.isfinite(util)):
+        raise ValueError("exponential utility overflowed; use a smaller gamma or normalize wealth")
+    return util
+
+
+def _certainty_equivalent(mean_utility: float, gamma: float) -> float:
+    return -math.log(-mean_utility) / gamma
+
+
 def _estimate_from_wealth(
     wealth: np.ndarray, gamma: float, n_paths: int, seed: int, antithetic: bool
 ) -> McEstimate:
     if gamma > 0:
-        with np.errstate(over="ignore"):
-            util = -np.exp(-gamma * wealth)
-        if not np.all(np.isfinite(util)):
-            raise ValueError(
-                "exponential utility overflowed; use a smaller gamma or normalize wealth"
-            )
-        mean, se, n = _mean_and_se(util, antithetic)
-        ce = -math.log(-mean) / gamma
+        mean, se, n = _mean_and_se(_utility(wealth, gamma), antithetic)
         ce_se = se / (gamma * abs(mean))
-        return McEstimate(mean, se, n_paths, seed, "utility", ce, ce_se, n)
+        return McEstimate(mean, se, n_paths, seed, "utility", _certainty_equivalent(mean, gamma), ce_se, n)
     mean, se, n = _mean_and_se(wealth, antithetic)
     return McEstimate(mean, se, n_paths, seed, "wealth", mean, se, n)
 
@@ -434,10 +361,14 @@ def mc_performance(
     replays identical increments for any strategy, enabling common-random-
     number comparisons.  For gamma = 0 the estimate is mean terminal wealth,
     flagged in ``kind``.
+
+    Each block of ``chunk_paths`` paths draws from its own Philox substream,
+    so the estimate depends on ``chunk_paths``; it is bit-identical for any
+    number of worker threads (``HEDGE_THREADS``).
     """
     g = params.gamma if gamma is None else gamma
     (wealth,) = _mc_samples(
-        params, exposure, [strategy.rule], initial, n_paths, n_steps, seed, antithetic, chunk_paths
+        params, exposure, [strategy], initial, n_paths, n_steps, seed, antithetic, chunk_paths
     )
     return _estimate_from_wealth(wealth, g, n_paths, seed, antithetic)
 
@@ -479,7 +410,7 @@ def mc_strategy_gap(
     wealth_a, wealth_b = _mc_samples(
         params,
         exposure,
-        [strategy_a.rule, strategy_b.rule],
+        [strategy_a, strategy_b],
         initial,
         n_paths,
         n_steps,
@@ -488,18 +419,13 @@ def mc_strategy_gap(
         chunk_paths,
     )
     if g > 0:
-        with np.errstate(over="ignore"):
-            util_a = -np.exp(-g * wealth_a)
-            util_b = -np.exp(-g * wealth_b)
-        if not (np.all(np.isfinite(util_a)) and np.all(np.isfinite(util_b))):
-            raise ValueError(
-                "exponential utility overflowed; use a smaller gamma or normalize wealth"
-            )
+        util_a = _utility(wealth_a, g)
+        util_b = _utility(wealth_b, g)
         mean_a = float(np.mean(util_a))
         mean_b = float(np.mean(util_b))
         mean_d, se_d, _ = _mean_and_se(util_a - util_b, antithetic)
-        ce_a = -math.log(-mean_a) / g
-        ce_b = -math.log(-mean_b) / g
+        ce_a = _certainty_equivalent(mean_a, g)
+        ce_b = _certainty_equivalent(mean_b, g)
         gap = -math.log1p(mean_d / mean_b) / g
         gap_se = se_d / (g * abs(mean_b))
         return StrategyGap(ce_a, ce_b, gap, gap_se, "utility", n_paths, seed)

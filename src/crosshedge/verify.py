@@ -429,35 +429,40 @@ def strategy_gap_order(
 
 
 def cross_impact_target(
-    seed_limit: int = 500, n_steps: int = 2000, itm_window: tuple[float, float] = (1.0, 1.22), otm_tol: float = 0.05
+    seed: int = 20260810,
+    n_paths: int = 500,
+    n_steps: int = 2000,
+    itm_window: tuple[float, float] = (1.0, 1.22),
+    otm_tol: float = 0.05,
 ) -> tuple[bool, dict, str]:
     """Deep in-the-money paths park inventory near (c/m)*N; deep out-of-the-
-    money paths liquidate."""
+    money paths liquidate.
+
+    One ensemble of n_paths independent paths under the risk-neutral
+    cross-impact rule is screened at the horizon; the first path with
+    U_T - K above 2*eta*sqrt(T) (deep ITM) and the first below minus that
+    (deep OTM) are reported by their index in the ensemble."""
     curve = call_payoff_curve(FIG3, CALL_100)
     strat = risk_neutral_cross_impact_strategy(FIG3, curve)
     initial = State(t=0.0, x=0.0, q=0.0, s=10.0, u=CALL_100.strike)
     threshold = 2.0 * FIG3.eta * math.sqrt(FIG3.T)
-    itm = otm = None
-    for seed in range(seed_limit):
-        bundle = simulate_path(FIG3, CALL_100, strat, initial, n_steps, seed)
-        moneyness = bundle.u_path[-1] - CALL_100.strike
-        if itm is None and moneyness > threshold:
-            itm = (seed, float(bundle.q_path[-1]))
-        if otm is None and moneyness < -threshold:
-            otm = (seed, float(bundle.q_path[-1]))
-        if itm and otm:
-            break
-    if itm is None or otm is None:
+    ens = simulate_ensemble(FIG3, CALL_100, strat, initial, n_paths, n_steps, seed)
+    moneyness = ens["u_T"] - CALL_100.strike
+    itm = np.flatnonzero(moneyness > threshold)
+    otm = np.flatnonzero(moneyness < -threshold)
+    if itm.size == 0 or otm.size == 0:
         return False, {}, "screening failed to find deep ITM/OTM paths"
+    itm_path, otm_path = int(itm[0]), int(otm[0])
+    itm_q, otm_q = float(ens["q_T"][itm_path]), float(ens["q_T"][otm_path])
     target = FIG3.c / FIG3.m * CALL_100.n_options
-    ok = itm_window[0] <= itm[1] <= itm_window[1] and abs(otm[1]) < otm_tol
+    ok = itm_window[0] <= itm_q <= itm_window[1] and abs(otm_q) < otm_tol
     return ok, {
-        "itm_seed": itm[0],
-        "itm_q_T": itm[1],
-        "otm_seed": otm[0],
-        "otm_q_T": otm[1],
+        "itm_path": itm_path,
+        "itm_q_T": itm_q,
+        "otm_path": otm_path,
+        "otm_q_T": otm_q,
         "target": target,
-    }, f"ITM Q_T = {itm[1]:.3f} (target {target:.3f}), OTM Q_T = {otm[1]:.4f}"
+    }, f"ITM Q_T = {itm_q:.3f} (target {target:.3f}), OTM Q_T = {otm_q:.4f}"
 
 
 def opposing_effects(seed: int = 29, n_paths: int = 10_000, n_steps: int = 500) -> tuple[bool, dict, str]:
@@ -632,7 +637,7 @@ def run_verification(
         _timed("pde-residual-linear-exact", pde_residual_linear_exact),
         _timed("pde-residual-order", pde_residual_order),
         _timed("strategy-gap-order", lambda: strategy_gap_order(seed, gap_paths)),
-        _timed("cross-impact-target", cross_impact_target),
+        _timed("cross-impact-target", lambda: cross_impact_target(seed)),
         _timed("opposing-effects", lambda: opposing_effects(seed)),
         _timed("rk4-convergence-order", rk4_convergence_order),
         _timed("mc-se-scaling", lambda: mc_se_scaling(seed)),

@@ -13,15 +13,18 @@ from crosshedge import (
     SimulationError,
     State,
     Strategy,
+    call_payoff_curve,
     constant_strategy,
     derived_constants,
     linear_optimal_strategy,
     optimal_inventory_linear,
     payoff_eval,
+    risk_neutral_cross_impact_strategy,
     simulate_path,
     terminal_wealth,
     utility_of,
 )
+from crosshedge.oracles import simulate_ensemble
 
 
 def params_with(**kw):
@@ -78,8 +81,17 @@ class TestSimulatePath:
     def test_non_finite_speed_reports_step_and_state(self):
         p = params_with()
         bad = Strategy(tag="bad", rule=lambda t, q, u: math.nan if t > 0.5 else 0.0)
-        with pytest.raises(SimulationError, match="step"):
+        with pytest.raises(SimulationError, match=r"'bad'.*step \d+ \(t=.*, q=.*, u=.*\)"):
             simulate_path(p, LinearExposure(0.0), bad, State(0, 0, 0, 10.0, 1.0), 100, seed=3)
+
+    def test_single_path_is_ensemble_column(self, fig3, call100):
+        strat = risk_neutral_cross_impact_strategy(fig3, call_payoff_curve(fig3, call100))
+        init = State(0, 0, 0, 10.0, 1.0)
+        b = simulate_path(fig3, call100, strat, init, 200, seed=21, stream=0)
+        names = ("w", "z", "q", "u", "s", "x", "nu")
+        ens = simulate_ensemble(fig3, call100, strat, init, 1, 200, seed=21, record=names)
+        for name in names:
+            assert np.array_equal(getattr(b, f"{name}_path"), ens[name][:, 0])
 
     def test_speed_clamp_counts_events(self):
         p = params_with()

@@ -95,12 +95,24 @@ class TestMcPerformance:
         with pytest.raises(ValueError, match="smaller gamma"):
             mc_performance(p, LinearExposure(0.0), constant_strategy(0.0), State(0, -800.0, 0, 10.0, 1.0), 8, 4, seed=3)
 
-    def test_determinism_across_chunking(self, fig1):
+    def test_determinism_across_thread_counts(self, fig1, monkeypatch):
+        # four chunks of 1000 paths, run by one worker and then by two
         strat = linear_optimal_strategy(fig1, 1.0)
+        pert = Strategy(tag="perturbed", rule=lambda t, q, u: strat.rule(t, q, u) + 0.1)
         init = State(0, 0, 0, 10.0, 5.0)
-        a = mc_performance(fig1, LinearExposure(1.0), strat, init, 4000, 50, seed=9, chunk_paths=1000)
-        b = mc_performance(fig1, LinearExposure(1.0), strat, init, 4000, 50, seed=9, chunk_paths=1000)
-        assert a.mean == b.mean and a.std_error == b.std_error
+        results = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("HEDGE_THREADS", threads)
+            perf = mc_performance(fig1, LinearExposure(1.0), strat, init, 4000, 50, seed=9, chunk_paths=1000)
+            gap = mc_strategy_gap(fig1, LinearExposure(1.0), strat, pert, init, 4000, 50, seed=9, chunk_paths=1000)
+            results.append((perf, gap))
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+    def test_malformed_hedge_threads_rejected(self, fig1, monkeypatch, value):
+        monkeypatch.setenv("HEDGE_THREADS", value)
+        with pytest.raises(ValueError, match=f"HEDGE_THREADS.*'{value}'"):
+            mc_performance(fig1, LinearExposure(1.0), constant_strategy(0.0), State(0, 0, 0, 10.0, 5.0), 8, 4, seed=1)
 
     def test_se_scaling(self):
         ok, measured, _ = mc_se_scaling(seed=31)
@@ -182,6 +194,19 @@ class TestEnsemble:
         assert ens["q"].shape == (201, 4000)
         assert ens["q"][0].std() == 0.0
         assert np.array_equal(ens["q"][-1], ens["q_T"])
+
+    def test_clamp_events_counted(self, fig1):
+        from crosshedge.market import DEFAULT_SPEED_CLAMP
+
+        # 24 steps of dt = 0.125 keep the clamped inventory exact
+        ens = simulate_ensemble(fig1, LinearExposure(0.0), constant_strategy(2e6), State(0, 0, 0, 10.0, 1.0), 64, 24, seed=3)
+        assert ens["clamp_events"] == 64 * 24
+        assert np.all(ens["q_T"] == DEFAULT_SPEED_CLAMP * fig1.T)
+
+    def test_non_finite_speed_names_step_and_state(self, fig1):
+        bad = Strategy(tag="bad", rule=lambda t, q, u: np.where(u > 1.5, np.nan, 0.0))
+        with pytest.raises(SimulationError, match=r"'bad'.*step \d+ \(t=.*, q=.*, u=.*, path \d+\)"):
+            simulate_ensemble(fig1, LinearExposure(0.0), bad, State(0, 0, 0, 10.0, 1.0), 64, 50, seed=3)
 
     def test_degenerate_strategy_distribution(self, call100):
         p = ModelParams(mu=0.0, sigma=1.0, beta=0.0, eta=1.0, rho=0.5, b=1e-2, c=0.0, k=1e-3, gamma=0.0, alpha=0.05, T=1.0)
