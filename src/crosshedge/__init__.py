@@ -26,11 +26,9 @@ from .market import (
     utility_of,
 )
 from .linear import (
-    LinearCoefficients,
     h0,
     h1,
     h2,
-    linear_coefficients,
     linear_optimal_strategy,
     linear_value_function,
     long_horizon_position,
@@ -50,13 +48,11 @@ from .bachelier import (
     payoff_curve_for,
 )
 from .expansion import (
-    ExpansionCoefficients,
     ExpansionScale,
     Lambda0,
     Lambda1,
     Lambda2,
     delta_substitution_strategy,
-    expansion_coefficients,
     expansion_nu_hat_strategy,
     expansion_value,
     f_coefficients,

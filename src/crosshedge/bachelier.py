@@ -70,10 +70,7 @@ class AuxiliaryProcessLaw:
 
 @dataclass(frozen=True)
 class PayoffCurve:
-    """Expected payoff surface g(t,U) with its first two U-derivatives.
-
-    delta_bound, when known, bounds |delta| uniformly (the option count for
-    a call) and is used for tolerance scaling in the expansion machinery.
+    """Expected payoff surface g(t,U) with its U-derivative delta(t,U).
 
     delta_sq_expectation(t, s, u), when present, evaluates
     E[(delta(s, U~_s))^2 | U~_t = u] in closed form.  Near the horizon the
@@ -84,8 +81,6 @@ class PayoffCurve:
 
     g: Callable[[float, np.ndarray], np.ndarray]
     delta: Callable[[float, np.ndarray], np.ndarray]
-    gamma2: Callable[[float, np.ndarray], np.ndarray]
-    delta_bound: float | None = None
     tag: str = "custom"
     delta_sq_expectation: Callable[[float, float, np.ndarray], np.ndarray] | None = None
 
@@ -117,12 +112,6 @@ def call_delta(params: ModelParams, exposure: BachelierCallExposure, t, u) -> np
     return out if np.ndim(out) else float(out)
 
 
-def _call_gamma2(params: ModelParams, exposure: BachelierCallExposure, t, u):
-    z, root = _call_z(params, exposure, t, u)
-    out = exposure.n_options * _norm_pdf(z) / (params.eta * root)
-    return out if np.ndim(out) else float(out)
-
-
 def _call_delta_sq_expectation(params: ModelParams, exposure: BachelierCallExposure, t: float, s: float, u):
     """E[(N*Phi(z(s, U~_s)))^2 | U~_t = u], exact.
 
@@ -148,8 +137,6 @@ def call_payoff_curve(params: ModelParams, exposure: BachelierCallExposure) -> P
     return PayoffCurve(
         g=lambda t, u: call_value(params, exposure, t, u),
         delta=lambda t, u: call_delta(params, exposure, t, u),
-        gamma2=lambda t, u: _call_gamma2(params, exposure, t, u),
-        delta_bound=abs(exposure.n_options),
         tag="bachelier-call",
         delta_sq_expectation=lambda t, s, u: _call_delta_sq_expectation(params, exposure, t, s, u),
     )
@@ -164,8 +151,6 @@ def linear_payoff_curve(params: ModelParams, frak_n: float) -> PayoffCurve:
     return PayoffCurve(
         g=g,
         delta=lambda t, u: np.full_like(np.asarray(u, dtype=float), frak_n),
-        gamma2=lambda t, u: np.zeros_like(np.asarray(u, dtype=float)),
-        delta_bound=abs(frak_n),
         tag="linear",
         delta_sq_expectation=lambda t, s, u: np.full_like(np.asarray(u, dtype=float), frak_n**2),
     )
@@ -217,7 +202,7 @@ def custom_payoff_curve(
 
     delta uses the declared derivative when present (the conditional
     expectation of psi' equals the U-derivative of g); otherwise central
-    finite differences of g.  gamma2 always differences delta.
+    finite differences of g.
     """
 
     def g(t, u):
@@ -235,11 +220,7 @@ def custom_payoff_curve(
             un = np.asarray(u, dtype=float)
             return (g(t, un + fd_step) - g(t, un - fd_step)) / (2.0 * fd_step)
 
-    def gamma2(t, u):
-        un = np.asarray(u, dtype=float)
-        return (delta(t, un + fd_step) - delta(t, un - fd_step)) / (2.0 * fd_step)
-
-    return PayoffCurve(g=g, delta=delta, gamma2=gamma2, delta_bound=None, tag="custom")
+    return PayoffCurve(g=g, delta=delta, tag="custom")
 
 
 def payoff_curve_for(params: ModelParams, exposure: Exposure) -> PayoffCurve:

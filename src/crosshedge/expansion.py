@@ -10,35 +10,38 @@ g(t,U), and the first-order coefficients are quadratic in inventory with
 time/factor coefficients lambda_0, lambda_1 (cross impact) and Lambda_0,
 Lambda_1, Lambda_2 (risk aversion).  Conditional expectations along the
 uncontrolled factor reduce through the delta-martingale property wherever
-possible; the single non-reducible term (the squared delta inside Lambda_0)
-is integrated with Gauss-Hermite nodes under an outer Gauss-Legendre time
-rule.
+possible, so lambda_0, lambda_1, Lambda_1 and the drift part of Lambda_0
+are deterministic time weights times delta(t,U).  The single non-reducible
+term (the squared delta inside Lambda_0) is integrated with Gauss-Hermite
+nodes under an outer Gauss-Legendre time rule.
 
-Two implementable strategies follow: ``nu_hat`` assembles the expansion
-speed nu_0 + theta*(c*nu_1 + gamma*nu_2); ``nu_prime`` substitutes the
-payoff delta for the unit count in the linear-exposure optimal speed.
+Every strategy shipped here is affine in the payoff delta and in inventory,
+
+    nu(t, q, U) = a(t) + w(t)*delta(t,U) + B(t)*q,
+
+and is held as its scalar time coefficients (a, w, B), evaluated with one
+delta call.  ``nu_hat`` is the sum of three triples, nu_0 + theta*(c*nu_1 +
+gamma*nu_2); the risk-neutral cross-impact speed is nu_0 plus a pull on
+delta; ``nu_prime`` substitutes the payoff delta for the unit count in the
+linear-exposure optimal speed, whose h1 is affine in that count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
-from typing import Callable
+from functools import lru_cache, partial
 
 import numpy as np
-from numpy.polynomial.hermite_e import hermegauss
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
-from .bachelier import PayoffCurve
-from .linear import optimal_speed_linear
-from .market import ModelParams, Strategy
+from .bachelier import PayoffCurve, _hermite_nodes
+from .linear import _h1_parts, h2
+from .market import ModelParams, Strategy, _check_time
 
 __all__ = [
     "ExpansionScale",
-    "ExpansionCoefficients",
-    "expansion_coefficients",
     "f_coefficients",
     "lambda0",
     "lambda1",
@@ -78,11 +81,19 @@ class ExpansionScale:
         return cls(theta=theta, effective_c=theta * params.c, effective_gamma=theta * params.gamma)
 
 
-def _check_time(params: ModelParams, t) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    if np.any(t < -1e-12) or np.any(t > params.T * (1.0 + 1e-12)):
-        raise ValueError(f"time must lie in [0, T={params.T}], got {t}")
-    return np.clip(t, 0.0, params.T)
+# (a, w, B): scalar time coefficients of a + w*delta(t,U) + B*q
+_Affine = tuple[float, float, float]
+
+
+def _affine(coeffs: _Affine, payoff: PayoffCurve, t: float, q, u):
+    """a + w*delta(t,u) + B*q, with one delta evaluation."""
+    a, w, b = coeffs
+    out = a + w * np.asarray(payoff.delta(t, u), dtype=float) + b * np.asarray(q, dtype=float)
+    return out if np.ndim(out) else float(out)
+
+
+def _sum(*triples: _Affine) -> _Affine:
+    return tuple(map(sum, zip(*triples)))
 
 
 def _f1(params: ModelParams, t):
@@ -114,17 +125,32 @@ def f_coefficients(params: ModelParams, t: float) -> tuple[float, float, float]:
     return f0, f1, f2
 
 
+def _lambda1_weight(params: ModelParams, t: float) -> float:
+    tau = params.T - t
+    return -params.m * tau / (2.0 * params.k + params.m * tau)
+
+
 def lambda1(params: ModelParams, payoff: PayoffCurve, t, u) -> np.ndarray | float:
     """Cross-impact coefficient on q: -m*(T-t)/(2k + m*(T-t)) * delta(t,u).
 
     The defining expectation of the running future delta collapses through
     the delta-martingale property; no sampling is involved.
     """
-    t_arr = _check_time(params, t)
-    tau = params.T - t_arr
-    factor = -params.m * tau / (2.0 * params.k + params.m * tau)
-    out = factor * np.asarray(payoff.delta(float(t_arr), u), dtype=float)
-    return out if np.ndim(out) else float(out)
+    t = float(_check_time(params, t))
+    return _affine((0.0, _lambda1_weight(params, t), 0.0), payoff, t, 0.0, u)
+
+
+def _lambda0_weight(params: ModelParams, t: float) -> float:
+    """integral_t^T f1(s) / (2k + m(T-s)) ds; zero when mu = 0."""
+    if params.mu == 0.0 or t == params.T:
+        return 0.0
+    k, m = params.k, params.m
+
+    def integrand(s: float) -> float:
+        return float(_f1(params, s)) / (2.0 * k + m * (params.T - s))
+
+    weight, _ = quad(integrand, t, params.T, **_QUAD_OPTS)
+    return weight
 
 
 def lambda0(params: ModelParams, payoff: PayoffCurve, t: float, u) -> np.ndarray | float:
@@ -133,17 +159,11 @@ def lambda0(params: ModelParams, payoff: PayoffCurve, t: float, u) -> np.ndarray
     Vanishes when mu = 0 (no drift-induced trading to interact with).
     """
     t = float(_check_time(params, t))
-    if params.mu == 0.0 or t == params.T:
+    weight = _lambda0_weight(params, t)
+    if weight == 0.0:
         z = np.zeros_like(np.asarray(u, dtype=float))
         return z if z.ndim else 0.0
-    k, m = params.k, params.m
-
-    def integrand(s: float) -> float:
-        return float(_f1(params, s)) / (2.0 * k + m * (params.T - s))
-
-    weight, _ = quad(integrand, t, params.T, **_QUAD_OPTS)
-    out = weight * np.asarray(payoff.delta(t, u), dtype=float)
-    return out if np.ndim(out) else float(out)
+    return _affine((0.0, weight, 0.0), payoff, t, 0.0, u)
 
 
 def Lambda2(params: ModelParams, t) -> np.ndarray | float:
@@ -180,6 +200,11 @@ def _lemma_weight(params: ModelParams, t) -> np.ndarray:
     return (2.0 * k * tau + 0.5 * m * tau * tau) / (2.0 * k + m * tau)
 
 
+def _pull_weight(params: ModelParams, t: float) -> float:
+    """Weight of delta(t,u) in Lambda_1: -rho*sigma*eta * lemma-weight(t)."""
+    return -params.rho * params.sigma * params.eta * float(_lemma_weight(params, t))
+
+
 def Lambda1(params: ModelParams, payoff: PayoffCurve, t, u) -> np.ndarray | float:
     """Risk-aversion coefficient on q: drift-risk integral minus the hedging pull.
 
@@ -188,22 +213,13 @@ def Lambda1(params: ModelParams, payoff: PayoffCurve, t, u) -> np.ndarray | floa
     deterministic time integral (zero when mu = 0).  Sign is indeterminate
     in general.
     """
-    t_sc = float(_check_time(params, t))
-    d_term = _drift_risk_integral(params, t_sc)
-    pull = -params.rho * params.sigma * params.eta * float(_lemma_weight(params, t_sc))
-    out = d_term + pull * np.asarray(payoff.delta(t_sc, u), dtype=float)
-    return out if np.ndim(out) else float(out)
+    t = float(_check_time(params, t))
+    return _affine((_drift_risk_integral(params, t), _pull_weight(params, t), 0.0), payoff, t, 0.0, u)
 
 
 @lru_cache(maxsize=16)
 def _legendre_nodes(n: int):
     return leggauss(n)
-
-
-@lru_cache(maxsize=16)
-def _normal_nodes(n: int):
-    x, w = hermegauss(n)
-    return x, w / math.sqrt(2.0 * math.pi)
 
 
 def _gauss_legendre(t0: float, t1: float, n: int):
@@ -225,10 +241,38 @@ def _expected_delta_sq(params: ModelParams, payoff: PayoffCurve, t: float, s: fl
     if sd == 0.0:
         d = np.asarray(payoff.delta(s, u), dtype=float)
         return d * d
-    x, w = _normal_nodes(n_nodes)
+    x, w = _hermite_nodes(n_nodes)
     pts = (u + params.beta * (s - t))[..., None] + sd * x
     d = np.asarray(payoff.delta(s, pts), dtype=float)
     return (d * d) @ w
+
+
+def _Lambda0_drift_weights(params: ModelParams, t: float, time_nodes: int) -> tuple[float, float]:
+    """(a, w) with the drift part of Lambda_0 equal to a + w*delta(t,u).
+
+    The drift part reduces through the martingale property; zero when mu = 0.
+    """
+    if params.mu == 0.0 or t == params.T:
+        return 0.0, 0.0
+    s_nodes, s_w = _gauss_legendre(t, params.T, time_nodes)
+    f1s = _f1(params, s_nodes)
+    d_vals = np.array([_drift_risk_integral(params, float(s)) for s in s_nodes])
+    det = float(np.sum(s_w * f1s * d_vals))
+    red = float(np.sum(s_w * f1s * _lemma_weight(params, s_nodes))) * params.rho * params.sigma * params.eta
+    two_k = 2.0 * params.k
+    return det / two_k, -red / two_k
+
+
+def _Lambda0_variance(params: ModelParams, payoff: PayoffCurve, t: float, u, time_nodes: int, hermite_nodes: int):
+    """-eta^2/2 * integral_t^T E[delta(s, U~_s)^2 | U~_t = u] ds by Gauss-Legendre in time."""
+    if params.eta == 0.0 or t == params.T:
+        return np.zeros_like(u)
+    s_nodes, s_w = _gauss_legendre(t, params.T, time_nodes)
+    dsq = np.stack(
+        [np.asarray(_expected_delta_sq(params, payoff, t, float(s), u, hermite_nodes)) for s in s_nodes],
+        axis=-1,
+    )
+    return -0.5 * params.eta**2 * (dsq @ s_w)
 
 
 def Lambda0(
@@ -241,63 +285,66 @@ def Lambda0(
 ) -> np.ndarray | float:
     """Risk-aversion coefficient at q^0 (enters the value, not the strategies).
 
-    The drift part reduces through the martingale property; the squared-delta
+    The drift part is a time weight times delta(t,u); the squared-delta
     variance cost needs genuine quadrature over the factor transition.
     """
     t = float(_check_time(params, t))
     u = np.asarray(u, dtype=float)
-    if t == params.T:
-        z = np.zeros_like(u)
-        return z if z.ndim else 0.0
-    s_nodes, s_w = _gauss_legendre(t, params.T, time_nodes)
-
-    drift_part = 0.0
+    out = _Lambda0_variance(params, payoff, t, u, time_nodes, hermite_nodes)
     if params.mu != 0.0:
-        f1s = _f1(params, s_nodes)
-        d_vals = np.array([_drift_risk_integral(params, float(s)) for s in s_nodes])
-        kappa = _lemma_weight(params, s_nodes)
-        delta_t = np.asarray(payoff.delta(t, u), dtype=float)
-        det = float(np.sum(s_w * f1s * d_vals))
-        red = np.sum(s_w * f1s * kappa) * params.rho * params.sigma * params.eta
-        drift_part = (det - red * delta_t) / (2.0 * params.k)
-
-    if params.eta == 0.0:
-        variance_part = np.zeros_like(u)
-    else:
-        dsq = np.stack(
-            [np.asarray(_expected_delta_sq(params, payoff, t, float(s), u, hermite_nodes)) for s in s_nodes],
-            axis=-1,
-        )
-        variance_part = -0.5 * params.eta**2 * (dsq @ s_w)
-    out = drift_part + variance_part
+        a, w = _Lambda0_drift_weights(params, t, time_nodes)
+        out = out + _affine((a, w, 0.0), payoff, t, 0.0, u)
     return out if np.ndim(out) else float(out)
 
 
-@dataclass(frozen=True)
-class ExpansionCoefficients:
-    """All expansion coefficient functions for one (params, payoff) pair."""
-
-    f0: Callable[[float], float]
-    f1: Callable[[float], float]
-    f2: Callable[[float], float]
-    lambda0: Callable[[float, np.ndarray], np.ndarray]
-    lambda1: Callable[[float, np.ndarray], np.ndarray]
-    Lambda0: Callable[[float, np.ndarray], np.ndarray]
-    Lambda1: Callable[[float, np.ndarray], np.ndarray]
-    Lambda2: Callable[[float], float]
+def _nu0(params: ModelParams, t: float) -> _Affine:
+    """Risk-neutral execution speed without cross impact: (f1 + (2*f2 + b)*q)/(2k)."""
+    two_k = 2.0 * params.k
+    return float(_f1(params, t)) / two_k, 0.0, (2.0 * float(_f2(params, t)) + params.b) / two_k
 
 
-def expansion_coefficients(params: ModelParams, payoff: PayoffCurve) -> ExpansionCoefficients:
-    return ExpansionCoefficients(
-        f0=lambda t: f_coefficients(params, t)[0],
-        f1=lambda t: float(_f1(params, _check_time(params, t))),
-        f2=lambda t: float(_f2(params, _check_time(params, t))),
-        lambda0=lambda t, u: lambda0(params, payoff, t, u),
-        lambda1=lambda t, u: lambda1(params, payoff, t, u),
-        Lambda0=lambda t, u: Lambda0(params, payoff, t, u),
-        Lambda1=lambda t, u: Lambda1(params, payoff, t, u),
-        Lambda2=lambda t: float(Lambda2(params, t)),
+def _cross_pull(params: ModelParams, c: float, t: float) -> _Affine:
+    """c*(delta + lambda_1)/(2k) = c*delta/(2k + m*(T-t))."""
+    return 0.0, c / (2.0 * params.k + params.m * (params.T - t)), 0.0
+
+
+def _nu_hat_terms(params: ModelParams, scale: ExpansionScale, t: float) -> tuple[_Affine, _Affine, _Affine]:
+    """(a, w, B) of nu_0, theta*c*nu_1 and theta*gamma*nu_2; the last is
+    theta*gamma*(Lambda_1 + 2*Lambda_2*q)/(2k)."""
+    two_k = 2.0 * params.k
+    gamma = scale.effective_gamma
+    return (
+        _nu0(params, t),
+        _cross_pull(params, scale.effective_c, t),
+        (
+            gamma * _drift_risk_integral(params, t) / two_k,
+            gamma * _pull_weight(params, t) / two_k,
+            gamma * float(Lambda2(params, t)) / params.k,
+        ),
     )
+
+
+def _nu_hat_coeffs(params: ModelParams, scale: ExpansionScale, t: float) -> _Affine:
+    return _sum(*_nu_hat_terms(params, scale, t))
+
+
+def _delta_substitution_coeffs(effective: ModelParams, t: float) -> _Affine:
+    """(c*delta + h1(delta) + (2*h2 + b)*q)/(2k) with h1 = drift + per_unit*delta."""
+    two_k = 2.0 * effective.k
+    drift, per_unit = _h1_parts(effective, t)
+    return (
+        float(drift) / two_k,
+        (effective.c + float(per_unit)) / two_k,
+        (2.0 * float(h2(effective, t)) + effective.b) / two_k,
+    )
+
+
+def _risk_neutral_coeffs(params: ModelParams, t: float) -> _Affine:
+    return _sum(_nu0(params, t), _cross_pull(params, params.c, t))
+
+
+def _effective_params(params: ModelParams, scale: ExpansionScale) -> ModelParams:
+    return replace(params, c=scale.effective_c, gamma=scale.effective_gamma)
 
 
 def nu_hat_components(
@@ -315,26 +362,13 @@ def nu_hat_components(
     gamma-term combines the hedging pull with inventory-risk decay.
     """
     t = float(_check_time(params, t))
-    q = np.asarray(q, dtype=float)
-    two_k = 2.0 * params.k
-    nu0 = (_f1(params, t) + (2.0 * _f2(params, t) + params.b) * q) / two_k
-    delta = np.asarray(payoff.delta(t, u), dtype=float)
-    c_term = scale.effective_c * (delta + lambda1(params, payoff, t, u)) / two_k
-    gamma_term = scale.effective_gamma * (
-        Lambda1(params, payoff, t, u) + 2.0 * Lambda2(params, t) * q
-    ) / two_k
-    return nu0, c_term, gamma_term
+    return tuple(_affine(coeffs, payoff, t, q, u) for coeffs in _nu_hat_terms(params, scale, t))
 
 
 def nu_hat(params: ModelParams, payoff: PayoffCurve, scale: ExpansionScale, t: float, q, u):
     """Expansion trading speed nu_0 + theta*(c*nu_1 + gamma*nu_2); affine in q."""
-    nu0, c_term, gamma_term = nu_hat_components(params, payoff, scale, t, q, u)
-    out = nu0 + c_term + gamma_term
-    return out if np.ndim(out) else float(out)
-
-
-def _effective_params(params: ModelParams, scale: ExpansionScale) -> ModelParams:
-    return replace(params, c=scale.effective_c, gamma=scale.effective_gamma)
+    t = float(_check_time(params, t))
+    return _affine(_nu_hat_coeffs(params, scale, t), payoff, t, q, u)
 
 
 def nu_prime(params: ModelParams, payoff: PayoffCurve, scale: ExpansionScale, t: float, q, u):
@@ -344,9 +378,7 @@ def nu_prime(params: ModelParams, payoff: PayoffCurve, scale: ExpansionScale, t:
     Exact when the payoff is linear; within o(theta) of ``nu_hat`` otherwise.
     """
     t = float(_check_time(params, t))
-    delta = payoff.delta(t, u)
-    out = optimal_speed_linear(_effective_params(params, scale), delta, t, q)
-    return out if np.ndim(out) else float(out)
+    return _affine(_delta_substitution_coeffs(_effective_params(params, scale), t), payoff, t, q, u)
 
 
 def risk_neutral_cross_impact_speed(params: ModelParams, payoff: PayoffCurve, t: float, q, u):
@@ -356,12 +388,7 @@ def risk_neutral_cross_impact_speed(params: ModelParams, payoff: PayoffCurve, t:
     the horizon approaches; equals ``nu_hat`` at gamma=0, theta=1.
     """
     t = float(_check_time(params, t))
-    q = np.asarray(q, dtype=float)
-    tau = params.T - t
-    nu0 = (_f1(params, t) + (2.0 * _f2(params, t) + params.b) * q) / (2.0 * params.k)
-    delta = np.asarray(payoff.delta(t, u), dtype=float)
-    out = nu0 + params.c * delta / (2.0 * params.k + params.m * tau)
-    return out if np.ndim(out) else float(out)
+    return _affine(_risk_neutral_coeffs(params, t), payoff, t, q, u)
 
 
 def expansion_value(
@@ -381,13 +408,17 @@ def expansion_value(
     """
     t = float(_check_time(params, t))
     q = np.asarray(q, dtype=float)
+    u = np.asarray(u, dtype=float)
     f0, f1, f2 = f_coefficients(params, t)
-    g_val = np.asarray(payoff.g(t, u), dtype=float)
-    h0_val = f0 + f1 * q + f2 * q * q + g_val
-    h1_val = np.asarray(lambda0(params, payoff, t, u)) + np.asarray(lambda1(params, payoff, t, u)) * q
+    delta = np.asarray(payoff.delta(t, u), dtype=float)
+    h0_val = f0 + f1 * q + f2 * q * q + np.asarray(payoff.g(t, u), dtype=float)
+    h1_val = (_lambda0_weight(params, t) + _lambda1_weight(params, t) * q) * delta
+    l0_a, l0_w = _Lambda0_drift_weights(params, t, TIME_NODES)
     h2_val = (
-        np.asarray(Lambda0(params, payoff, t, u))
-        + np.asarray(Lambda1(params, payoff, t, u)) * q
+        l0_a
+        + l0_w * delta
+        + _Lambda0_variance(params, payoff, t, u, TIME_NODES, HERMITE_NODES)
+        + (_drift_risk_integral(params, t) + _pull_weight(params, t) * delta) * q
         + Lambda2(params, t) * q * q
     )
     total = h0_val + scale.effective_c * h1_val + scale.effective_gamma * h2_val
@@ -397,24 +428,24 @@ def expansion_value(
     return total
 
 
-def expansion_nu_hat_strategy(params: ModelParams, payoff: PayoffCurve, scale: ExpansionScale) -> Strategy:
-    def rule(t, q, u):
-        return nu_hat(params, payoff, scale, t, q, u)
+def _strategy(tag: str, params: ModelParams, payoff: PayoffCurve, coeffs_at) -> Strategy:
+    """Strategy whose speed at time t is the affine form with coefficients coeffs_at(t)."""
 
-    return Strategy(tag="expansion-nu-hat", rule=rule)
+    def rule(t, q, u):
+        t = float(_check_time(params, t))
+        return _affine(coeffs_at(t), payoff, t, q, u)
+
+    return Strategy(tag=tag, rule=rule)
+
+
+def expansion_nu_hat_strategy(params: ModelParams, payoff: PayoffCurve, scale: ExpansionScale) -> Strategy:
+    return _strategy("expansion-nu-hat", params, payoff, partial(_nu_hat_coeffs, params, scale))
 
 
 def delta_substitution_strategy(params: ModelParams, payoff: PayoffCurve, scale: ExpansionScale) -> Strategy:
     effective = _effective_params(params, scale)
-
-    def rule(t, q, u):
-        return optimal_speed_linear(effective, payoff.delta(float(t), u), t, q)
-
-    return Strategy(tag="delta-substitution", rule=rule)
+    return _strategy("delta-substitution", params, payoff, partial(_delta_substitution_coeffs, effective))
 
 
 def risk_neutral_cross_impact_strategy(params: ModelParams, payoff: PayoffCurve) -> Strategy:
-    def rule(t, q, u):
-        return risk_neutral_cross_impact_speed(params, payoff, t, q, u)
-
-    return Strategy(tag="risk-neutral-cross-impact", rule=rule)
+    return _strategy("risk-neutral-cross-impact", params, payoff, partial(_risk_neutral_coeffs, params))

@@ -18,17 +18,13 @@ expansion coefficients f1, f2) below a small omega threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
 
-from .market import DerivedConstants, ModelParams, State, Strategy, derived_constants
+from .market import ModelParams, State, Strategy, _check_time, derived_constants
 
 __all__ = [
-    "LinearCoefficients",
-    "linear_coefficients",
     "uses_zero_gamma_branch",
     "h0",
     "h1",
@@ -44,13 +40,6 @@ __all__ = [
 OMEGA_SWITCH = 1e-8
 
 _QUAD_OPTS = dict(epsabs=1e-14, epsrel=1e-10, limit=200)
-
-
-def _check_time(params: ModelParams, t) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    if np.any(t < -1e-12) or np.any(t > params.T * (1.0 + 1e-12)):
-        raise ValueError(f"time must lie in [0, T={params.T}], got {t}")
-    return np.clip(t, 0.0, params.T)
 
 
 def uses_zero_gamma_branch(params: ModelParams) -> bool:
@@ -84,34 +73,38 @@ def h2(params: ModelParams, t) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
+def _h1_parts(params: ModelParams, t) -> tuple[np.ndarray, np.ndarray]:
+    """(drift, per_unit) with h1(frak_n, t) = drift(t) + per_unit(t) * frak_n.
+
+    h1 is zeta*G(t) + c*frak_n*H(t) with zeta = mu - gamma*rho*sigma*eta*frak_n,
+    so it is affine in frak_n; the two parts split the mu forcing from the
+    per-unit hedging and cross-impact forcing.
+    """
+    t = _check_time(params, t)
+    tau = params.T - t
+    m, k = params.m, params.k
+    if uses_zero_gamma_branch(params):
+        zeta_gain = tau * (4.0 * k + m * tau) / (2.0 * (2.0 * k + m * tau))
+        cross_gain = -m * tau / (2.0 * k + m * tau)
+    else:
+        d = derived_constants(params)
+        x = d.omega * tau / k
+        e = np.exp(-x)
+        denom = d.phi_minus * e * e + d.phi_plus
+        zeta_gain = (k / d.omega) * -np.expm1(-x) * (d.phi_minus * e + d.phi_plus) / denom
+        cross_gain = 2.0 * d.omega * e / denom - 1.0
+    hedge = params.gamma * params.rho * params.sigma * params.eta
+    return params.mu * zeta_gain, params.c * cross_gain - hedge * zeta_gain
+
+
 def h1(params: ModelParams, frak_n, t) -> np.ndarray | float:
     """Linear-in-inventory coefficient; broadcasts over frak_n and t.
 
     Forced by the risk-adjusted drift zeta = mu - gamma*rho*sigma*eta*frak_n
     and by the cross impact c*frak_n; vanishes at the horizon.
     """
-    t = _check_time(params, t)
-    frak_n = np.asarray(frak_n, dtype=float)
-    tau = params.T - t
-    m, k, c = params.m, params.k, params.c
-    zeta = params.mu - params.gamma * params.rho * params.sigma * params.eta * frak_n
-    if uses_zero_gamma_branch(params):
-        out = (
-            zeta * tau * (4.0 * k + m * tau) / (2.0 * (2.0 * k + m * tau))
-            - c * frak_n * m * tau / (2.0 * k + m * tau)
-        )
-    else:
-        d = derived_constants(params)
-        x = d.omega * tau / k
-        e = np.exp(-x)
-        one_minus_e = -np.expm1(-x)
-        denom = d.phi_minus * e * e + d.phi_plus
-        out = (
-            ((zeta * k / d.omega) * one_minus_e * (d.phi_minus * e + d.phi_plus)
-             + 2.0 * d.omega * c * frak_n * e)
-            / denom
-            - c * frak_n
-        )
+    drift, per_unit = _h1_parts(params, t)
+    out = drift + per_unit * np.asarray(frak_n, dtype=float)
     return out if np.ndim(out) else float(out)
 
 
@@ -136,28 +129,6 @@ def h0(params: ModelParams, frak_n: float, t: float) -> float:
 
     val, _ = quad(integrand, t, params.T, **_QUAD_OPTS)
     return base + val
-
-
-@dataclass(frozen=True)
-class LinearCoefficients:
-    """Bundle of the value-function coefficients for a fixed linear exposure."""
-
-    frak_n: float
-    derived: DerivedConstants
-    h0_fn: Callable[[float], float]
-    h1_fn: Callable[[float], float]
-    h2_fn: Callable[[float], float]
-
-
-def linear_coefficients(params: ModelParams, frak_n: float) -> LinearCoefficients:
-    """Package h0, h1, h2 as callables of time for ``frak_n`` exposure units."""
-    return LinearCoefficients(
-        frak_n=frak_n,
-        derived=derived_constants(params, frak_n),
-        h0_fn=lambda t: h0(params, frak_n, t),
-        h1_fn=lambda t: h1(params, frak_n, t),
-        h2_fn=lambda t: h2(params, t),
-    )
 
 
 def optimal_speed_linear(params: ModelParams, frak_n, t, q) -> np.ndarray | float:

@@ -127,6 +127,14 @@ def derived_constants(params: ModelParams, frak_n: float = 0.0) -> DerivedConsta
     )
 
 
+def _check_time(params: ModelParams, t) -> np.ndarray:
+    """Reject times outside [0, T] (up to rounding) and clip the rest into it."""
+    t = np.asarray(t, dtype=float)
+    if np.any(t < -1e-12) or np.any(t > params.T * (1.0 + 1e-12)):
+        raise ValueError(f"time must lie in [0, T={params.T}], got {t}")
+    return np.clip(t, 0.0, params.T)
+
+
 @dataclass(frozen=True)
 class LinearExposure:
     """Terminal exposure psi(U) = frak_n * U (frak_n frozen units of the factor)."""
@@ -156,13 +164,11 @@ class CustomSmoothExposure:
     """Caller-supplied smooth payoff with bounded derivatives up to fourth order.
 
     payoff_derivative is optional; conditional-expectation deltas fall back to
-    finite differences when it is absent.  fourth_derivative_bound is recorded
-    for tolerance scaling and trusted as declared.
+    finite differences when it is absent.
     """
 
     payoff: Callable[[np.ndarray], np.ndarray]
     payoff_derivative: Callable[[np.ndarray], np.ndarray] | None = None
-    fourth_derivative_bound: float | None = None
 
 
 Exposure = Union[LinearExposure, BachelierCallExposure, CustomSmoothExposure]

@@ -13,7 +13,6 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,6 +23,7 @@ from .expansion import (
     Lambda2,
     _f1,
     _f2,
+    _gauss_legendre,
     delta_substitution_strategy,
     expansion_nu_hat_strategy,
     expansion_value,
@@ -602,23 +602,10 @@ def theta_sweep(
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=16)
-def _legendre_cache(n: int):
-    from numpy.polynomial.legendre import leggauss
-
-    return leggauss(n)
-
-
 def _expected_delta(params: ModelParams, payoff: PayoffCurve, t: float, s: float, u: float) -> float:
     from .bachelier import AuxiliaryProcessLaw, expected_delta
 
     return expected_delta(AuxiliaryProcessLaw.from_params(params), payoff, t, s, u)
-
-
-def _time_nodes(t: float, T: float, n: int):
-    x, w = _legendre_cache(n)
-    mid, half = 0.5 * (t + T), 0.5 * (T - t)
-    return mid + half * x, half * w
 
 
 def lambda1_nested_quadrature(
@@ -633,7 +620,7 @@ def lambda1_nested_quadrature(
     tau = params.T - t
     if tau <= 0:
         return 0.0
-    s_nodes, s_w = _time_nodes(t, params.T, time_nodes)
+    s_nodes, s_w = _gauss_legendre(t, params.T, time_nodes)
     vals = np.array([_expected_delta(params, payoff, t, float(s), u) for s in s_nodes])
     return float(-params.m / (2.0 * params.k + params.m * tau) * np.sum(s_w * vals))
 
@@ -650,7 +637,7 @@ def Lambda1_nested_quadrature(
     if tau <= 0:
         return 0.0
     k, m = params.k, params.m
-    s_nodes, s_w = _time_nodes(t, params.T, time_nodes)
+    s_nodes, s_w = _gauss_legendre(t, params.T, time_nodes)
     acc = 0.0
     for s, w in zip(s_nodes, s_w):
         weight = (2.0 * k + m * (params.T - s)) / (2.0 * k + m * tau)

@@ -1,42 +1,41 @@
 import pytest
 
-from crosshedge import BachelierCallExposure, ModelParams, State
+from crosshedge import ModelParams, State
+from crosshedge.config import PRESETS, _build_exposure
 
 
-def _params(**kw):
-    base = dict(mu=0.0, sigma=1.0, beta=0.0, eta=1.0, rho=0.5, b=1e-2, c=1e-3, k=1e-2, gamma=1.0, alpha=0.05, T=3.0)
-    base.update(kw)
-    return ModelParams(**base)
+def _preset_model(name):
+    return ModelParams(**PRESETS[name]["model"])
 
 
 @pytest.fixture(scope="session")
 def fig1():
-    return _params()
+    return _preset_model("fig1_right")
 
 
 @pytest.fixture(scope="session")
 def fig1_left():
-    return _params(T=0.5)
+    return _preset_model("fig1_left")
 
 
 @pytest.fixture(scope="session")
 def fig3():
-    return _params(k=1e-3, gamma=0.0, T=1.0)
+    return _preset_model("fig3")
 
 
 @pytest.fixture(scope="session")
 def fig5():
-    return _params(k=1e-3, gamma=1e-3, c=0.0, T=1.0)
+    return _preset_model("fig5")
 
 
 @pytest.fixture(scope="session")
 def fig7():
-    return _params(k=1e-3, gamma=2e-3, T=1.0)
+    return _preset_model("fig7")
 
 
 @pytest.fixture(scope="session")
 def call100():
-    return BachelierCallExposure(n_options=100.0, strike=1.0, dt_offset=1e-5)
+    return _build_exposure(PRESETS["fig7"]["exposure"])
 
 
 @pytest.fixture(scope="session")

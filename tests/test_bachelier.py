@@ -190,7 +190,6 @@ class TestCustomCurve:
         expo = CustomSmoothExposure(
             payoff=lambda u: np.tanh(u),
             payoff_derivative=lambda u: 1.0 / np.cosh(u) ** 2,
-            fourth_derivative_bound=6.0,
         )
         curve = custom_payoff_curve(law, expo)
         # declared-derivative delta agrees with finite differences of g

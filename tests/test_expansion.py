@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from crosshedge import (
     LinearExposure,
     ModelParams,
     call_payoff_curve,
-    expansion_coefficients,
     expansion_value,
     f_coefficients,
     h1,
@@ -25,7 +25,13 @@ from crosshedge import (
     optimal_speed_linear,
     risk_neutral_cross_impact_speed,
 )
-from crosshedge.expansion import _f1, _f2
+from crosshedge.expansion import (
+    _f1,
+    _f2,
+    delta_substitution_strategy,
+    expansion_nu_hat_strategy,
+    risk_neutral_cross_impact_strategy,
+)
 from crosshedge.oracles import (
     Lambda1_nested_quadrature,
     lambda0_monte_carlo,
@@ -76,7 +82,8 @@ class TestFCoefficients:
 class TestLambda1:
     def test_terminal(self, fig7, call100):
         curve = call_payoff_curve(fig7, call100)
-        assert lambda1(fig7, curve, fig7.T, 1.0) == 0.0
+        for u in (1.0, 1.2):
+            assert lambda1(fig7, curve, fig7.T, u) == 0.0
 
     def test_constant_delta_reduction(self, fig7):
         curve = linear_payoff_curve(fig7, 2.0)
@@ -88,8 +95,10 @@ class TestLambda1:
     def test_matches_nested_quadrature(self, fig3, call100):
         curve = call_payoff_curve(fig3, call100)
         assert float(lambda1(fig3, curve, 0.5, 1.0)) == pytest.approx(LAMBDA1_NESTED_FIG3, abs=1e-6)
-        live = lambda1_nested_quadrature(fig3, curve, 0.5, 1.0, time_nodes=48)
-        assert float(lambda1(fig3, curve, 0.5, 1.0)) == pytest.approx(live, abs=1e-6)
+        for params in (fig3, replace(fig3, mu=0.1, beta=0.05)):
+            curve = call_payoff_curve(params, call100)
+            live = lambda1_nested_quadrature(params, curve, 0.5, 1.0, time_nodes=48)
+            assert float(lambda1(params, curve, 0.5, 1.0)) == pytest.approx(live, abs=1e-6)
 
     def test_bound(self, fig7, call100):
         curve = call_payoff_curve(fig7, call100)
@@ -104,9 +113,10 @@ class TestLambda0Small:
         curve = call_payoff_curve(fig7, call100)
         assert float(lambda0(fig7, curve, 0.3, np.asarray(1.0))) == 0.0
 
-    def test_terminal(self, mu_params, call100):
-        curve = call_payoff_curve(mu_params, call100)
-        assert float(lambda0(mu_params, curve, mu_params.T, np.asarray(1.0))) == 0.0
+    def test_terminal(self, mu_params, fig7, call100):
+        for params, u in ((mu_params, 1.0), (fig7, 1.2)):
+            curve = call_payoff_curve(params, call100)
+            assert float(lambda0(params, curve, params.T, np.asarray(u))) == 0.0
 
     def test_monte_carlo_oracle_frozen(self, mu_params, call100):
         curve = call_payoff_curve(mu_params, call100)
@@ -141,15 +151,18 @@ class TestBigLambda1:
         for (t, u) in [(0.0, 0.7), (0.6, 1.3)]:
             assert float(Lambda1(p, curve, t, u)) == 0.0
 
-    def test_terminal(self, fig5, call100):
-        curve = call_payoff_curve(fig5, call100)
-        assert float(Lambda1(fig5, curve, fig5.T, 1.0)) == 0.0
+    def test_terminal(self, fig5, fig7, call100):
+        for params, u in ((fig5, 1.0), (fig7, 1.2)):
+            curve = call_payoff_curve(params, call100)
+            assert float(Lambda1(params, curve, params.T, u)) == 0.0
 
     def test_matches_nested_quadrature(self, fig5, call100):
         curve = call_payoff_curve(fig5, call100)
         assert float(Lambda1(fig5, curve, 0.3, 1.0)) == pytest.approx(BIG_LAMBDA1_NESTED_FIG5, abs=1e-6)
-        live = Lambda1_nested_quadrature(fig5, curve, 0.3, 1.0, time_nodes=48)
-        assert float(Lambda1(fig5, curve, 0.3, 1.0)) == pytest.approx(live, abs=1e-6)
+        for params in (fig5, replace(fig5, mu=0.1, beta=0.05)):
+            curve = call_payoff_curve(params, call100)
+            live = Lambda1_nested_quadrature(params, curve, 0.3, 1.0, time_nodes=48)
+            assert float(Lambda1(params, curve, 0.3, 1.0)) == pytest.approx(live, abs=1e-6)
 
     def test_negative_pull_when_long_delta(self, fig5, call100):
         # with mu=0 and rho>0 only the hedging pull remains
@@ -165,7 +178,8 @@ class TestBigLambda0:
 
     def test_terminal(self, fig7, call100):
         curve = call_payoff_curve(fig7, call100)
-        assert float(Lambda0(fig7, curve, fig7.T, np.asarray(1.0))) == 0.0
+        for u in (1.0, 1.2):
+            assert float(Lambda0(fig7, curve, fig7.T, np.asarray(u))) == 0.0
 
     def test_constant_delta_value(self, fig7):
         # with delta = frak_n and mu = 0 the integral is -eta^2 n^2 (T-t)/2
@@ -207,6 +221,24 @@ class TestNuHat:
         )
         assert nu_hat(fig7, curve, sc, t, q, u) == pytest.approx(assembled, abs=1e-8)
 
+    @pytest.mark.parametrize("drift", [{}, {"mu": 0.1, "beta": 0.05}])
+    def test_assembled_from_coefficients(self, fig7, call100, drift):
+        # the summed (a, w, B) triple against nu_0 + theta*c*(delta + lambda_1)/(2k)
+        # + theta*gamma*(Lambda_1 + 2*Lambda_2*q)/(2k) from the public coefficients
+        params = replace(fig7, **drift)
+        curve = call_payoff_curve(params, call100)
+        sc = ExpansionScale.from_params(params, 0.2)
+        for t, q, u in [(0.0, 0.0, 1.0), (0.3, -1.5, 0.4), (0.8, 2.0, 1.9)]:
+            d = float(curve.delta(t, np.asarray(u)))
+            nu0 = (float(_f1(params, t)) + (2 * float(_f2(params, t)) + params.b) * q) / (2 * params.k)
+            assembled = (
+                nu0
+                + sc.effective_c * (d + lambda1(params, curve, t, u)) / (2 * params.k)
+                + sc.effective_gamma * (Lambda1(params, curve, t, u) + 2 * Lambda2(params, t) * q) / (2 * params.k)
+            )
+            got = nu_hat(params, curve, sc, t, q, u)
+            assert abs(got - assembled) <= 1e-12 * max(1.0, abs(assembled))
+
     def test_affine_in_inventory(self, fig7, call100):
         curve = call_payoff_curve(fig7, call100)
         sc = ExpansionScale.from_params(fig7, 1.0)
@@ -231,6 +263,19 @@ class TestNuPrime:
                 a = nu_prime(fig1, curve, sc, t, q, 5.0)
                 b = optimal_speed_linear(fig1, 1.0, t, q)
                 assert abs(a - b) < 1e-12
+
+    @pytest.mark.parametrize("drift", [{}, {"mu": 0.1, "beta": 0.05}])
+    def test_linear_speed_at_payoff_delta(self, fig7, call100, drift):
+        # the (a, w, B) triple against the linear optimal speed with delta units
+        params = replace(fig7, **drift)
+        curve = call_payoff_curve(params, call100)
+        for theta in (0.2, 1.0):
+            sc = ExpansionScale.from_params(params, theta)
+            eff = replace(params, c=sc.effective_c, gamma=sc.effective_gamma)
+            for t, q, u in [(0.0, 0.0, 1.0), (0.3, -1.5, 0.4), (0.8, 2.0, 1.9)]:
+                ref = optimal_speed_linear(eff, float(curve.delta(t, np.asarray(u))), t, q)
+                got = nu_prime(params, curve, sc, t, q, u)
+                assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
 
     def test_deep_otm_reduces_to_liquidation(self, fig5, call100):
         curve = call_payoff_curve(fig5, call100)
@@ -284,6 +329,45 @@ class TestRiskNeutralCrossImpact:
         big_alpha = ModelParams(**{**fig3.__dict__, "alpha": fig3.alpha * 1e3})
         ratio = (fig3.c / big_alpha.m * 100.0) / (fig3.c / fig3.m * 100.0)
         assert ratio == pytest.approx(1e-3, rel=0.15)
+
+
+class TestOneDeltaEvaluation:
+    """Every shipped speed, each strategy rule and expansion_value read the
+    payoff delta once per evaluation: the speeds are a + w*delta + B*q."""
+
+    @pytest.mark.parametrize("drift", [{}, {"mu": 0.1, "beta": 0.05}])
+    def test_one_delta_call(self, fig7, call100, drift):
+        params = replace(fig7, **drift)
+        calls = []
+        base = call_payoff_curve(params, call100)
+
+        def counting_delta(t, u):
+            calls.append(t)
+            return base.delta(t, u)
+
+        curve = replace(base, delta=counting_delta)
+        sc = ExpansionScale.from_params(params, 0.5)
+        q, u = np.array([-1.0, 0.0, 1.5]), np.array([0.6, 1.0, 1.3])
+        rules = {
+            "rule " + s.tag: s.rule
+            for s in (
+                expansion_nu_hat_strategy(params, curve, sc),
+                delta_substitution_strategy(params, curve, sc),
+                risk_neutral_cross_impact_strategy(params, curve),
+            )
+        }
+        evaluations = {
+            "nu_hat": lambda t: nu_hat(params, curve, sc, t, q, u),
+            "nu_prime": lambda t: nu_prime(params, curve, sc, t, q, u),
+            "risk_neutral_cross_impact_speed": lambda t: risk_neutral_cross_impact_speed(params, curve, t, q, u),
+            "expansion_value": lambda t: expansion_value(params, curve, sc, t, 0.5, 1.1),
+            **{name: (lambda t, r=rule: r(t, q, u)) for name, rule in rules.items()},
+        }
+        for name, evaluate in evaluations.items():
+            for t in (0.0, 0.4, params.T):
+                calls.clear()
+                evaluate(t)
+                assert calls == [t], f"{name} at t={t}: {len(calls)} delta calls"
 
 
 class TestExpansionValue:
@@ -340,18 +424,3 @@ class TestScale:
     def test_negative_theta_rejected(self, fig7):
         with pytest.raises(ValueError):
             ExpansionScale.from_params(fig7, -0.1)
-
-    def test_coefficient_bundle_terminal(self, fig7, call100):
-        curve = call_payoff_curve(fig7, call100)
-        co = expansion_coefficients(fig7, curve)
-        u = np.asarray(1.2)
-        for val in (
-            co.f1(fig7.T),
-            co.lambda0(fig7.T, u),
-            co.lambda1(fig7.T, u),
-            co.Lambda0(fig7.T, u),
-            co.Lambda1(fig7.T, u),
-            co.Lambda2(fig7.T),
-        ):
-            assert abs(float(np.asarray(val))) < 1e-12
-        assert co.f2(fig7.T) == pytest.approx(-fig7.alpha)

@@ -10,7 +10,6 @@ from crosshedge import (
     h0,
     h1,
     h2,
-    linear_coefficients,
     linear_value_function,
     long_horizon_position,
     optimal_inventory_linear,
@@ -231,11 +230,3 @@ class TestValueFunction:
     def test_requires_risk_aversion(self, fig3):
         with pytest.raises(ValueError):
             linear_value_function(fig3, 1.0, State(0.0, 0.0, 0.0, 10.0, 1.0))
-
-
-class TestCoefficientBundle:
-    def test_terminal_values(self, fig1):
-        coeffs = linear_coefficients(fig1, 1.0)
-        assert abs(coeffs.h1_fn(fig1.T)) < 1e-12
-        assert coeffs.h2_fn(fig1.T) == pytest.approx(-fig1.alpha, abs=1e-12)
-        assert coeffs.derived.m > 0

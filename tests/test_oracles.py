@@ -118,6 +118,13 @@ class TestMcPerformance:
         ok, measured, _ = mc_se_scaling(seed=31)
         assert ok, measured
 
+    @pytest.mark.parametrize("seed", [8, 11])
+    def test_se_scaling_other_seeds(self, seed):
+        # the n-path run is the first chunk of the 2n-path run, so the
+        # window [1.3, 1.5] holds well beyond the default seed
+        ok, measured, _ = mc_se_scaling(seed=seed)
+        assert ok, measured
+
     def test_crn_self_gap_zero(self, fig1):
         strat = linear_optimal_strategy(fig1, 1.0)
         res = mc_strategy_gap(fig1, LinearExposure(1.0), strat, strat, State(0, 0, 0, 10.0, 5.0), 1000, 50, seed=4)
