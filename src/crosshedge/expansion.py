@@ -15,6 +15,12 @@ are deterministic time weights times delta(t,U).  The single non-reducible
 term (the squared delta inside Lambda_0) is integrated with Gauss-Hermite
 nodes under an outer Gauss-Legendre time rule.
 
+The drift (mu != 0) time integrals -- f0, the lambda_0 weight, the
+drift-risk integral D(t) inside Lambda_1 and nu_hat, and the drift part of
+Lambda_0 -- have integrands rational in time-to-go tau with poles only at
+A = 2k + m*tau = 0.  In log A they are entire, so each is one fixed
+Gauss-Legendre sum in log A (``_tau_integral``), vectorised over t.
+
 Every strategy shipped here is affine in the payoff delta and in inventory,
 
     nu(t, q, U) = a(t) + w(t)*delta(t,U) + B(t)*q,
@@ -34,7 +40,6 @@ from functools import lru_cache, partial
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad
 
 from .bachelier import PayoffCurve, _hermite_nodes
 from .linear import _h1_parts, h2
@@ -60,8 +65,8 @@ __all__ = [
 
 TIME_NODES = 64
 HERMITE_NODES = 128
-
-_QUAD_OPTS = dict(epsabs=1e-14, epsrel=1e-10, limit=200)
+# Gauss-Legendre nodes in log(2k + m*tau) for the drift time integrals
+_LOG_A_NODES = 32
 
 
 @dataclass(frozen=True)
@@ -96,23 +101,58 @@ def _sum(*triples: _Affine) -> _Affine:
     return tuple(map(sum, zip(*triples)))
 
 
-def _f1(params: ModelParams, t):
-    tau = params.T - np.asarray(t, dtype=float)
+def _f1_at(params: ModelParams, tau):
+    """f1 as a function of time-to-go tau."""
     k, m = params.k, params.m
     return params.mu * tau * (4.0 * k + m * tau) / (4.0 * k + 2.0 * m * tau)
 
 
+def _f1(params: ModelParams, t):
+    return _f1_at(params, params.T - np.asarray(t, dtype=float))
+
+
 def _f2(params: ModelParams, t):
-    tau = params.T - np.asarray(t, dtype=float)
+    tau = params.T - (t if isinstance(t, float) else np.asarray(t, dtype=float))
     k, m = params.k, params.m
     return -k * m / (2.0 * k + m * tau) - params.b / 2.0
+
+
+@lru_cache(maxsize=16)
+def _legendre_nodes(n: int):
+    return leggauss(n)
+
+
+def _gauss_legendre(t0: float, t1: float, n: int):
+    x, w = _legendre_nodes(n)
+    mid, half = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
+    return mid + half * x, half * w
+
+
+def _tau_integral(params: ModelParams, g, t):
+    """integral_0^{T-t} g(x, A) dx with A = 2k + m*x, vectorised over t.
+
+    With v = log(A/2k) the span is log1p(m*tau/2k), x = 2k*expm1(v)/m and
+    dx = A dv/m (m > 0 is enforced by ModelParams).  The drift integrands
+    are rational in x with poles only at A = 0, hence entire in v, and a
+    fixed Gauss-Legendre rule in v converges geometrically.
+    """
+    tau = params.T - np.asarray(t, dtype=float)
+    two_k, m = 2.0 * params.k, params.m
+    nodes, weights = _legendre_nodes(_LOG_A_NODES)
+    half_span = 0.5 * np.log1p(m * tau / two_k)[..., None]
+    v = half_span * (1.0 + nodes)
+    a = two_k * np.exp(v)
+    x = two_k * np.expm1(v) / m
+    out = (g(x, a) * a) @ weights * half_span[..., 0] / m
+    return out if out.ndim else float(out)
 
 
 def f_coefficients(params: ModelParams, t: float) -> tuple[float, float, float]:
     """Zero-order value coefficients (f0, f1, f2) at time t.
 
     f1 and f2 are explicit rationals in time-to-go; f0 integrates f1^2/(4k)
-    by adaptive quadrature and short-circuits to 0 when mu = 0.
+    with the fixed log(2k + m*tau) Gauss-Legendre rule and short-circuits
+    to 0 when mu = 0.
     """
     t = float(_check_time(params, t))
     f1 = float(_f1(params, t))
@@ -120,8 +160,7 @@ def f_coefficients(params: ModelParams, t: float) -> tuple[float, float, float]:
     if params.mu == 0.0 or t == params.T:
         f0 = 0.0
     else:
-        val, _ = quad(lambda s: _f1(params, s) ** 2, t, params.T, **_QUAD_OPTS)
-        f0 = val / (4.0 * params.k)
+        f0 = _tau_integral(params, lambda x, a: _f1_at(params, x) ** 2, t) / (4.0 * params.k)
     return f0, f1, f2
 
 
@@ -144,13 +183,7 @@ def _lambda0_weight(params: ModelParams, t: float) -> float:
     """integral_t^T f1(s) / (2k + m(T-s)) ds; zero when mu = 0."""
     if params.mu == 0.0 or t == params.T:
         return 0.0
-    k, m = params.k, params.m
-
-    def integrand(s: float) -> float:
-        return float(_f1(params, s)) / (2.0 * k + m * (params.T - s))
-
-    weight, _ = quad(integrand, t, params.T, **_QUAD_OPTS)
-    return weight
+    return _tau_integral(params, lambda x, a: _f1_at(params, x) / a, t)
 
 
 def lambda0(params: ModelParams, payoff: PayoffCurve, t: float, u) -> np.ndarray | float:
@@ -166,31 +199,30 @@ def lambda0(params: ModelParams, payoff: PayoffCurve, t: float, u) -> np.ndarray
     return _affine((0.0, weight, 0.0), payoff, t, 0.0, u)
 
 
-def Lambda2(params: ModelParams, t) -> np.ndarray | float:
-    """Risk-aversion coefficient on q^2; nonpositive, zero at the horizon."""
-    t_arr = _check_time(params, t)
-    tau = params.T - t_arr
+def _Lambda2_at(params: ModelParams, tau):
+    """Lambda2 as a function of time-to-go tau."""
     k, m = params.k, params.m
-    out = (
+    return (
         -params.sigma**2
         * tau
         * (12.0 * k * k + 6.0 * k * m * tau + m * m * tau * tau)
         / (6.0 * (2.0 * k + m * tau) ** 2)
     )
+
+
+def Lambda2(params: ModelParams, t) -> np.ndarray | float:
+    """Risk-aversion coefficient on q^2; nonpositive, zero at the horizon."""
+    out = _Lambda2_at(params, params.T - _check_time(params, t))
     return out if np.ndim(out) else float(out)
 
 
-def _drift_risk_integral(params: ModelParams, t: float) -> float:
-    """D(t) = [integral_t^T (2k+m(T-s)) f1(s) Lambda2(s) ds] / (k*(2k+m(T-t)))."""
-    if params.mu == 0.0 or t == params.T:
+def _drift_risk_integral(params: ModelParams, t):
+    """D(t) = [integral_t^T (2k+m(T-s)) f1(s) Lambda2(s) ds] / (k*(2k+m(T-t))),
+    vectorised over t."""
+    if params.mu == 0.0:
         return 0.0
-    k, m = params.k, params.m
-
-    def integrand(s: float) -> float:
-        return (2.0 * k + m * (params.T - s)) * float(_f1(params, s)) * float(Lambda2(params, s))
-
-    val, _ = quad(integrand, t, params.T, **_QUAD_OPTS)
-    return val / (k * (2.0 * k + m * (params.T - t)))
+    num = _tau_integral(params, lambda x, a: a * _f1_at(params, x) * _Lambda2_at(params, x), t)
+    return num / (params.k * (2.0 * params.k + params.m * (params.T - t)))
 
 
 def _lemma_weight(params: ModelParams, t) -> np.ndarray:
@@ -215,17 +247,6 @@ def Lambda1(params: ModelParams, payoff: PayoffCurve, t, u) -> np.ndarray | floa
     """
     t = float(_check_time(params, t))
     return _affine((_drift_risk_integral(params, t), _pull_weight(params, t), 0.0), payoff, t, 0.0, u)
-
-
-@lru_cache(maxsize=16)
-def _legendre_nodes(n: int):
-    return leggauss(n)
-
-
-def _gauss_legendre(t0: float, t1: float, n: int):
-    x, w = _legendre_nodes(n)
-    mid, half = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
-    return mid + half * x, half * w
 
 
 def _expected_delta_sq(params: ModelParams, payoff: PayoffCurve, t: float, s: float, u, n_nodes: int):
@@ -256,8 +277,7 @@ def _Lambda0_drift_weights(params: ModelParams, t: float, time_nodes: int) -> tu
         return 0.0, 0.0
     s_nodes, s_w = _gauss_legendre(t, params.T, time_nodes)
     f1s = _f1(params, s_nodes)
-    d_vals = np.array([_drift_risk_integral(params, float(s)) for s in s_nodes])
-    det = float(np.sum(s_w * f1s * d_vals))
+    det = float(np.sum(s_w * f1s * _drift_risk_integral(params, s_nodes)))
     red = float(np.sum(s_w * f1s * _lemma_weight(params, s_nodes))) * params.rho * params.sigma * params.eta
     two_k = 2.0 * params.k
     return det / two_k, -red / two_k

@@ -107,29 +107,37 @@ class DenseOdeSolution:
 
 
 def rk4_backward(spec: OdeSystemSpec) -> DenseOdeSolution:
-    """Classical RK4 from t_end back to t_start on a uniform grid."""
+    """Classical RK4 from t_end back to t_start on a uniform grid.
+
+    The state is checked for finiteness once, after the sweep; the error
+    names the first grid time at which it is not finite.
+    """
     n = spec.step_count
     if n < 1:
         raise ValueError("step_count must be >= 1")
     h = (spec.t_start - spec.t_end) / n
+    half, sixth = h / 2, h / 6
     ts = spec.t_end + h * np.arange(n + 1)
+    rhs = spec.rhs
     dim = np.atleast_1d(np.asarray(spec.terminal_value, dtype=float)).shape[0]
     ys = np.empty((n + 1, dim))
     fs = np.empty((n + 1, dim))
     y = np.atleast_1d(np.asarray(spec.terminal_value, dtype=float)).copy()
     ys[0] = y
-    fs[0] = spec.rhs(ts[0], y)
+    fs[0] = rhs(ts[0], y)
+    tl = ts.tolist()
     for i in range(n):
-        t = ts[i]
+        t = tl[i]
         k1 = fs[i]
-        k2 = np.asarray(spec.rhs(t + h / 2, y + h / 2 * k1))
-        k3 = np.asarray(spec.rhs(t + h / 2, y + h / 2 * k2))
-        k4 = np.asarray(spec.rhs(t + h, y + h * k3))
-        y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(y)):
-            raise SimulationError(f"ODE state became non-finite near t={ts[i + 1]:.6g}")
+        k2 = np.asarray(rhs(t + half, y + half * k1))
+        k3 = np.asarray(rhs(t + half, y + half * k2))
+        k4 = np.asarray(rhs(t + h, y + h * k3))
+        y = y + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
         ys[i + 1] = y
-        fs[i + 1] = spec.rhs(ts[i + 1], y)
+        fs[i + 1] = rhs(tl[i + 1], y)
+    finite = np.isfinite(ys).all(axis=1)
+    if not finite.all():
+        raise SimulationError(f"ODE state became non-finite near t={ts[np.argmin(finite)]:.6g}")
     # stored backward from t_end; flip to ascending time
     return DenseOdeSolution(ts[::-1].copy(), ys[::-1].copy(), fs[::-1].copy())
 
@@ -141,7 +149,7 @@ def riccati_h_system(params: ModelParams, frak_n: float, step_count: int = 10_00
     g_half_sig = 0.5 * params.sigma**2 * params.gamma
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        h0_, h1_, h2_ = y
+        _, h1_, h2_ = y.tolist()
         w = h1_ + c * frak_n
         slope = 2.0 * h2_ + b
         return np.array(
@@ -166,7 +174,7 @@ def f1_ode_system(params: ModelParams, step_count: int = 10_000) -> OdeSystemSpe
     """Terminal-value ODE for the zero-order drift coefficient f1."""
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        return np.array([-params.mu - (2.0 * _f2(params, t) + params.b) * y[0] / (2.0 * params.k)])
+        return np.array([-params.mu - (2.0 * _f2(params, t) + params.b) * float(y[0]) / (2.0 * params.k)])
 
     return OdeSystemSpec(rhs=rhs, terminal_value=np.array([0.0]), step_count=step_count, t_end=params.T)
 
@@ -175,7 +183,7 @@ def Lambda2_ode_system(params: ModelParams, step_count: int = 10_000) -> OdeSyst
     """Terminal-value ODE for the inventory-risk coefficient Lambda2."""
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        return np.array([0.5 * params.sigma**2 - (2.0 * _f2(params, t) + params.b) * y[0] / params.k])
+        return np.array([0.5 * params.sigma**2 - (2.0 * _f2(params, t) + params.b) * float(y[0]) / params.k])
 
     return OdeSystemSpec(rhs=rhs, terminal_value=np.array([0.0]), step_count=step_count, t_end=params.T)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import jsonschema
@@ -371,16 +371,21 @@ def pde_residual_linear_exact(tol: float = 1e-6) -> tuple[bool, dict, str]:
 def pde_residual_order(
     thetas: tuple[float, ...] = (0.2, 0.1, 0.05), window: tuple[float, float] = (3.3, 4.8)
 ) -> tuple[bool, dict, str]:
-    """First-order truncation: halving theta divides the HJB residual by ~4."""
-    curve = call_payoff_curve(FIG7, CALL_100)
-    grid = default_probe_grid(FIG7, CALL_100.strike)
-    rep = pde_residual(FIG7, curve, ExpansionScale.from_params(FIG7, thetas[0]), grid, thetas=list(thetas))
-    ok = all(window[0] <= r <= window[1] for r in rep.ratios)
-    return (
-        ok,
-        {"thetas": list(rep.theta_values), "norms": rep.residual_norms, "ratios": rep.ratios},
-        f"ratios = {[f'{r:.2f}' for r in rep.ratios]} (window [{window[0]}, {window[1]}])",
-    )
+    """First-order truncation: halving theta divides the HJB residual by ~4,
+    on FIG7 and on FIG7 with drift (mu = 0.1, beta = 0.05)."""
+    measured = {"thetas": list(map(float, thetas))}
+    details = []
+    ok = True
+    cases = (("", "fig7", FIG7), ("drift_", "fig7 mu=0.1 beta=0.05", replace(FIG7, mu=0.1, beta=0.05)))
+    for prefix, label, params in cases:
+        curve = call_payoff_curve(params, CALL_100)
+        grid = default_probe_grid(params, CALL_100.strike)
+        rep = pde_residual(params, curve, ExpansionScale.from_params(params, thetas[0]), grid, thetas=list(thetas))
+        ok = ok and all(window[0] <= r <= window[1] for r in rep.ratios)
+        measured[prefix + "norms"] = rep.residual_norms
+        measured[prefix + "ratios"] = rep.ratios
+        details.append(f"{label}: ratios = {[f'{r:.2f}' for r in rep.ratios]}")
+    return ok, measured, f"{'; '.join(details)} (window [{window[0]}, {window[1]}])"
 
 
 def strategy_gap_order(

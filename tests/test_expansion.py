@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from crosshedge import (
     ExpansionScale,
@@ -25,6 +26,7 @@ from crosshedge import (
     optimal_speed_linear,
     risk_neutral_cross_impact_speed,
 )
+from crosshedge.config import PRESETS
 from crosshedge.expansion import (
     _f1,
     _f2,
@@ -34,16 +36,16 @@ from crosshedge.expansion import (
 )
 from crosshedge.oracles import (
     Lambda1_nested_quadrature,
+    Lambda2_ode_system,
+    f1_ode_system,
     lambda0_monte_carlo,
     lambda1_nested_quadrature,
+    rk4_backward,
 )
 
 # Oracle-computed reference values (frozen):
-#  - RK4 backward integration (2e4 steps) of the f1 and Lambda2 ODEs
 #  - nested time x space quadrature of the Feynman-Kac expectations
 #  - Monte Carlo of lambda_0's expectation (1e6 paths, 400 steps, seed 101)
-F1_RK4_T0 = 0.0510869565217394        # mu=0.1, k=1e-3, alpha=0.05, b=1e-2, T=1
-LAMBDA2_RK4_T0 = -0.17036862003780728  # sigma=1, k=1e-3, m=0.09, T-t=1
 LAMBDA1_NESTED_FIG3 = -47.87234042553191   # t=0.5, u=K
 BIG_LAMBDA1_NESTED_FIG5 = -9.019230769230765  # t=0.3, u=K
 LAMBDA0_MC_MEAN = 27.17156979663215
@@ -71,8 +73,9 @@ class TestFCoefficients:
         assert f_coefficients(fig7, fig7.T) == pytest.approx((0.0, 0.0, -fig7.alpha))
 
     def test_f1_matches_rk4(self, mu_params):
-        _, f1, _ = f_coefficients(mu_params, 0.0)
-        assert f1 == pytest.approx(F1_RK4_T0, abs=1e-8)
+        sol = rk4_backward(f1_ode_system(mu_params, 2_500))
+        for t in np.linspace(0.0, mu_params.T, 7):
+            assert f_coefficients(mu_params, t)[1] == pytest.approx(sol(t)[0], abs=1e-8)
 
     def test_f2_is_gamma0_h2(self, fig3):
         for t in np.linspace(0, fig3.T, 7):
@@ -141,7 +144,9 @@ class TestBigLambda2:
         assert Lambda2(p, 0.2) == 0.0
 
     def test_matches_rk4(self, fig7):
-        assert float(Lambda2(fig7, 0.0)) == pytest.approx(LAMBDA2_RK4_T0, abs=1e-8)
+        sol = rk4_backward(Lambda2_ode_system(fig7, 2_500))
+        ts = np.linspace(0.0, fig7.T, 7)
+        np.testing.assert_allclose(Lambda2(fig7, ts), sol(ts)[:, 0], rtol=0, atol=1e-8)
 
 
 class TestBigLambda1:
@@ -187,6 +192,84 @@ class TestBigLambda0:
         t = 0.25
         val = float(Lambda0(fig7, curve, t, np.asarray(1.0)))
         assert val == pytest.approx(-0.5 * fig7.eta**2 * 9.0 * (fig7.T - t), rel=1e-10)
+
+
+_REF_QUAD = dict(epsabs=0.0, epsrel=1e-13, limit=500)
+
+
+def _ref_integral(p, fn, t):
+    """integral_t^T fn(s) ds; break points resolve the layer of width ~k/m at T."""
+    layer = [p.T - n * p.k / p.m for n in (100.0, 10.0, 1.0)]
+    return quad(fn, t, p.T, points=[s for s in layer if t < s] or None, **_REF_QUAD)[0]
+
+
+def _ref_D(p, t):
+    """D(t) = integral_t^T (2k+m(T-s)) f1(s) Lambda2(s) ds / (k*(2k+m(T-t)))."""
+    a = lambda s: 2.0 * p.k + p.m * (p.T - s)  # noqa: E731
+    num = _ref_integral(p, lambda s: a(s) * float(_f1(p, s)) * float(Lambda2(p, s)), t)
+    return num / (p.k * a(t))
+
+
+def _ref_pull(p, t):
+    """-rho*sigma*eta * integral_t^T (2k+m(T-s)) ds / (2k+m(T-t))."""
+    tau = p.T - t
+    return -p.rho * p.sigma * p.eta * (2.0 * p.k * tau + 0.5 * p.m * tau * tau) / (2.0 * p.k + p.m * tau)
+
+
+@pytest.fixture(
+    scope="module",
+    params=[(name, k) for name in ("fig7", "fig1_left") for k in (None, 1e-5)],
+    ids=lambda case: f"{case[0]}-k={case[1] or 'preset'}",
+)
+def drift_preset(request):
+    name, k = request.param
+    p = replace(ModelParams(**PRESETS[name]["model"]), mu=0.1, beta=0.05)
+    return p if k is None else replace(p, k=k)
+
+
+class TestDriftIntegrals:
+    """The drift time integrals against adaptive quadrature of their definitions.
+
+    Under a one-unit linear payoff (delta = 1) lambda0 is its time weight,
+    Lambda1 is D(t) plus the closed-form hedging pull, and the drift part
+    of Lambda0 (Lambda0 minus its mu = 0 value) is
+    integral_t^T f1(s) * (D(s) + pull(s)) ds / (2k).
+    """
+
+    tol = dict(rel=1e-11, abs=1e-14)
+
+    @pytest.fixture
+    def times(self, drift_preset):
+        return [0.0, 0.3 * drift_preset.T, 0.9 * drift_preset.T, drift_preset.T - 1e-4]
+
+    def test_f0(self, drift_preset, times):
+        p = drift_preset
+        for t in times:
+            ref = _ref_integral(p, lambda s: float(_f1(p, s)) ** 2, t) / (4.0 * p.k)
+            assert f_coefficients(p, t)[0] == pytest.approx(ref, **self.tol)
+
+    def test_lambda0_weight(self, drift_preset, times):
+        p = drift_preset
+        curve = linear_payoff_curve(p, 1.0)
+        for t in times:
+            ref = _ref_integral(p, lambda s: float(_f1(p, s)) / (2.0 * p.k + p.m * (p.T - s)), t)
+            assert float(lambda0(p, curve, t, 1.0)) == pytest.approx(ref, **self.tol)
+
+    def test_drift_risk_integral(self, drift_preset, times):
+        p = drift_preset
+        curve = linear_payoff_curve(p, 1.0)
+        for t in times:
+            ref = _ref_D(p, t) + _ref_pull(p, t)
+            assert float(Lambda1(p, curve, t, 1.0)) == pytest.approx(ref, **self.tol)
+
+    def test_Lambda0_drift_part(self, drift_preset, times):
+        p = drift_preset
+        curve = linear_payoff_curve(p, 1.0)
+        driftless = replace(p, mu=0.0)
+        for t in times:
+            ref = _ref_integral(p, lambda s: float(_f1(p, s)) * (_ref_D(p, s) + _ref_pull(p, s)), t) / (2.0 * p.k)
+            got = float(Lambda0(p, curve, t, 1.0)) - float(Lambda0(driftless, curve, t, 1.0))
+            assert got == pytest.approx(ref, **self.tol)
 
 
 class TestNuHat:

@@ -52,11 +52,12 @@ class TestRk4:
         # off-grid point: cubic Hermite keeps O(h^4) accuracy
         assert abs(sol(0.5005)[0] - math.exp(0.5005 - 1.0)) < 1e-9
 
-    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_blowup_reported(self):
         spec = OdeSystemSpec(rhs=lambda t, y: -y * y, terminal_value=np.array([10.0]), step_count=2000, t_end=1.0)
-        # x' = -x^2 from x(1) = 10 explodes near t = 0.9 when run backward
-        with pytest.raises(SimulationError):
+        # x' = -x^2 from x(1) = 10 explodes near t = 0.9 when run backward;
+        # the error names the first grid time with a non-finite state
+        with pytest.raises(SimulationError, match=r"near t=0\.8985$"):
             rk4_backward(spec)
 
     def test_convergence_order(self):
