@@ -42,8 +42,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .bachelier import PayoffCurve, _hermite_nodes
-from .linear import _h1_parts, h2
-from .market import ModelParams, Strategy, _check_time
+from .linear import _optimal_speed_coeffs
+from .market import Affine, ModelParams, Strategy, _affine_strategy, _check_time, _scalar_time
 
 __all__ = [
     "ExpansionScale",
@@ -86,18 +86,14 @@ class ExpansionScale:
         return cls(theta=theta, effective_c=theta * params.c, effective_gamma=theta * params.gamma)
 
 
-# (a, w, B): scalar time coefficients of a + w*delta(t,U) + B*q
-_Affine = tuple[float, float, float]
-
-
-def _affine(coeffs: _Affine, payoff: PayoffCurve, t: float, q, u):
+def _affine(coeffs: Affine, payoff: PayoffCurve, t: float, q, u):
     """a + w*delta(t,u) + B*q, with one delta evaluation."""
     a, w, b = coeffs
     out = a + w * np.asarray(payoff.delta(t, u), dtype=float) + b * np.asarray(q, dtype=float)
     return out if np.ndim(out) else float(out)
 
 
-def _sum(*triples: _Affine) -> _Affine:
+def _sum(*triples: Affine) -> Affine:
     return tuple(map(sum, zip(*triples)))
 
 
@@ -154,7 +150,10 @@ def f_coefficients(params: ModelParams, t: float) -> tuple[float, float, float]:
     with the fixed log(2k + m*tau) Gauss-Legendre rule and short-circuits
     to 0 when mu = 0.
     """
-    t = float(_check_time(params, t))
+    return _f_coefficients(params, _scalar_time(params, t))
+
+
+def _f_coefficients(params: ModelParams, t: float) -> tuple[float, float, float]:
     f1 = float(_f1(params, t))
     f2 = float(_f2(params, t))
     if params.mu == 0.0 or t == params.T:
@@ -175,7 +174,7 @@ def lambda1(params: ModelParams, payoff: PayoffCurve, t, u) -> np.ndarray | floa
     The defining expectation of the running future delta collapses through
     the delta-martingale property; no sampling is involved.
     """
-    t = float(_check_time(params, t))
+    t = _scalar_time(params, t)
     return _affine((0.0, _lambda1_weight(params, t), 0.0), payoff, t, 0.0, u)
 
 
@@ -191,7 +190,7 @@ def lambda0(params: ModelParams, payoff: PayoffCurve, t: float, u) -> np.ndarray
 
     Vanishes when mu = 0 (no drift-induced trading to interact with).
     """
-    t = float(_check_time(params, t))
+    t = _scalar_time(params, t)
     weight = _lambda0_weight(params, t)
     if weight == 0.0:
         z = np.zeros_like(np.asarray(u, dtype=float))
@@ -245,7 +244,7 @@ def Lambda1(params: ModelParams, payoff: PayoffCurve, t, u) -> np.ndarray | floa
     deterministic time integral (zero when mu = 0).  Sign is indeterminate
     in general.
     """
-    t = float(_check_time(params, t))
+    t = _scalar_time(params, t)
     return _affine((_drift_risk_integral(params, t), _pull_weight(params, t), 0.0), payoff, t, 0.0, u)
 
 
@@ -308,7 +307,7 @@ def Lambda0(
     The drift part is a time weight times delta(t,u); the squared-delta
     variance cost needs genuine quadrature over the factor transition.
     """
-    t = float(_check_time(params, t))
+    t = _scalar_time(params, t)
     u = np.asarray(u, dtype=float)
     out = _Lambda0_variance(params, payoff, t, u, time_nodes, hermite_nodes)
     if params.mu != 0.0:
@@ -317,18 +316,18 @@ def Lambda0(
     return out if np.ndim(out) else float(out)
 
 
-def _nu0(params: ModelParams, t: float) -> _Affine:
+def _nu0(params: ModelParams, t: float) -> Affine:
     """Risk-neutral execution speed without cross impact: (f1 + (2*f2 + b)*q)/(2k)."""
     two_k = 2.0 * params.k
     return float(_f1(params, t)) / two_k, 0.0, (2.0 * float(_f2(params, t)) + params.b) / two_k
 
 
-def _cross_pull(params: ModelParams, c: float, t: float) -> _Affine:
+def _cross_pull(params: ModelParams, c: float, t: float) -> Affine:
     """c*(delta + lambda_1)/(2k) = c*delta/(2k + m*(T-t))."""
     return 0.0, c / (2.0 * params.k + params.m * (params.T - t)), 0.0
 
 
-def _nu_hat_terms(params: ModelParams, scale: ExpansionScale, t: float) -> tuple[_Affine, _Affine, _Affine]:
+def _nu_hat_terms(params: ModelParams, scale: ExpansionScale, t: float) -> tuple[Affine, Affine, Affine]:
     """(a, w, B) of nu_0, theta*c*nu_1 and theta*gamma*nu_2; the last is
     theta*gamma*(Lambda_1 + 2*Lambda_2*q)/(2k)."""
     two_k = 2.0 * params.k
@@ -339,27 +338,16 @@ def _nu_hat_terms(params: ModelParams, scale: ExpansionScale, t: float) -> tuple
         (
             gamma * _drift_risk_integral(params, t) / two_k,
             gamma * _pull_weight(params, t) / two_k,
-            gamma * float(Lambda2(params, t)) / params.k,
+            gamma * float(_Lambda2_at(params, params.T - t)) / params.k,
         ),
     )
 
 
-def _nu_hat_coeffs(params: ModelParams, scale: ExpansionScale, t: float) -> _Affine:
+def _nu_hat_coeffs(params: ModelParams, scale: ExpansionScale, t: float) -> Affine:
     return _sum(*_nu_hat_terms(params, scale, t))
 
 
-def _delta_substitution_coeffs(effective: ModelParams, t: float) -> _Affine:
-    """(c*delta + h1(delta) + (2*h2 + b)*q)/(2k) with h1 = drift + per_unit*delta."""
-    two_k = 2.0 * effective.k
-    drift, per_unit = _h1_parts(effective, t)
-    return (
-        float(drift) / two_k,
-        (effective.c + float(per_unit)) / two_k,
-        (2.0 * float(h2(effective, t)) + effective.b) / two_k,
-    )
-
-
-def _risk_neutral_coeffs(params: ModelParams, t: float) -> _Affine:
+def _risk_neutral_coeffs(params: ModelParams, t: float) -> Affine:
     return _sum(_nu0(params, t), _cross_pull(params, params.c, t))
 
 
@@ -381,13 +369,13 @@ def nu_hat_components(
     pushes the factor in the option's favor net of round-trip costs; the
     gamma-term combines the hedging pull with inventory-risk decay.
     """
-    t = float(_check_time(params, t))
+    t = _scalar_time(params, t)
     return tuple(_affine(coeffs, payoff, t, q, u) for coeffs in _nu_hat_terms(params, scale, t))
 
 
 def nu_hat(params: ModelParams, payoff: PayoffCurve, scale: ExpansionScale, t: float, q, u):
     """Expansion trading speed nu_0 + theta*(c*nu_1 + gamma*nu_2); affine in q."""
-    t = float(_check_time(params, t))
+    t = _scalar_time(params, t)
     return _affine(_nu_hat_coeffs(params, scale, t), payoff, t, q, u)
 
 
@@ -397,8 +385,8 @@ def nu_prime(params: ModelParams, payoff: PayoffCurve, scale: ExpansionScale, t:
 
     Exact when the payoff is linear; within o(theta) of ``nu_hat`` otherwise.
     """
-    t = float(_check_time(params, t))
-    return _affine(_delta_substitution_coeffs(_effective_params(params, scale), t), payoff, t, q, u)
+    t = _scalar_time(params, t)
+    return _affine(_optimal_speed_coeffs(_effective_params(params, scale), t), payoff, t, q, u)
 
 
 def risk_neutral_cross_impact_speed(params: ModelParams, payoff: PayoffCurve, t: float, q, u):
@@ -407,7 +395,7 @@ def risk_neutral_cross_impact_speed(params: ModelParams, payoff: PayoffCurve, t:
     Drives inventory toward (c/m)*delta(t,u) with a gain that stiffens as
     the horizon approaches; equals ``nu_hat`` at gamma=0, theta=1.
     """
-    t = float(_check_time(params, t))
+    t = _scalar_time(params, t)
     return _affine(_risk_neutral_coeffs(params, t), payoff, t, q, u)
 
 
@@ -426,10 +414,10 @@ def expansion_value(
     truncation error is o(theta^2) in the defining PDE.  With
     ``return_components`` the pieces (h0, h1, h2) are returned alongside.
     """
-    t = float(_check_time(params, t))
+    t = _scalar_time(params, t)
     q = np.asarray(q, dtype=float)
     u = np.asarray(u, dtype=float)
-    f0, f1, f2 = f_coefficients(params, t)
+    f0, f1, f2 = _f_coefficients(params, t)
     delta = np.asarray(payoff.delta(t, u), dtype=float)
     h0_val = f0 + f1 * q + f2 * q * q + np.asarray(payoff.g(t, u), dtype=float)
     h1_val = (_lambda0_weight(params, t) + _lambda1_weight(params, t) * q) * delta
@@ -439,7 +427,7 @@ def expansion_value(
         + l0_w * delta
         + _Lambda0_variance(params, payoff, t, u, TIME_NODES, HERMITE_NODES)
         + (_drift_risk_integral(params, t) + _pull_weight(params, t) * delta) * q
-        + Lambda2(params, t) * q * q
+        + _Lambda2_at(params, params.T - t) * q * q
     )
     total = h0_val + scale.effective_c * h1_val + scale.effective_gamma * h2_val
     total = total if np.ndim(total) else float(total)
@@ -449,13 +437,8 @@ def expansion_value(
 
 
 def _strategy(tag: str, params: ModelParams, payoff: PayoffCurve, coeffs_at) -> Strategy:
-    """Strategy whose speed at time t is the affine form with coefficients coeffs_at(t)."""
-
-    def rule(t, q, u):
-        t = float(_check_time(params, t))
-        return _affine(coeffs_at(t), payoff, t, q, u)
-
-    return Strategy(tag=tag, rule=rule)
+    """Affine strategy with coefficients coeffs_at(t) at a validated t and the payoff's delta."""
+    return _affine_strategy(tag, lambda t: coeffs_at(_scalar_time(params, t)), payoff.delta)
 
 
 def expansion_nu_hat_strategy(params: ModelParams, payoff: PayoffCurve, scale: ExpansionScale) -> Strategy:
@@ -464,7 +447,7 @@ def expansion_nu_hat_strategy(params: ModelParams, payoff: PayoffCurve, scale: E
 
 def delta_substitution_strategy(params: ModelParams, payoff: PayoffCurve, scale: ExpansionScale) -> Strategy:
     effective = _effective_params(params, scale)
-    return _strategy("delta-substitution", params, payoff, partial(_delta_substitution_coeffs, effective))
+    return _strategy("delta-substitution", params, payoff, partial(_optimal_speed_coeffs, effective))
 
 
 def risk_neutral_cross_impact_strategy(params: ModelParams, payoff: PayoffCurve) -> Strategy:

@@ -22,7 +22,16 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from .market import ModelParams, State, Strategy, _check_time, derived_constants
+from .market import (
+    Affine,
+    ModelParams,
+    State,
+    Strategy,
+    _affine_strategy,
+    _check_time,
+    _scalar_time,
+    derived_constants,
+)
 
 __all__ = [
     "uses_zero_gamma_branch",
@@ -55,7 +64,12 @@ def h2(params: ModelParams, t) -> np.ndarray | float:
     expression stays finite for omega*T/k beyond the naive overflow range.
     At gamma = 0 this returns the analytic limit -k*m/(2k + m*(T-t)) - b/2.
     """
-    t = _check_time(params, t)
+    out = _h2(params, _check_time(params, t))
+    return out if np.ndim(out) else float(out)
+
+
+def _h2(params: ModelParams, t):
+    """h2 at an already validated time (float or array)."""
     tau = params.T - t
     m = params.m
     if uses_zero_gamma_branch(params):
@@ -70,7 +84,7 @@ def h2(params: ModelParams, t) -> np.ndarray | float:
             / (d.phi_minus * e2 + d.phi_plus)
             - params.b / 2.0
         )
-    return out if out.ndim else float(out)
+    return out
 
 
 def _h1_parts(params: ModelParams, t) -> tuple[np.ndarray, np.ndarray]:
@@ -78,9 +92,8 @@ def _h1_parts(params: ModelParams, t) -> tuple[np.ndarray, np.ndarray]:
 
     h1 is zeta*G(t) + c*frak_n*H(t) with zeta = mu - gamma*rho*sigma*eta*frak_n,
     so it is affine in frak_n; the two parts split the mu forcing from the
-    per-unit hedging and cross-impact forcing.
+    per-unit hedging and cross-impact forcing.  t is already validated.
     """
-    t = _check_time(params, t)
     tau = params.T - t
     m, k = params.m, params.k
     if uses_zero_gamma_branch(params):
@@ -103,7 +116,7 @@ def h1(params: ModelParams, frak_n, t) -> np.ndarray | float:
     Forced by the risk-adjusted drift zeta = mu - gamma*rho*sigma*eta*frak_n
     and by the cross impact c*frak_n; vanishes at the horizon.
     """
-    drift, per_unit = _h1_parts(params, t)
+    drift, per_unit = _h1_parts(params, _check_time(params, t))
     out = drift + per_unit * np.asarray(frak_n, dtype=float)
     return out if np.ndim(out) else float(out)
 
@@ -114,7 +127,7 @@ def h0(params: ModelParams, frak_n: float, t: float) -> float:
     The time integral of (h1 + c*frak_n)^2 / (4k) is evaluated by adaptive
     quadrature (relative tolerance 1e-10); the formula's linear part is exact.
     """
-    t = float(_check_time(params, t))
+    t = _scalar_time(params, t)
     tau = params.T - t
     base = (params.beta * frak_n - 0.5 * params.gamma * params.eta**2 * frak_n**2) * tau
     if tau == 0.0:
@@ -124,7 +137,8 @@ def h0(params: ModelParams, frak_n: float, t: float) -> float:
         return base
 
     def integrand(s: float) -> float:
-        w = h1(params, frak_n, s) + params.c * frak_n
+        drift, per_unit = _h1_parts(params, s)
+        w = float(drift + per_unit * frak_n) + params.c * frak_n
         return w * w / (4.0 * params.k)
 
     val, _ = quad(integrand, t, params.T, **_QUAD_OPTS)
@@ -193,7 +207,7 @@ def linear_value_function(params: ModelParams, frak_n: float, state: State) -> f
     """Value -exp(-gamma*(x + q*S + frak_n*U + h(t, q))) of the optimal strategy."""
     if params.gamma <= 0:
         raise ValueError("the exponential-utility value function requires gamma > 0")
-    t = float(_check_time(params, state.t))
+    t = _scalar_time(params, state.t)
     h_val = (
         h0(params, frak_n, t)
         + h1(params, frak_n, t) * state.q
@@ -202,10 +216,24 @@ def linear_value_function(params: ModelParams, frak_n: float, state: State) -> f
     return -math.exp(-params.gamma * (state.x + state.q * state.s + frak_n * state.u + h_val))
 
 
+def _optimal_speed_coeffs(params: ModelParams, t: float) -> Affine:
+    """(a, w, B) with the optimal speed (c*frak_n + h1 + (2*h2 + b)*q)/(2k)
+    equal to a + w*frak_n + B*q, at an already validated float t."""
+    two_k = 2.0 * params.k
+    drift, per_unit = _h1_parts(params, t)
+    return (
+        float(drift) / two_k,
+        (params.c + float(per_unit)) / two_k,
+        (2.0 * float(_h2(params, t)) + params.b) / two_k,
+    )
+
+
 def linear_optimal_strategy(params: ModelParams, frak_n: float) -> Strategy:
-    """Feedback form of the optimal speed for a linear exposure."""
+    """Feedback form of the optimal speed for a linear exposure: the affine
+    speed (a + w*frak_n, 0, B) of ``_optimal_speed_coeffs``."""
 
-    def rule(t, q, u):
-        return optimal_speed_linear(params, frak_n, t, q)
+    def coeffs(t) -> Affine:
+        a, w, b = _optimal_speed_coeffs(params, _scalar_time(params, t))
+        return a + w * frak_n, 0.0, b
 
-    return Strategy(tag="linear-optimal", rule=rule)
+    return _affine_strategy("linear-optimal", coeffs)

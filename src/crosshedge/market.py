@@ -135,6 +135,15 @@ def _check_time(params: ModelParams, t) -> np.ndarray:
     return np.clip(t, 0.0, params.T)
 
 
+def _scalar_time(params: ModelParams, t) -> float:
+    """``_check_time`` for one time, as a float; floats skip numpy entirely."""
+    if not isinstance(t, float):
+        return float(_check_time(params, t))
+    if t < -1e-12 or t > params.T * (1.0 + 1e-12):
+        raise ValueError(f"time must lie in [0, T={params.T}], got {t}")
+    return min(max(t, 0.0), params.T)
+
+
 @dataclass(frozen=True)
 class LinearExposure:
     """Terminal exposure psi(U) = frak_n * U (frak_n frozen units of the factor)."""
@@ -189,20 +198,54 @@ class State:
             raise ValueError(f"time must be nonnegative, got {self.t}")
 
 
+# (a, w, B): scalar time coefficients of the affine speed a + w*delta(t,U) + B*q
+Affine = tuple[float, float, float]
+
+
 @dataclass(frozen=True)
 class Strategy:
     """A feedback trading rule (t, q, U) -> speed with an identifying tag.
 
     ``rule`` must accept scalar t and array-like q, U and broadcast.
+
+    An affine strategy, whose speed is a(t) + w(t)*delta(t,U) + B(t)*q, also
+    carries ``coeffs(t) -> (a, w, B)`` and the payoff delta ``delta(t, U)``
+    (None when w is zero at every t).  The Euler engine then tabulates the
+    coefficients once per Monte Carlo call and evaluates the speed itself,
+    as (w*delta + a) + B*q (B*q + a when w is zero), instead of calling
+    ``rule``.  So ``rule`` must equal that evaluation bit for bit; the
+    library's factories build every rule that way (``_affine_strategy``).
+    Without ``coeffs`` the engine calls ``rule`` at every step.
     """
 
     tag: str
     rule: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
+    coeffs: Callable[[float], Affine] | None = None
+    delta: Callable[[float, np.ndarray], np.ndarray] | None = None
+
+
+def _affine_speed(coeffs: Affine, delta, t: float, q, u):
+    """a + w*delta(t,u) + B*q in the Euler engine's order of operations:
+    (w*delta + a) + B*q, and B*q + a with no delta call when w is zero."""
+    a, w, b = coeffs
+    q = np.asarray(q, dtype=float)
+    out = b * q + a if w == 0.0 else w * np.asarray(delta(t, u), dtype=float) + a + b * q
+    return out if out.ndim else float(out)
+
+
+def _affine_strategy(tag: str, coeffs: Callable[[float], Affine], delta=None) -> Strategy:
+    """Strategy with speed a + w*delta + B*q whose rule evaluates coeffs(t) as the engine does."""
+
+    def rule(t, q, u):
+        return _affine_speed(coeffs(t), delta, t, q, u)
+
+    return Strategy(tag=tag, rule=rule, coeffs=coeffs, delta=delta)
 
 
 def constant_strategy(speed: float) -> Strategy:
     """Trade at a constant speed regardless of state."""
-    return Strategy(tag="constant", rule=lambda t, q, u: np.broadcast_arrays(q, u)[0] * 0.0 + speed)
+    coeffs = (float(speed), 0.0, 0.0)
+    return _affine_strategy("constant", lambda t: coeffs)
 
 
 @dataclass(frozen=True)
@@ -307,6 +350,31 @@ def _clamp_speeds(
     return np.clip(nu, -nu_max, nu_max), np.abs(nu) > nu_max
 
 
+def _step_times(params: ModelParams, initial: State, n_steps: int) -> list[float]:
+    """Left endpoints of the Euler steps, accumulated t += dt as the engine steps."""
+    dt = (params.T - initial.t) / n_steps
+    times, t = [], initial.t
+    for _ in range(n_steps):
+        times.append(t)
+        t += dt
+    return times
+
+
+def _coefficient_tables(
+    strategies: Sequence[Strategy], times: Sequence[float]
+) -> list[list[Affine] | None]:
+    """(a, w, B) of each affine strategy at each step time; None for an opaque rule."""
+    tables = []
+    for strategy in strategies:
+        table = None
+        if strategy.coeffs is not None:
+            table = [tuple(map(float, strategy.coeffs(t))) for t in times]
+            if strategy.delta is None and any(w != 0.0 for _, w, _ in table):
+                raise ValueError(f"strategy '{strategy.tag}' weights the payoff delta but carries no delta")
+        tables.append(table)
+    return tables
+
+
 def _euler_ensemble(
     params: ModelParams,
     exposure: Exposure,
@@ -320,6 +388,7 @@ def _euler_ensemble(
     *,
     nu_max: float = DEFAULT_SPEED_CLAMP,
     record: Sequence[str] = (),
+    tables: Sequence[list[Affine] | None] | None = None,
 ) -> list[dict]:
     """Euler-Maruyama steps of (X, Q, S, U) for each strategy under shared shocks.
 
@@ -330,15 +399,24 @@ def _euler_ensemble(
     dZ = rho*dW + sqrt(1-rho^2)*dB, and cash pays the execution price at the
     left endpoint: x_{i+1} = x_i - (S_i + k*nu_i)*nu_i*dt.
 
+    An affine strategy's speed is (w*delta + a) + B*q from its row of
+    ``tables`` (``_coefficient_tables`` on ``_step_times``; built here when
+    not given); an opaque one calls its rule.  A step allocates nothing
+    beyond what a rule or delta call returns.
+
     Returns one dict per strategy: the time grid ``times``, terminal arrays
     q_T, u_T, s_T, x_T and ``wealth``, per-path ``clamp_events`` counts, and
     for each name in ``record`` ("w", "z", "s", "u", "q", "x", "nu") its
     (n_steps+1, n_paths) series (n_steps rows for "nu").
     """
     rng = make_rng(seed, stream)
+    times = _step_times(params, initial, n_steps)
+    if tables is None:
+        tables = _coefficient_tables(strategies, times)
     dt = (params.T - initial.t) / n_steps
     sq = math.sqrt(dt)
     rho_c = math.sqrt(1.0 - params.rho**2)
+    k, b_imp, c_imp = params.k, params.b, params.c
     n = 2 * n_base if antithetic else n_base
     tracked = [name for name in ("s", "u", "q", "x", "w", "z") if name in record]
 
@@ -351,43 +429,80 @@ def _euler_ensemble(
             rec[name][0] = state[name]
         runs.append((state, rec, np.zeros(n, dtype=np.int64)))
 
-    t = initial.t
-    for i in range(n_steps):
-        xi = rng.standard_normal((2, n_base))
-        if antithetic:
-            dw = sq * np.concatenate([xi[0], -xi[0]])
-            db = sq * np.concatenate([xi[1], -xi[1]])
-        else:
-            dw = sq * xi[0]
-            db = sq * xi[1]
-        dz = params.rho * dw + rho_c * db
-        for strategy, (st, rec, clamped) in zip(strategies, runs):
-            nu = np.asarray(strategy.rule(t, st["q"], st["u"]), dtype=float)
-            if nu.ndim == 0:
-                nu = np.full(n, float(nu))
-            # one reduction covers both the finite check and the clamp test
-            if not np.max(np.abs(nu)) <= nu_max:
-                nu, mask = _clamp_speeds(strategy, nu, nu_max, i, t, st)
+    # per shock: (buffer, drift, [(coefficient, normal row)]); the S and U
+    # shocks carry their drifts, dW and dZ are kept only when recorded
+    shocks = {
+        "s": (params.mu * dt, [(params.sigma * sq, 0)]),
+        "u": (params.beta * dt, [(params.eta * params.rho * sq, 0), (params.eta * rho_c * sq, 1)]),
+        "w": (0.0, [(sq, 0)]),
+        "z": (0.0, [(params.rho * sq, 0), (rho_c * sq, 1)]),
+    }
+    shocks = {
+        name: (np.empty(n), *spec) for name, spec in shocks.items() if name in ("s", "u") or name in record
+    }
+    xi = np.empty((2, n_base))
+    nu, nudt, tmp = np.empty(n), np.empty(n), np.empty(n)
+    base, mirror = slice(0, n_base), slice(n_base, n)
+
+    for i, t in enumerate(times):
+        rng.standard_normal(out=xi)
+        for buf, drift, terms in shocks.values():
+            # filled on the base half and mirrored: drift - shock
+            (c0, row0), *rest = terms
+            np.multiply(xi[row0], c0, out=buf[base])
+            for c1, row1 in rest:
+                np.multiply(xi[row1], c1, out=tmp[base])
+                buf[base] += tmp[base]
+            if antithetic:
+                np.subtract(drift, buf[base], out=buf[mirror])
+            if drift:
+                buf[base] += drift
+        for strategy, table, (st, rec, clamped) in zip(strategies, tables, runs):
+            q = st["q"]
+            if table is None:
+                v = np.asarray(strategy.rule(t, q, st["u"]), dtype=float)
+                if v.ndim == 0:
+                    v = np.full(n, float(v))
+            else:
+                a, w, b = table[i]
+                v = nu
+                if w == 0.0:
+                    np.multiply(q, b, out=v)
+                    v += a
+                else:
+                    np.multiply(strategy.delta(t, st["u"]), w, out=v)
+                    v += a
+                    np.multiply(q, b, out=tmp)
+                    v += tmp
+            # two reductions cover both the finite check and the clamp test
+            if not (v.max() <= nu_max and v.min() >= -nu_max):
+                v, mask = _clamp_speeds(strategy, v, nu_max, i, t, st)
                 clamped += mask
-            st["x"] -= (st["s"] + params.k * nu) * nu * dt
-            st["q"] += nu * dt
-            st["s"] += (params.mu + params.b * nu) * dt + params.sigma * dw
-            st["u"] += (params.beta + params.c * nu) * dt + params.eta * dz
-            if "w" in st:
-                st["w"] += dw
-            if "z" in st:
-                st["z"] += dz
             if "nu" in rec:
-                rec["nu"][i] = nu
+                rec["nu"][i] = v
+            # cash keeps the order ((S + k*nu)*nu)*dt of its bookkeeping identity
+            np.multiply(v, k, out=tmp)
+            tmp += st["s"]
+            tmp *= v
+            tmp *= dt
+            st["x"] -= tmp
+            np.multiply(v, dt, out=nudt)
+            q += nudt
+            for name, impact in (("s", b_imp), ("u", c_imp)):
+                np.multiply(nudt, impact, out=tmp)
+                tmp += shocks[name][0]
+                st[name] += tmp
+            for name in ("w", "z"):
+                if name in shocks:
+                    st[name] += shocks[name][0]
             for name in tracked:
                 rec[name][i + 1] = st[name]
-        t += dt
 
-    times = initial.t + dt * np.arange(n_steps + 1)
+    grid = initial.t + dt * np.arange(n_steps + 1)
     return [
         {
             **{f"{name}_T": st[name] for name in ("q", "u", "s", "x")},
-            "times": times,
+            "times": grid,
             "wealth": _wealth(params, exposure, st["x"], st["q"], st["s"], st["u"]),
             "clamp_events": clamped,
             **rec,
@@ -424,5 +539,9 @@ def terminal_wealth(bundle: PathBundle, params: ModelParams, exposure: Exposure)
 
 
 def utility_of(wealth, gamma: float):
-    """Exponential utility -exp(-gamma * wealth)."""
-    return -np.exp(-gamma * np.asarray(wealth, dtype=float))
+    """Exponential utility -exp(-gamma * wealth); overflow raises ValueError."""
+    with np.errstate(over="ignore"):
+        util = -np.exp(-gamma * np.asarray(wealth, dtype=float))
+    if not np.all(np.isfinite(util)):
+        raise ValueError("exponential utility overflowed; use a smaller gamma or normalize wealth")
+    return util

@@ -34,8 +34,11 @@ from .market import (
     SimulationError,
     State,
     Strategy,
+    _coefficient_tables,
     _euler_ensemble,
+    _step_times,
     make_rng,
+    utility_of,
 )
 
 __all__ = [
@@ -201,7 +204,8 @@ class McEstimate:
     "wealth" (mean terminal wealth, flagged) for gamma = 0.  With antithetic
     pairing, std_error is the sample std of the n_samples independent pair
     means divided by sqrt(n_samples).  ce is the certainty equivalent
-    -ln(-mean)/gamma (the mean itself in wealth mode).
+    -ln(-mean)/gamma (the mean itself in wealth mode).  clamp_events counts
+    the path-steps whose speed the engine clamped, summed over paths.
     """
 
     mean: float
@@ -212,6 +216,7 @@ class McEstimate:
     ce: float
     ce_std_error: float
     n_samples: int
+    clamp_events: int = 0
 
 
 def _worker_count(n_tasks: int) -> int:
@@ -269,11 +274,13 @@ def _mc_samples(
     seed: int,
     antithetic: bool,
     chunk_paths: int,
-) -> list[np.ndarray]:
-    """Per-path terminal wealth per strategy under common random numbers.
+) -> tuple[list[np.ndarray], list[int]]:
+    """Per-path terminal wealth per strategy under common random numbers,
+    and the number of clamped speeds per strategy.
 
     Chunk i of the paths runs on Philox substream (seed, i), so results
     depend on ``chunk_paths`` but not on the number of worker threads.
+    Affine strategies are tabulated once here and shared by every chunk.
 
     With antithetic sampling the first and second halves of each returned
     array are mirrored pairs (layout preserved across chunk boundaries by
@@ -284,11 +291,12 @@ def _mc_samples(
     unit = n_paths // 2 if antithetic else n_paths
     chunk_unit = max(1, (chunk_paths // 2 if antithetic else chunk_paths))
     sizes = _chunk_sizes(unit, chunk_unit)
+    tables = _coefficient_tables(strategies, _step_times(params, initial, n_steps))
 
     def task(args):
         idx, nb = args
-        runs = _euler_ensemble(params, exposure, strategies, initial, n_steps, seed, idx, nb, antithetic)
-        return [run["wealth"] for run in runs]
+        runs = _euler_ensemble(params, exposure, strategies, initial, n_steps, seed, idx, nb, antithetic, tables=tables)
+        return [(run["wealth"], int(run["clamp_events"].sum())) for run in runs]
 
     jobs = list(enumerate(sizes))
     workers = _worker_count(len(jobs))
@@ -298,15 +306,17 @@ def _mc_samples(
     else:
         results = [task(j) for j in jobs]
 
-    samples = []
+    samples, clamps = [], []
     for r in range(len(strategies)):
+        wealth = [res[r][0] for res in results]
         if antithetic:
-            base = np.concatenate([res[r][: res[r].shape[0] // 2] for res in results])
-            mirror = np.concatenate([res[r][res[r].shape[0] // 2 :] for res in results])
+            base = np.concatenate([w[: w.shape[0] // 2] for w in wealth])
+            mirror = np.concatenate([w[w.shape[0] // 2 :] for w in wealth])
             samples.append(np.concatenate([base, mirror]))
         else:
-            samples.append(np.concatenate([res[r] for res in results]))
-    return samples
+            samples.append(np.concatenate(wealth))
+        clamps.append(sum(res[r][1] for res in results))
+    return samples, clamps
 
 
 def _mean_and_se(values: np.ndarray, antithetic: bool) -> tuple[float, float, int]:
@@ -326,28 +336,20 @@ def _mean_and_se(values: np.ndarray, antithetic: bool) -> tuple[float, float, in
     return mean, se, n
 
 
-def _utility(wealth: np.ndarray, gamma: float) -> np.ndarray:
-    """Exponential utility -exp(-gamma * wealth); overflow raises ValueError."""
-    with np.errstate(over="ignore"):
-        util = -np.exp(-gamma * wealth)
-    if not np.all(np.isfinite(util)):
-        raise ValueError("exponential utility overflowed; use a smaller gamma or normalize wealth")
-    return util
-
-
 def _certainty_equivalent(mean_utility: float, gamma: float) -> float:
     return -math.log(-mean_utility) / gamma
 
 
 def _estimate_from_wealth(
-    wealth: np.ndarray, gamma: float, n_paths: int, seed: int, antithetic: bool
+    wealth: np.ndarray, gamma: float, n_paths: int, seed: int, antithetic: bool, clamp_events: int
 ) -> McEstimate:
     if gamma > 0:
-        mean, se, n = _mean_and_se(_utility(wealth, gamma), antithetic)
+        mean, se, n = _mean_and_se(utility_of(wealth, gamma), antithetic)
         ce_se = se / (gamma * abs(mean))
-        return McEstimate(mean, se, n_paths, seed, "utility", _certainty_equivalent(mean, gamma), ce_se, n)
+        ce = _certainty_equivalent(mean, gamma)
+        return McEstimate(mean, se, n_paths, seed, "utility", ce, ce_se, n, clamp_events)
     mean, se, n = _mean_and_se(wealth, antithetic)
-    return McEstimate(mean, se, n_paths, seed, "wealth", mean, se, n)
+    return McEstimate(mean, se, n_paths, seed, "wealth", mean, se, n, clamp_events)
 
 
 def mc_performance(
@@ -375,15 +377,16 @@ def mc_performance(
     number of worker threads (``HEDGE_THREADS``).
     """
     g = params.gamma if gamma is None else gamma
-    (wealth,) = _mc_samples(
+    (wealth,), (clamped,) = _mc_samples(
         params, exposure, [strategy], initial, n_paths, n_steps, seed, antithetic, chunk_paths
     )
-    return _estimate_from_wealth(wealth, g, n_paths, seed, antithetic)
+    return _estimate_from_wealth(wealth, g, n_paths, seed, antithetic, clamped)
 
 
 @dataclass(frozen=True)
 class StrategyGap:
-    """Common-random-number comparison of two strategies on the CE scale."""
+    """Common-random-number comparison of two strategies on the CE scale;
+    clamp_events_a/_b count each strategy's clamped speeds over all paths."""
 
     ce_a: float
     ce_b: float
@@ -392,6 +395,8 @@ class StrategyGap:
     kind: str
     n_paths: int
     seed: int
+    clamp_events_a: int = 0
+    clamp_events_b: int = 0
 
 
 def mc_strategy_gap(
@@ -415,7 +420,7 @@ def mc_strategy_gap(
     exact zero.
     """
     g = params.gamma if gamma is None else gamma
-    wealth_a, wealth_b = _mc_samples(
+    (wealth_a, wealth_b), clamps = _mc_samples(
         params,
         exposure,
         [strategy_a, strategy_b],
@@ -427,8 +432,8 @@ def mc_strategy_gap(
         chunk_paths,
     )
     if g > 0:
-        util_a = _utility(wealth_a, g)
-        util_b = _utility(wealth_b, g)
+        util_a = utility_of(wealth_a, g)
+        util_b = utility_of(wealth_b, g)
         mean_a = float(np.mean(util_a))
         mean_b = float(np.mean(util_b))
         mean_d, se_d, _ = _mean_and_se(util_a - util_b, antithetic)
@@ -436,9 +441,10 @@ def mc_strategy_gap(
         ce_b = _certainty_equivalent(mean_b, g)
         gap = -math.log1p(mean_d / mean_b) / g
         gap_se = se_d / (g * abs(mean_b))
-        return StrategyGap(ce_a, ce_b, gap, gap_se, "utility", n_paths, seed)
+        return StrategyGap(ce_a, ce_b, gap, gap_se, "utility", n_paths, seed, *clamps)
     mean_d, se_d, _ = _mean_and_se(wealth_a - wealth_b, antithetic)
-    return StrategyGap(float(np.mean(wealth_a)), float(np.mean(wealth_b)), mean_d, se_d, "wealth", n_paths, seed)
+    ce_a, ce_b = float(np.mean(wealth_a)), float(np.mean(wealth_b))
+    return StrategyGap(ce_a, ce_b, mean_d, se_d, "wealth", n_paths, seed, *clamps)
 
 
 # ---------------------------------------------------------------------------

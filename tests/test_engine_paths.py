@@ -1,0 +1,118 @@
+"""The Euler engine's tabulated path for affine strategies against the
+per-step rule path: every shipped strategy must give the same bits both ways."""
+
+import numpy as np
+import pytest
+
+from crosshedge import (
+    ExpansionScale,
+    LinearExposure,
+    State,
+    Strategy,
+    call_payoff_curve,
+    constant_strategy,
+    delta_substitution_strategy,
+    expansion_nu_hat_strategy,
+    linear_optimal_strategy,
+    mc_performance,
+    mc_strategy_gap,
+    risk_neutral_cross_impact_strategy,
+    simulate_path,
+)
+from crosshedge.oracles import simulate_ensemble
+
+NAMES = ("w", "z", "s", "u", "q", "x", "nu")
+INIT = State(0.0, 0.0, 0.3, 10.0, 1.0)
+N_PATHS = 301  # odd, so antithetic runs round up to 302
+N_STEPS = 40
+CHUNK = 100  # several chunks per call
+
+
+@pytest.fixture(scope="module")
+def shipped(fig7, call100):
+    curve = call_payoff_curve(fig7, call100)
+    scale = ExpansionScale.from_params(fig7, 0.2)
+    return {
+        "nu_hat": expansion_nu_hat_strategy(fig7, curve, scale),
+        "nu_prime": delta_substitution_strategy(fig7, curve, scale),
+        "risk-neutral": risk_neutral_cross_impact_strategy(fig7, curve),
+        "linear-optimal": linear_optimal_strategy(fig7, 50.0),
+        "constant": constant_strategy(0.7),
+    }
+
+
+def opaque(strategy: Strategy) -> Strategy:
+    return Strategy(tag=strategy.tag, rule=strategy.rule)
+
+
+def same_bits(a, b) -> bool:
+    return np.asarray(a).dtype == np.asarray(b).dtype and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("antithetic", [True, False])
+@pytest.mark.parametrize("name", ["nu_hat", "nu_prime", "risk-neutral", "linear-optimal", "constant"])
+class TestTabulatedEqualsRule:
+    def test_mc_outputs(self, fig7, call100, shipped, monkeypatch, name, antithetic, threads):
+        monkeypatch.setenv("HEDGE_THREADS", threads)
+        s, ref = shipped[name], shipped["nu_prime"]
+        assert s.coeffs is not None
+        kw = dict(antithetic=antithetic, chunk_paths=CHUNK)
+        perf = [mc_performance(fig7, call100, x, INIT, N_PATHS, N_STEPS, 5, **kw) for x in (s, opaque(s))]
+        gap = [mc_strategy_gap(fig7, call100, x, y, INIT, N_PATHS, N_STEPS, 5, **kw)
+               for x, y in ((s, ref), (opaque(s), opaque(ref)))]
+        # repr prints every float exactly
+        assert repr(perf[0]) == repr(perf[1])
+        assert repr(gap[0]) == repr(gap[1])
+
+    def test_recorded_ensemble(self, fig7, call100, shipped, monkeypatch, name, antithetic, threads):
+        monkeypatch.setenv("HEDGE_THREADS", threads)
+        s = shipped[name]
+        tab, rule = (
+            simulate_ensemble(fig7, call100, x, INIT, N_PATHS, N_STEPS, 6, record=NAMES, antithetic=antithetic)
+            for x in (s, opaque(s))
+        )
+        assert tab.keys() == rule.keys()
+        for key in tab:
+            assert same_bits(tab[key], rule[key]), key
+
+
+@pytest.mark.parametrize("name", ["nu_hat", "nu_prime", "risk-neutral", "linear-optimal", "constant"])
+def test_single_path_is_column_of_rule_ensemble(fig7, call100, shipped, name):
+    s = shipped[name]
+    path = simulate_path(fig7, call100, s, INIT, N_STEPS, seed=21)
+    ens = simulate_ensemble(fig7, call100, opaque(s), INIT, 1, N_STEPS, 21, record=NAMES)
+    for key in NAMES:
+        assert same_bits(getattr(path, f"{key}_path"), ens[key][:, 0]), key
+
+
+class TestTabulationCount:
+    @staticmethod
+    def counting(strategy: Strategy, calls: list) -> Strategy:
+        def coeffs(t):
+            calls.append(t)
+            return strategy.coeffs(t)
+
+        return Strategy(tag=strategy.tag, rule=strategy.rule, coeffs=coeffs, delta=strategy.delta)
+
+    @pytest.mark.parametrize("chunk", [N_PATHS, 150, 40])
+    def test_once_per_step_per_call(self, fig7, call100, shipped, chunk):
+        calls_a, calls_b = [], []
+        a = self.counting(shipped["nu_hat"], calls_a)
+        b = self.counting(shipped["nu_prime"], calls_b)
+        mc_performance(fig7, call100, a, INIT, N_PATHS, N_STEPS, 5, chunk_paths=chunk)
+        assert len(calls_a) == N_STEPS
+        calls_a.clear()
+        mc_strategy_gap(fig7, call100, a, b, INIT, N_PATHS, N_STEPS, 5, chunk_paths=chunk)
+        assert len(calls_a) == len(calls_b) == N_STEPS
+        # on the engine's left endpoints, accumulated t += dt
+        dt = (fig7.T - INIT.t) / N_STEPS
+        expected = [INIT.t]
+        for _ in range(N_STEPS - 1):
+            expected.append(expected[-1] + dt)
+        assert calls_a == expected
+
+    def test_delta_weight_without_delta_rejected(self, fig7):
+        bad = Strategy(tag="no-delta", rule=lambda t, q, u: q, coeffs=lambda t: (0.0, 1.0, 0.0))
+        with pytest.raises(ValueError, match="no-delta"):
+            simulate_ensemble(fig7, LinearExposure(1.0), bad, INIT, 4, 3, 1)

@@ -200,3 +200,7 @@ class TestWealthAndPayoff:
     def test_utility(self):
         assert utility_of(0.0, 2.0) == pytest.approx(-1.0)
         assert utility_of(1.0, 2.0) == pytest.approx(-math.exp(-2.0))
+
+    def test_utility_overflow_raises(self):
+        with pytest.raises(ValueError, match="overflowed"):
+            utility_of(np.array([0.0, -800.0]), 1.0)

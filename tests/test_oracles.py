@@ -211,6 +211,15 @@ class TestEnsemble:
         assert ens["clamp_events"] == 64 * 24
         assert np.all(ens["q_T"] == DEFAULT_SPEED_CLAMP * fig1.T)
 
+    def test_clamp_events_reported_by_estimators(self, fig1):
+        init = State(0, 0, 0, 10.0, 1.0)
+        fast, still = constant_strategy(2e6), constant_strategy(0.0)
+        est = mc_performance(fig1, LinearExposure(0.0), fast, init, 64, 24, seed=3, gamma=0.0, chunk_paths=16)
+        assert est.clamp_events == 64 * 24
+        gap = mc_strategy_gap(fig1, LinearExposure(0.0), fast, still, init, 64, 24, seed=3, gamma=0.0, chunk_paths=16)
+        assert (gap.clamp_events_a, gap.clamp_events_b) == (64 * 24, 0)
+        assert mc_performance(fig1, LinearExposure(0.0), still, init, 64, 24, seed=3).clamp_events == 0
+
     def test_non_finite_speed_names_step_and_state(self, fig1):
         bad = Strategy(tag="bad", rule=lambda t, q, u: np.where(u > 1.5, np.nan, 0.0))
         with pytest.raises(SimulationError, match=r"'bad'.*step \d+ \(t=.*, q=.*, u=.*, path \d+\)"):
