@@ -21,10 +21,8 @@ from .config import (
     ConfigError,
     EXPERIMENTS,
     ExperimentConfig,
-    apply_overrides,
     load_config,
     make_manifest,
-    resolve_config,
 )
 from .expansion import (
     ExpansionScale,
@@ -237,25 +235,19 @@ def main(argv: list[str] | None = None) -> int:
             p.add_argument("--full", action="store_true", help="acceptance-scale path counts")
 
     args = parser.parse_args(argv)
+    overrides = args.overrides
+    if args.config is None:
+        # out-of-the-box defaults: the linear study for linear-path,
+        # the option study otherwise
+        overrides = [f"preset={'fig1_right' if args.experiment == 'linear-path' else 'fig3'}", *overrides]
     try:
-        if args.config is None:
-            # out-of-the-box defaults: the linear study for linear-path,
-            # the option study otherwise
-            preset = "fig1_right" if args.experiment == "linear-path" else "fig3"
-            doc = apply_overrides({"preset": preset}, args.overrides)
-            if args.seed is not None:
-                doc["seed"] = args.seed
-            if args.out is not None:
-                doc["output_dir"] = args.out
-            cfg = resolve_config(doc, experiment=args.experiment)
-        else:
-            cfg = load_config(
-                args.config,
-                overrides=args.overrides,
-                experiment=args.experiment,
-                seed=args.seed,
-                output_dir=args.out,
-            )
+        cfg = load_config(
+            args.config,
+            overrides=overrides,
+            experiment=args.experiment,
+            seed=args.seed,
+            output_dir=args.out,
+        )
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

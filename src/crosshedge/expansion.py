@@ -42,8 +42,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .bachelier import PayoffCurve, _hermite_nodes
-from .linear import _optimal_speed_coeffs
-from .market import Affine, ModelParams, Strategy, _affine_strategy, _check_time, _scalar_time
+from .linear import _cross_gain_limit, _drift_gain_limit, _h2_limit, _optimal_speed_coeffs
+from .market import Affine, ModelParams, Strategy, _affine_speed, _affine_strategy, _check_time
 
 __all__ = [
     "ExpansionScale",
@@ -86,31 +86,18 @@ class ExpansionScale:
         return cls(theta=theta, effective_c=theta * params.c, effective_gamma=theta * params.gamma)
 
 
-def _affine(coeffs: Affine, payoff: PayoffCurve, t: float, q, u):
-    """a + w*delta(t,u) + B*q, with one delta evaluation."""
-    a, w, b = coeffs
-    out = a + w * np.asarray(payoff.delta(t, u), dtype=float) + b * np.asarray(q, dtype=float)
-    return out if np.ndim(out) else float(out)
-
-
 def _sum(*triples: Affine) -> Affine:
     return tuple(map(sum, zip(*triples)))
 
 
-def _f1_at(params: ModelParams, tau):
-    """f1 as a function of time-to-go tau."""
-    k, m = params.k, params.m
-    return params.mu * tau * (4.0 * k + m * tau) / (4.0 * k + 2.0 * m * tau)
-
-
 def _f1(params: ModelParams, t):
-    return _f1_at(params, params.T - np.asarray(t, dtype=float))
+    """f1, the gamma = 0 limit of the linear h1 drift part (its gain at forcing mu)."""
+    return _drift_gain_limit(params, params.mu, params.T - np.asarray(t, dtype=float))
 
 
 def _f2(params: ModelParams, t):
-    tau = params.T - (t if isinstance(t, float) else np.asarray(t, dtype=float))
-    k, m = params.k, params.m
-    return -k * m / (2.0 * k + m * tau) - params.b / 2.0
+    """f2, the gamma = 0 limit of the linear h2."""
+    return _h2_limit(params, params.T - (t if isinstance(t, float) else np.asarray(t, dtype=float)))
 
 
 @lru_cache(maxsize=16)
@@ -150,7 +137,7 @@ def f_coefficients(params: ModelParams, t: float) -> tuple[float, float, float]:
     with the fixed log(2k + m*tau) Gauss-Legendre rule and short-circuits
     to 0 when mu = 0.
     """
-    return _f_coefficients(params, _scalar_time(params, t))
+    return _f_coefficients(params, _check_time(params, t))
 
 
 def _f_coefficients(params: ModelParams, t: float) -> tuple[float, float, float]:
@@ -159,13 +146,8 @@ def _f_coefficients(params: ModelParams, t: float) -> tuple[float, float, float]
     if params.mu == 0.0 or t == params.T:
         f0 = 0.0
     else:
-        f0 = _tau_integral(params, lambda x, a: _f1_at(params, x) ** 2, t) / (4.0 * params.k)
+        f0 = _tau_integral(params, lambda x, a: _drift_gain_limit(params, params.mu, x) ** 2, t) / (4.0 * params.k)
     return f0, f1, f2
-
-
-def _lambda1_weight(params: ModelParams, t: float) -> float:
-    tau = params.T - t
-    return -params.m * tau / (2.0 * params.k + params.m * tau)
 
 
 def lambda1(params: ModelParams, payoff: PayoffCurve, t, u) -> np.ndarray | float:
@@ -174,15 +156,15 @@ def lambda1(params: ModelParams, payoff: PayoffCurve, t, u) -> np.ndarray | floa
     The defining expectation of the running future delta collapses through
     the delta-martingale property; no sampling is involved.
     """
-    t = _scalar_time(params, t)
-    return _affine((0.0, _lambda1_weight(params, t), 0.0), payoff, t, 0.0, u)
+    t = _check_time(params, t)
+    return _affine_speed((0.0, _cross_gain_limit(params, params.T - t), 0.0), payoff.delta, t, 0.0, u)
 
 
 def _lambda0_weight(params: ModelParams, t: float) -> float:
     """integral_t^T f1(s) / (2k + m(T-s)) ds; zero when mu = 0."""
     if params.mu == 0.0 or t == params.T:
         return 0.0
-    return _tau_integral(params, lambda x, a: _f1_at(params, x) / a, t)
+    return _tau_integral(params, lambda x, a: _drift_gain_limit(params, params.mu, x) / a, t)
 
 
 def lambda0(params: ModelParams, payoff: PayoffCurve, t: float, u) -> np.ndarray | float:
@@ -190,12 +172,8 @@ def lambda0(params: ModelParams, payoff: PayoffCurve, t: float, u) -> np.ndarray
 
     Vanishes when mu = 0 (no drift-induced trading to interact with).
     """
-    t = _scalar_time(params, t)
-    weight = _lambda0_weight(params, t)
-    if weight == 0.0:
-        z = np.zeros_like(np.asarray(u, dtype=float))
-        return z if z.ndim else 0.0
-    return _affine((0.0, weight, 0.0), payoff, t, 0.0, u)
+    t = _check_time(params, t)
+    return _affine_speed((0.0, _lambda0_weight(params, t), 0.0), payoff.delta, t, 0.0, u)
 
 
 def _Lambda2_at(params: ModelParams, tau):
@@ -220,7 +198,7 @@ def _drift_risk_integral(params: ModelParams, t):
     vectorised over t."""
     if params.mu == 0.0:
         return 0.0
-    num = _tau_integral(params, lambda x, a: a * _f1_at(params, x) * _Lambda2_at(params, x), t)
+    num = _tau_integral(params, lambda x, a: a * _drift_gain_limit(params, params.mu, x) * _Lambda2_at(params, x), t)
     return num / (params.k * (2.0 * params.k + params.m * (params.T - t)))
 
 
@@ -244,11 +222,12 @@ def Lambda1(params: ModelParams, payoff: PayoffCurve, t, u) -> np.ndarray | floa
     deterministic time integral (zero when mu = 0).  Sign is indeterminate
     in general.
     """
-    t = _scalar_time(params, t)
-    return _affine((_drift_risk_integral(params, t), _pull_weight(params, t), 0.0), payoff, t, 0.0, u)
+    t = _check_time(params, t)
+    coeffs = (_drift_risk_integral(params, t), _pull_weight(params, t), 0.0)
+    return _affine_speed(coeffs, payoff.delta, t, 0.0, u)
 
 
-def _expected_delta_sq(params: ModelParams, payoff: PayoffCurve, t: float, s: float, u, n_nodes: int):
+def _expected_delta_sq(params: ModelParams, payoff: PayoffCurve, t: float, s: float, u):
     """E[(delta(s, U~_s))^2 | U~_t = u]; not lemma-reducible.
 
     Uses the payoff's closed form when it carries one (calls, linear);
@@ -261,20 +240,20 @@ def _expected_delta_sq(params: ModelParams, payoff: PayoffCurve, t: float, s: fl
     if sd == 0.0:
         d = np.asarray(payoff.delta(s, u), dtype=float)
         return d * d
-    x, w = _hermite_nodes(n_nodes)
+    x, w = _hermite_nodes(HERMITE_NODES)
     pts = (u + params.beta * (s - t))[..., None] + sd * x
     d = np.asarray(payoff.delta(s, pts), dtype=float)
     return (d * d) @ w
 
 
-def _Lambda0_drift_weights(params: ModelParams, t: float, time_nodes: int) -> tuple[float, float]:
+def _Lambda0_drift_weights(params: ModelParams, t: float) -> tuple[float, float]:
     """(a, w) with the drift part of Lambda_0 equal to a + w*delta(t,u).
 
     The drift part reduces through the martingale property; zero when mu = 0.
     """
     if params.mu == 0.0 or t == params.T:
         return 0.0, 0.0
-    s_nodes, s_w = _gauss_legendre(t, params.T, time_nodes)
+    s_nodes, s_w = _gauss_legendre(t, params.T, TIME_NODES)
     f1s = _f1(params, s_nodes)
     det = float(np.sum(s_w * f1s * _drift_risk_integral(params, s_nodes)))
     red = float(np.sum(s_w * f1s * _lemma_weight(params, s_nodes))) * params.rho * params.sigma * params.eta
@@ -282,37 +261,30 @@ def _Lambda0_drift_weights(params: ModelParams, t: float, time_nodes: int) -> tu
     return det / two_k, -red / two_k
 
 
-def _Lambda0_variance(params: ModelParams, payoff: PayoffCurve, t: float, u, time_nodes: int, hermite_nodes: int):
+def _Lambda0_variance(params: ModelParams, payoff: PayoffCurve, t: float, u):
     """-eta^2/2 * integral_t^T E[delta(s, U~_s)^2 | U~_t = u] ds by Gauss-Legendre in time."""
     if params.eta == 0.0 or t == params.T:
         return np.zeros_like(u)
-    s_nodes, s_w = _gauss_legendre(t, params.T, time_nodes)
+    s_nodes, s_w = _gauss_legendre(t, params.T, TIME_NODES)
     dsq = np.stack(
-        [np.asarray(_expected_delta_sq(params, payoff, t, float(s), u, hermite_nodes)) for s in s_nodes],
+        [np.asarray(_expected_delta_sq(params, payoff, t, float(s), u)) for s in s_nodes],
         axis=-1,
     )
     return -0.5 * params.eta**2 * (dsq @ s_w)
 
 
-def Lambda0(
-    params: ModelParams,
-    payoff: PayoffCurve,
-    t: float,
-    u,
-    time_nodes: int = TIME_NODES,
-    hermite_nodes: int = HERMITE_NODES,
-) -> np.ndarray | float:
+def Lambda0(params: ModelParams, payoff: PayoffCurve, t: float, u) -> np.ndarray | float:
     """Risk-aversion coefficient at q^0 (enters the value, not the strategies).
 
     The drift part is a time weight times delta(t,u); the squared-delta
     variance cost needs genuine quadrature over the factor transition.
     """
-    t = _scalar_time(params, t)
+    t = _check_time(params, t)
     u = np.asarray(u, dtype=float)
-    out = _Lambda0_variance(params, payoff, t, u, time_nodes, hermite_nodes)
+    out = _Lambda0_variance(params, payoff, t, u)
     if params.mu != 0.0:
-        a, w = _Lambda0_drift_weights(params, t, time_nodes)
-        out = out + _affine((a, w, 0.0), payoff, t, 0.0, u)
+        a, w = _Lambda0_drift_weights(params, t)
+        out = out + _affine_speed((a, w, 0.0), payoff.delta, t, 0.0, u)
     return out if np.ndim(out) else float(out)
 
 
@@ -369,14 +341,14 @@ def nu_hat_components(
     pushes the factor in the option's favor net of round-trip costs; the
     gamma-term combines the hedging pull with inventory-risk decay.
     """
-    t = _scalar_time(params, t)
-    return tuple(_affine(coeffs, payoff, t, q, u) for coeffs in _nu_hat_terms(params, scale, t))
+    t = _check_time(params, t)
+    return tuple(_affine_speed(coeffs, payoff.delta, t, q, u) for coeffs in _nu_hat_terms(params, scale, t))
 
 
 def nu_hat(params: ModelParams, payoff: PayoffCurve, scale: ExpansionScale, t: float, q, u):
     """Expansion trading speed nu_0 + theta*(c*nu_1 + gamma*nu_2); affine in q."""
-    t = _scalar_time(params, t)
-    return _affine(_nu_hat_coeffs(params, scale, t), payoff, t, q, u)
+    t = _check_time(params, t)
+    return _affine_speed(_nu_hat_coeffs(params, scale, t), payoff.delta, t, q, u)
 
 
 def nu_prime(params: ModelParams, payoff: PayoffCurve, scale: ExpansionScale, t: float, q, u):
@@ -385,8 +357,8 @@ def nu_prime(params: ModelParams, payoff: PayoffCurve, scale: ExpansionScale, t:
 
     Exact when the payoff is linear; within o(theta) of ``nu_hat`` otherwise.
     """
-    t = _scalar_time(params, t)
-    return _affine(_optimal_speed_coeffs(_effective_params(params, scale), t), payoff, t, q, u)
+    t = _check_time(params, t)
+    return _affine_speed(_optimal_speed_coeffs(_effective_params(params, scale), t), payoff.delta, t, q, u)
 
 
 def risk_neutral_cross_impact_speed(params: ModelParams, payoff: PayoffCurve, t: float, q, u):
@@ -395,8 +367,8 @@ def risk_neutral_cross_impact_speed(params: ModelParams, payoff: PayoffCurve, t:
     Drives inventory toward (c/m)*delta(t,u) with a gain that stiffens as
     the horizon approaches; equals ``nu_hat`` at gamma=0, theta=1.
     """
-    t = _scalar_time(params, t)
-    return _affine(_risk_neutral_coeffs(params, t), payoff, t, q, u)
+    t = _check_time(params, t)
+    return _affine_speed(_risk_neutral_coeffs(params, t), payoff.delta, t, q, u)
 
 
 def expansion_value(
@@ -414,18 +386,18 @@ def expansion_value(
     truncation error is o(theta^2) in the defining PDE.  With
     ``return_components`` the pieces (h0, h1, h2) are returned alongside.
     """
-    t = _scalar_time(params, t)
+    t = _check_time(params, t)
     q = np.asarray(q, dtype=float)
     u = np.asarray(u, dtype=float)
     f0, f1, f2 = _f_coefficients(params, t)
     delta = np.asarray(payoff.delta(t, u), dtype=float)
     h0_val = f0 + f1 * q + f2 * q * q + np.asarray(payoff.g(t, u), dtype=float)
-    h1_val = (_lambda0_weight(params, t) + _lambda1_weight(params, t) * q) * delta
-    l0_a, l0_w = _Lambda0_drift_weights(params, t, TIME_NODES)
+    h1_val = (_lambda0_weight(params, t) + _cross_gain_limit(params, params.T - t) * q) * delta
+    l0_a, l0_w = _Lambda0_drift_weights(params, t)
     h2_val = (
         l0_a
         + l0_w * delta
-        + _Lambda0_variance(params, payoff, t, u, TIME_NODES, HERMITE_NODES)
+        + _Lambda0_variance(params, payoff, t, u)
         + (_drift_risk_integral(params, t) + _pull_weight(params, t) * delta) * q
         + _Lambda2_at(params, params.T - t) * q * q
     )
@@ -438,7 +410,7 @@ def expansion_value(
 
 def _strategy(tag: str, params: ModelParams, payoff: PayoffCurve, coeffs_at) -> Strategy:
     """Affine strategy with coefficients coeffs_at(t) at a validated t and the payoff's delta."""
-    return _affine_strategy(tag, lambda t: coeffs_at(_scalar_time(params, t)), payoff.delta)
+    return _affine_strategy(tag, lambda t: coeffs_at(_check_time(params, t)), payoff.delta)
 
 
 def expansion_nu_hat_strategy(params: ModelParams, payoff: PayoffCurve, scale: ExpansionScale) -> Strategy:

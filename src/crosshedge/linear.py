@@ -11,8 +11,12 @@ squared forcing.  All three admit explicit solutions built from the
 constants omega = sqrt(k*gamma*sigma^2/2) and phi_± = omega ± alpha ∓ b/2.
 
 For gamma = 0 the expressions above divide by omega; this module switches
-to the analytic omega -> 0 limits (which coincide with the zero-order
-expansion coefficients f1, f2) below a small omega threshold.
+to the analytic omega -> 0 limits below a small omega threshold.  Those
+limits are rationals in time-to-go tau and are the zero-order expansion
+coefficients: the h2 limit is f2, the h1 drift gain at forcing mu is f1,
+and the cross-impact gain is the lambda_1 weight.  They are defined here
+once (``_h2_limit``, ``_drift_gain_limit``, ``_cross_gain_limit``) and
+``expansion`` evaluates f1, f2 and lambda_1 through them.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from .market import (
     Strategy,
     _affine_strategy,
     _check_time,
-    _scalar_time,
     derived_constants,
 )
 
@@ -57,6 +60,25 @@ def uses_zero_gamma_branch(params: ModelParams) -> bool:
     return omega < OMEGA_SWITCH * max(1.0, params.m)
 
 
+def _h2_limit(params: ModelParams, tau):
+    """h2 at gamma = 0, -k*m/(2k + m*tau) - b/2; the expansion's f2."""
+    k, m = params.k, params.m
+    return -k * m / (2.0 * k + m * tau) - params.b / 2.0
+
+
+def _drift_gain_limit(params: ModelParams, zeta, tau):
+    """Response of h1 to a constant drift forcing zeta at gamma = 0,
+    zeta*tau*(4k + m*tau)/(4k + 2m*tau); the expansion's f1 at zeta = mu."""
+    k, m = params.k, params.m
+    return zeta * tau * (4.0 * k + m * tau) / (4.0 * k + 2.0 * m * tau)
+
+
+def _cross_gain_limit(params: ModelParams, tau):
+    """Per-unit cross-impact gain of h1 at gamma = 0, -m*tau/(2k + m*tau);
+    the expansion's lambda_1 weight."""
+    return -params.m * tau / (2.0 * params.k + params.m * tau)
+
+
 def h2(params: ModelParams, t) -> np.ndarray | float:
     """Quadratic-in-inventory coefficient of the certainty-equivalent value.
 
@@ -71,20 +93,17 @@ def h2(params: ModelParams, t) -> np.ndarray | float:
 def _h2(params: ModelParams, t):
     """h2 at an already validated time (float or array)."""
     tau = params.T - t
-    m = params.m
     if uses_zero_gamma_branch(params):
-        out = -params.k * m / (2.0 * params.k + m * tau) - params.b / 2.0
-    else:
-        d = derived_constants(params)
-        e = np.exp(-d.omega * tau / params.k)
-        e2 = e * e
-        out = (
-            d.omega
-            * (d.phi_minus * e2 - d.phi_plus)
-            / (d.phi_minus * e2 + d.phi_plus)
-            - params.b / 2.0
-        )
-    return out
+        return _h2_limit(params, tau)
+    d = derived_constants(params)
+    e = np.exp(-d.omega * tau / params.k)
+    e2 = e * e
+    return (
+        d.omega
+        * (d.phi_minus * e2 - d.phi_plus)
+        / (d.phi_minus * e2 + d.phi_plus)
+        - params.b / 2.0
+    )
 
 
 def _h1_parts(params: ModelParams, t) -> tuple[np.ndarray, np.ndarray]:
@@ -95,18 +114,19 @@ def _h1_parts(params: ModelParams, t) -> tuple[np.ndarray, np.ndarray]:
     per-unit hedging and cross-impact forcing.  t is already validated.
     """
     tau = params.T - t
-    m, k = params.m, params.k
-    if uses_zero_gamma_branch(params):
-        zeta_gain = tau * (4.0 * k + m * tau) / (2.0 * (2.0 * k + m * tau))
-        cross_gain = -m * tau / (2.0 * k + m * tau)
-    else:
-        d = derived_constants(params)
-        x = d.omega * tau / k
-        e = np.exp(-x)
-        denom = d.phi_minus * e * e + d.phi_plus
-        zeta_gain = (k / d.omega) * -np.expm1(-x) * (d.phi_minus * e + d.phi_plus) / denom
-        cross_gain = 2.0 * d.omega * e / denom - 1.0
     hedge = params.gamma * params.rho * params.sigma * params.eta
+    if uses_zero_gamma_branch(params):
+        return (
+            _drift_gain_limit(params, params.mu, tau),
+            params.c * _cross_gain_limit(params, tau) - _drift_gain_limit(params, hedge, tau),
+        )
+    k = params.k
+    d = derived_constants(params)
+    x = d.omega * tau / k
+    e = np.exp(-x)
+    denom = d.phi_minus * e * e + d.phi_plus
+    zeta_gain = (k / d.omega) * -np.expm1(-x) * (d.phi_minus * e + d.phi_plus) / denom
+    cross_gain = 2.0 * d.omega * e / denom - 1.0
     return params.mu * zeta_gain, params.c * cross_gain - hedge * zeta_gain
 
 
@@ -127,7 +147,7 @@ def h0(params: ModelParams, frak_n: float, t: float) -> float:
     The time integral of (h1 + c*frak_n)^2 / (4k) is evaluated by adaptive
     quadrature (relative tolerance 1e-10); the formula's linear part is exact.
     """
-    t = _scalar_time(params, t)
+    t = _check_time(params, t)
     tau = params.T - t
     base = (params.beta * frak_n - 0.5 * params.gamma * params.eta**2 * frak_n**2) * tau
     if tau == 0.0:
@@ -207,7 +227,7 @@ def linear_value_function(params: ModelParams, frak_n: float, state: State) -> f
     """Value -exp(-gamma*(x + q*S + frak_n*U + h(t, q))) of the optimal strategy."""
     if params.gamma <= 0:
         raise ValueError("the exponential-utility value function requires gamma > 0")
-    t = _scalar_time(params, state.t)
+    t = _check_time(params, state.t)
     h_val = (
         h0(params, frak_n, t)
         + h1(params, frak_n, t) * state.q
@@ -233,7 +253,7 @@ def linear_optimal_strategy(params: ModelParams, frak_n: float) -> Strategy:
     speed (a + w*frak_n, 0, B) of ``_optimal_speed_coeffs``."""
 
     def coeffs(t) -> Affine:
-        a, w, b = _optimal_speed_coeffs(params, _scalar_time(params, t))
+        a, w, b = _optimal_speed_coeffs(params, _check_time(params, t))
         return a + w * frak_n, 0.0, b
 
     return _affine_strategy("linear-optimal", coeffs)

@@ -10,7 +10,7 @@ Cash X and inventory Q follow from the execution price.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -127,18 +127,19 @@ def derived_constants(params: ModelParams, frak_n: float = 0.0) -> DerivedConsta
     )
 
 
-def _check_time(params: ModelParams, t) -> np.ndarray:
-    """Reject times outside [0, T] (up to rounding) and clip the rest into it."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t < -1e-12) or np.any(t > params.T * (1.0 + 1e-12)):
-        raise ValueError(f"time must lie in [0, T={params.T}], got {t}")
-    return np.clip(t, 0.0, params.T)
+def _check_time(params: ModelParams, t) -> float | np.ndarray:
+    """Reject times outside [0, T] (up to rounding) and clip the rest into it.
 
-
-def _scalar_time(params: ModelParams, t) -> float:
-    """``_check_time`` for one time, as a float; floats skip numpy entirely."""
+    A scalar time comes back as a float, and a float skips numpy entirely;
+    an array time comes back as an array.
+    """
     if not isinstance(t, float):
-        return float(_check_time(params, t))
+        t = np.asarray(t, dtype=float)
+        if t.ndim:
+            if np.any(t < -1e-12) or np.any(t > params.T * (1.0 + 1e-12)):
+                raise ValueError(f"time must lie in [0, T={params.T}], got {t}")
+            return np.clip(t, 0.0, params.T)
+        t = float(t)
     if t < -1e-12 or t > params.T * (1.0 + 1e-12):
         raise ValueError(f"time must lie in [0, T={params.T}], got {t}")
     return min(max(t, 0.0), params.T)
@@ -214,8 +215,10 @@ class Strategy:
     coefficients once per Monte Carlo call and evaluates the speed itself,
     as (w*delta + a) + B*q (B*q + a when w is zero), instead of calling
     ``rule``.  So ``rule`` must equal that evaluation bit for bit; the
-    library's factories build every rule that way (``_affine_strategy``).
-    Without ``coeffs`` the engine calls ``rule`` at every step.
+    library's factories build every rule that way (``_affine_strategy``),
+    and their rules return the broadcast shape of q and U even when w is
+    zero and no delta is called.  Without ``coeffs`` the engine calls
+    ``rule`` at every step.
     """
 
     tag: str
@@ -225,11 +228,18 @@ class Strategy:
 
 
 def _affine_speed(coeffs: Affine, delta, t: float, q, u):
-    """a + w*delta(t,u) + B*q in the Euler engine's order of operations:
-    (w*delta + a) + B*q, and B*q + a with no delta call when w is zero."""
+    """a + w*delta(t,u) + B*q in the Euler engine's order of operations,
+    (w*delta + a) + B*q.  A zero weight makes no delta call and gives B*q + a
+    in the broadcast shape of q and u."""
     a, w, b = coeffs
     q = np.asarray(q, dtype=float)
-    out = b * q + a if w == 0.0 else w * np.asarray(delta(t, u), dtype=float) + a + b * q
+    if w != 0.0:
+        out = w * np.asarray(delta(t, u), dtype=float) + a + b * q
+    else:
+        out = b * q + a
+        shape = np.broadcast_shapes(out.shape, np.shape(u))
+        if out.shape != shape:
+            out = np.broadcast_to(out, shape).copy()
     return out if out.ndim else float(out)
 
 
@@ -311,13 +321,11 @@ def simulate_path(
     are then the exact negatives as well.  Speeds are clamped to
     |nu| <= nu_max; clamp events are counted on the returned bundle.
     """
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    if initial.t >= params.T:
-        raise ValueError(f"initial time {initial.t} must precede the horizon {params.T}")
     names = ("w", "z", "s", "u", "q", "x", "nu")
+    n_base, tables = _engine_inputs(params, [strategy], initial, n_steps, 1, antithetic)
     (run,) = _euler_ensemble(
-        params, exposure, [strategy], initial, n_steps, seed, stream, 1, antithetic, nu_max=nu_max, record=names
+        params, exposure, [strategy], initial, n_steps, seed, stream, n_base, antithetic,
+        nu_max=nu_max, record=names, tables=tables,
     )
     col = 1 if antithetic else 0
     return PathBundle(
@@ -375,6 +383,27 @@ def _coefficient_tables(
     return tables
 
 
+def _engine_inputs(
+    params: ModelParams,
+    strategies: Sequence[Strategy],
+    initial: State,
+    n_steps: int,
+    n_paths: int,
+    antithetic: bool,
+) -> tuple[int, list[list[Affine] | None]]:
+    """Validated inputs shared by every front end of the Euler engine: the
+    number of base paths (an odd antithetic count rounds up to whole pairs)
+    and the coefficient tables on the engine's step times."""
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    if not initial.t < params.T:
+        raise ValueError(f"initial.t must precede the horizon T={params.T}, got {initial.t}")
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    n_base = (n_paths + 1) // 2 if antithetic else n_paths
+    return n_base, _coefficient_tables(strategies, _step_times(params, initial, n_steps))
+
+
 def _euler_ensemble(
     params: ModelParams,
     exposure: Exposure,
@@ -387,8 +416,8 @@ def _euler_ensemble(
     antithetic: bool,
     *,
     nu_max: float = DEFAULT_SPEED_CLAMP,
+    tables: Sequence[list[Affine] | None],
     record: Sequence[str] = (),
-    tables: Sequence[list[Affine] | None] | None = None,
 ) -> list[dict]:
     """Euler-Maruyama steps of (X, Q, S, U) for each strategy under shared shocks.
 
@@ -400,9 +429,8 @@ def _euler_ensemble(
     left endpoint: x_{i+1} = x_i - (S_i + k*nu_i)*nu_i*dt.
 
     An affine strategy's speed is (w*delta + a) + B*q from its row of
-    ``tables`` (``_coefficient_tables`` on ``_step_times``; built here when
-    not given); an opaque one calls its rule.  A step allocates nothing
-    beyond what a rule or delta call returns.
+    ``tables`` (from ``_engine_inputs``); an opaque one calls its rule.  A
+    step allocates nothing beyond what a rule or delta call returns.
 
     Returns one dict per strategy: the time grid ``times``, terminal arrays
     q_T, u_T, s_T, x_T and ``wealth``, per-path ``clamp_events`` counts, and
@@ -411,8 +439,6 @@ def _euler_ensemble(
     """
     rng = make_rng(seed, stream)
     times = _step_times(params, initial, n_steps)
-    if tables is None:
-        tables = _coefficient_tables(strategies, times)
     dt = (params.T - initial.t) / n_steps
     sq = math.sqrt(dt)
     rho_c = math.sqrt(1.0 - params.rho**2)

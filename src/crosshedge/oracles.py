@@ -34,9 +34,8 @@ from .market import (
     SimulationError,
     State,
     Strategy,
-    _coefficient_tables,
+    _engine_inputs,
     _euler_ensemble,
-    _step_times,
     make_rng,
     utility_of,
 )
@@ -72,13 +71,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OdeSystemSpec:
-    """Terminal-value ODE system y' = rhs(t, y), y(t_end) = terminal_value."""
+    """Terminal-value ODE system y' = rhs(t, y), y(t_end) = terminal_value,
+    solved on [0, t_end]."""
 
     rhs: Callable[[float, np.ndarray], np.ndarray]
     terminal_value: np.ndarray
     step_count: int
     t_end: float
-    t_start: float = 0.0
 
 
 class DenseOdeSolution:
@@ -110,7 +109,7 @@ class DenseOdeSolution:
 
 
 def rk4_backward(spec: OdeSystemSpec) -> DenseOdeSolution:
-    """Classical RK4 from t_end back to t_start on a uniform grid.
+    """Classical RK4 from t_end back to 0 on a uniform grid.
 
     The state is checked for finiteness once, after the sweep; the error
     names the first grid time at which it is not finite.
@@ -118,7 +117,7 @@ def rk4_backward(spec: OdeSystemSpec) -> DenseOdeSolution:
     n = spec.step_count
     if n < 1:
         raise ValueError("step_count must be >= 1")
-    h = (spec.t_start - spec.t_end) / n
+    h = -spec.t_end / n
     half, sixth = h / 2, h / 6
     ts = spec.t_end + h * np.arange(n + 1)
     rhs = spec.rhs
@@ -253,12 +252,13 @@ def simulate_ensemble(
     Returns terminal arrays q_T, u_T, s_T, x_T and wealth of length n_paths,
     the time grid, the number of clamped speeds ``clamp_events``, and a full
     (n_steps+1, n_paths) series for each recorded variable ("w", "z", "q",
-    "u", "s", "x", "nu").  Independent paths by default (figure-style runs).
+    "u", "s", "x", "nu").  Independent paths by default (figure-style runs);
+    with ``antithetic`` an odd n_paths rounds up to whole mirrored pairs.
     """
+    n_base, tables = _engine_inputs(params, [strategy], initial, n_steps, n_paths, antithetic)
     (run,) = _euler_ensemble(
-        params, exposure, [strategy], initial, n_steps, seed,
-        stream=0, n_base=(n_paths // 2 if antithetic else n_paths), antithetic=antithetic,
-        record=tuple(record),
+        params, exposure, [strategy], initial, n_steps, seed, 0, n_base, antithetic,
+        tables=tables, record=tuple(record),
     )
     run["clamp_events"] = int(run["clamp_events"].sum())
     return run
@@ -286,12 +286,9 @@ def _mc_samples(
     array are mirrored pairs (layout preserved across chunk boundaries by
     concatenating half-arrays separately).
     """
-    if antithetic and n_paths % 2:
-        n_paths += 1
-    unit = n_paths // 2 if antithetic else n_paths
+    unit, tables = _engine_inputs(params, strategies, initial, n_steps, n_paths, antithetic)
     chunk_unit = max(1, (chunk_paths // 2 if antithetic else chunk_paths))
     sizes = _chunk_sizes(unit, chunk_unit)
-    tables = _coefficient_tables(strategies, _step_times(params, initial, n_steps))
 
     def task(args):
         idx, nb = args
@@ -469,18 +466,16 @@ def hjb_residual_at(
     t: float,
     q: float,
     u: float,
-    dt_rel: float = 1e-5,
-    du_rel: float = 1e-4,
-    dq_rel: float = 1e-4,
 ) -> float:
     """Left side of the certainty-equivalent HJB at (t, q, u) for candidate h.
 
     Derivatives are central differences with steps scaled by the variable's
-    magnitude; an exact solution leaves only finite-difference noise.
+    magnitude (relative steps 1e-5 in t, 1e-4 in u and q); an exact solution
+    leaves only finite-difference noise.
     """
-    dt = dt_rel * max(1.0, params.T)
-    du = du_rel * max(1.0, abs(u), params.eta * math.sqrt(params.T))
-    dq = dq_rel * max(1.0, abs(q))
+    dt = 1e-5 * max(1.0, params.T)
+    du = 1e-4 * max(1.0, abs(u), params.eta * math.sqrt(params.T))
+    dq = 1e-4 * max(1.0, abs(q))
 
     h_0 = h_fn(t, q, u)
     h_t = (h_fn(t + dt, q, u) - h_fn(t - dt, q, u)) / (2 * dt)

@@ -31,8 +31,8 @@ from .expansion import (
     Lambda0,
     Lambda1,
     Lambda2,
+    _gauss_legendre,
     expansion_nu_hat_strategy,
-    delta_substitution_strategy,
     f_coefficients,
     lambda0,
     lambda1,
@@ -59,6 +59,7 @@ from .oracles import (
     rk4_backward,
     simulate_ensemble,
     speed_argmax_on_grid,
+    theta_sweep,
     lambda1_nested_quadrature,
     Lambda1_nested_quadrature,
 )
@@ -300,14 +301,10 @@ def delta_martingale(seed: int = 17, n_triples: int = 100, tol: float = 1e-6) ->
 def weighted_integral_property(tol: float = 1e-6) -> tuple[bool, dict, str]:
     """E[integral f(s)*delta(s,U~_s) ds] = delta(t,u)*integral f(s) ds for
     f = 1 and f(s) = s, by outer Gauss-Legendre and inner adaptive quadrature."""
-    from numpy.polynomial.legendre import leggauss
-
     law = AuxiliaryProcessLaw.from_params(FIG3)
     curve = call_payoff_curve(FIG3, CALL_100)
     t, u = 0.25, 1.1
-    x, w = leggauss(48)
-    mid, half = 0.5 * (t + FIG3.T), 0.5 * (FIG3.T - t)
-    s_nodes, s_w = mid + half * x, half * w
+    s_nodes, s_w = _gauss_legendre(t, FIG3.T, 48)
     worst = 0.0
     for f in (lambda s: 1.0, lambda s: s):
         lhs = sum(wt * f(s) * expected_delta(law, curve, t, float(s), u) for s, wt in zip(s_nodes, s_w))
@@ -394,38 +391,17 @@ def strategy_gap_order(
     """CE gap between the expansion and delta-substitution strategies under
     common random numbers shrinks by >= factor when theta halves, unless both
     gaps are inside 3x Monte Carlo noise (then reported noise-bounded)."""
-    curve = call_payoff_curve(FIG7, CALL_100)
     initial = State(t=0.0, x=0.0, q=0.0, s=10.0, u=CALL_100.strike)
-    expo = CALL_100
-    gaps = {}
-    for theta in (0.2, 0.1):
-        sc = ExpansionScale.from_params(FIG7, theta)
-        res = mc_strategy_gap(
-            FIG7,
-            expo,
-            expansion_nu_hat_strategy(FIG7, curve, sc),
-            delta_substitution_strategy(FIG7, curve, sc),
-            initial,
-            n_paths,
-            n_steps,
-            seed,
-            gamma=sc.effective_gamma,
-        )
-        gaps[theta] = res
-    g02, g01 = gaps[0.2], gaps[0.1]
-    measured = {
-        "gap_0.2": g02.gap,
-        "se_0.2": g02.gap_se,
-        "gap_0.1": g01.gap,
-        "se_0.1": g01.gap_se,
-    }
-    if abs(g01.gap) <= 3.0 * g01.gap_se or abs(g02.gap) <= 3.0 * g02.gap_se:
+    rows = theta_sweep(FIG7, CALL_100, (0.2, 0.1), n_paths, seed, n_steps=n_steps, initial=initial)
+    (g02, s02), (g01, s01) = ((r["gap"], r["gap_se"]) for r in rows)
+    measured = {"gap_0.2": g02, "se_0.2": s02, "gap_0.1": g01, "se_0.1": s01}
+    if abs(g01) <= 3.0 * s01 or abs(g02) <= 3.0 * s02:
         return True, {**measured, "outcome": "noise-bounded"}, (
-            f"noise-bounded: gap(0.2) = {g02.gap:.2e} (3se {3 * g02.gap_se:.2e}), "
-            f"gap(0.1) = {g01.gap:.2e} (3se {3 * g01.gap_se:.2e})"
+            f"noise-bounded: gap(0.2) = {g02:.2e} (3se {3 * s02:.2e}), "
+            f"gap(0.1) = {g01:.2e} (3se {3 * s01:.2e})"
         )
-    ratio = abs(g02.gap) / abs(g01.gap)
-    ratio_upper = (abs(g02.gap) + 3 * g02.gap_se) / max(abs(g01.gap) - 3 * g01.gap_se, 1e-300)
+    ratio = abs(g02) / abs(g01)
+    ratio_upper = (abs(g02) + 3 * s02) / max(abs(g01) - 3 * s01, 1e-300)
     ok = ratio >= factor or ratio_upper >= factor
     return ok, {**measured, "outcome": "measured", "ratio": ratio}, (
         f"measured ratio = {ratio:.2f} (3-sigma upper {ratio_upper:.2f}, need >= {factor})"
@@ -618,14 +594,9 @@ def market_conservation(seed: int = 53) -> tuple[bool, dict, str]:
 # ---------------------------------------------------------------------------
 
 
-def run_verification(
-    seed: int = 20260810,
-    scale: str = "fast",
-    h1_fn: Callable = h1,
-    h2_fn: Callable = h2,
-) -> VerifyReport:
+def run_verification(seed: int = 20260810, scale: str = "fast") -> VerifyReport:
     """Run every check; scales: "fast" (default, suite < 5 min) or "full"
-    (acceptance-stated path counts).  h1_fn/h2_fn are fault-injection hooks."""
+    (acceptance-stated path counts)."""
     full = scale == "full"
     mc_paths = 100_000 if full else 30_000
     mc_steps = 3000 if full else 1000
@@ -633,7 +604,7 @@ def run_verification(
     lemma_points = 50 if full else 15
 
     checks = [
-        _timed("riccati-closed-form-vs-rk4", lambda: riccati_vs_rk4(seed, h1_fn=h1_fn, h2_fn=h2_fn)),
+        _timed("riccati-closed-form-vs-rk4", lambda: riccati_vs_rk4(seed)),
         _timed("h0-quadrature-vs-simpson", h0_vs_simpson),
         _timed("long-horizon-level", long_horizon_level),
         _timed("inventory-speed-consistency", inventory_speed_consistency),

@@ -257,3 +257,26 @@ class TestVerifyPlumbing:
     def test_config_error_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, {"preset": "fig3", "model": {"b": 0.2}})
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 2
+
+
+class TestDefaultPresets:
+    """Without --config a run starts from a preset: fig1_right for linear-path, fig3 otherwise."""
+
+    def test_linear_path_uses_fig1_right(self, tmp_path):
+        assert main(["linear-path", "--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        resolved = manifest["resolved_config"]
+        assert resolved["model"] == PRESETS["fig1_right"]["model"]
+        assert resolved["strategy"] == "linear-optimal"
+        assert resolved == load_config(None, overrides=["preset=fig1_right"], experiment="linear-path",
+                                       output_dir=str(tmp_path)).raw
+
+    def test_paths_applies_override_and_seed(self, tmp_path):
+        assert main(["paths", "--set", "n_steps=20", "--seed", "5", "--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        resolved = manifest["resolved_config"]
+        assert resolved["model"] == PRESETS["fig3"]["model"]
+        assert resolved["exposure"] == PRESETS["fig3"]["exposure"]
+        assert resolved["n_steps"] == 20 and resolved["seed"] == 5 and manifest["seed"] == 5
+        rows = (tmp_path / "path_00.csv").read_text().strip().split("\n")
+        assert len(rows) == 1 + 21

@@ -116,3 +116,42 @@ class TestTabulationCount:
         bad = Strategy(tag="no-delta", rule=lambda t, q, u: q, coeffs=lambda t: (0.0, 1.0, 0.0))
         with pytest.raises(ValueError, match="no-delta"):
             simulate_ensemble(fig7, LinearExposure(1.0), bad, INIT, 4, 3, 1)
+
+
+def _front_end(name, fig7, call100, strategy, initial, n_paths, n_steps):
+    if name == "simulate_ensemble":
+        return simulate_ensemble(fig7, call100, strategy, initial, n_paths, n_steps, 3, antithetic=True)
+    if name == "mc_performance":
+        return mc_performance(fig7, call100, strategy, initial, n_paths, n_steps, 3)
+    return mc_strategy_gap(fig7, call100, strategy, strategy, initial, n_paths, n_steps, 3)
+
+
+@pytest.mark.parametrize("front_end", ["simulate_ensemble", "mc_performance", "mc_strategy_gap"])
+class TestEngineInputs:
+    """Every Monte Carlo front end goes through one validated engine entry."""
+
+    @pytest.mark.parametrize(
+        "n_paths, n_steps, t0, message",
+        [
+            (4, 0, 0.0, "n_steps must be >= 1, got 0"),
+            (4, 3, 1.0, "initial.t must precede the horizon T=1.0, got 1.0"),
+            (4, 3, 1.5, "initial.t must precede the horizon T=1.0, got 1.5"),
+            (0, 3, 0.0, "n_paths must be >= 1, got 0"),
+            (-2, 3, 0.0, "n_paths must be >= 1, got -2"),
+        ],
+    )
+    def test_bad_inputs_named(self, fig7, call100, shipped, front_end, n_paths, n_steps, t0, message):
+        initial = State(t0, 0.0, 0.3, 10.0, 1.0)
+        with pytest.raises(ValueError, match=message):
+            _front_end(front_end, fig7, call100, shipped["nu_hat"], initial, n_paths, n_steps)
+
+    @pytest.mark.parametrize("n_paths", [1, 5])
+    def test_odd_antithetic_count_rounds_up(self, fig7, call100, shipped, front_end, n_paths):
+        out = _front_end(front_end, fig7, call100, shipped["nu_hat"], INIT, n_paths, 3)
+        if front_end == "simulate_ensemble":
+            assert out["wealth"].shape == (n_paths + 1,)
+        elif front_end == "mc_performance":
+            # each mirrored pair is one independent sample
+            assert out.n_samples == (n_paths + 1) // 2
+        else:
+            assert out.gap == 0.0

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from crosshedge import (
     BachelierCallExposure,
     CustomSmoothExposure,
+    Lambda1,
     LinearExposure,
     ModelParams,
     SimulationError,
@@ -16,6 +17,7 @@ from crosshedge import (
     call_payoff_curve,
     constant_strategy,
     derived_constants,
+    lambda1,
     linear_optimal_strategy,
     optimal_inventory_linear,
     payoff_eval,
@@ -204,3 +206,25 @@ class TestWealthAndPayoff:
     def test_utility_overflow_raises(self):
         with pytest.raises(ValueError, match="overflowed"):
             utility_of(np.array([0.0, -800.0]), 1.0)
+
+
+class TestZeroWeightShape:
+    """A zero delta weight skips the delta call but keeps the broadcast shape of q and U."""
+
+    U = np.linspace(0.5, 1.5, 7)
+
+    def test_coefficients_at_horizon(self, fig7, call100):
+        curve = call_payoff_curve(fig7, call100)
+        for fn in (lambda1, Lambda1):
+            out = fn(fig7, curve, fig7.T, self.U)
+            assert out.shape == self.U.shape and np.all(out == 0.0)
+        assert isinstance(lambda1(fig7, curve, fig7.T, 1.0), float)
+
+    def test_strategy_rules(self, fig1):
+        for strategy in (constant_strategy(0.4), linear_optimal_strategy(fig1, 1.0)):
+            a, w, b = strategy.coeffs(0.5)
+            assert w == 0.0
+            out = strategy.rule(0.5, 0.0, self.U)
+            assert out.shape == self.U.shape and np.all(out == b * 0.0 + a)
+            assert strategy.rule(0.5, np.zeros((2, 1)), self.U).shape == (2, self.U.size)
+            assert isinstance(strategy.rule(0.5, 0.0, 1.0), float)
