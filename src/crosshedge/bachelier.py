@@ -19,7 +19,6 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
-from scipy.integrate import quad
 from scipy.special import ndtr, owens_t
 
 from .market import BachelierCallExposure, CustomSmoothExposure, Exposure, LinearExposure, ModelParams
@@ -248,7 +247,8 @@ def expected_delta(
     Adaptive subdivision resolves the sharpening delta profile near the
     horizon, where fixed Gaussian rules lose accuracy; the integration window
     of +-12 transition standard deviations leaves a negligible tail for any
-    bounded delta.
+    bounded delta.  ``scipy.integrate.quad`` is imported here, at the call,
+    so that importing the package does not load ``scipy.integrate``.
     """
     if s < t:
         raise ValueError(f"need t <= s, got t={t}, s={s}")
@@ -261,6 +261,8 @@ def expected_delta(
     def integrand(y: float) -> float:
         w = norm * math.exp(-0.5 * ((y - mean) / sd) ** 2)
         return w * float(payoff.delta(s, np.asarray(y, dtype=float)))
+
+    from scipy.integrate import quad
 
     val, _ = quad(integrand, mean - tail_sds * sd, mean + tail_sds * sd,
                   epsabs=1e-11, epsrel=1e-11, limit=500)

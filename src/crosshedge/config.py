@@ -7,6 +7,7 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 from typing import Any
@@ -115,6 +116,21 @@ def load_schema(name: str) -> dict:
         return json.load(fh)
 
 
+@lru_cache(maxsize=None)
+def _validator(name: str):
+    schema = load_schema(name)
+    return jsonschema.validators.validator_for(schema)(schema)
+
+
+def _validate_document(doc: dict, name: str) -> None:
+    """Raise the error ``jsonschema.validate`` would raise for ``doc`` against
+    the shipped schema ``name``, from a validator built once per schema and
+    without re-checking the schema itself (the test suite checks it)."""
+    error = jsonschema.exceptions.best_match(_validator(name).iter_errors(doc))
+    if error is not None:
+        raise error
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated, fully-resolved run configuration."""
@@ -161,7 +177,7 @@ class RunManifest:
 
     def write(self, path: Path) -> None:
         doc = self.to_json()
-        jsonschema.validate(doc, load_schema("manifest.schema.json"))
+        _validate_document(doc, "manifest.schema.json")
         path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
@@ -239,9 +255,8 @@ def resolve_config(doc: dict, experiment: str | None = None) -> ExperimentConfig
     if "n_paths" not in merged:
         merged["n_paths"] = _N_PATHS_DEFAULT[merged["experiment"]]
 
-    schema = load_schema("config.schema.json")
     try:
-        jsonschema.validate(merged, schema)
+        _validate_document(merged, "config.schema.json")
     except jsonschema.ValidationError as err:
         path = ".".join(str(p) for p in err.absolute_path) or "<root>"
         raise ConfigError(f"{path}: {err.message}") from err

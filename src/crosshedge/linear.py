@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import quad
 
 from .market import (
     Affine,
@@ -146,6 +145,8 @@ def h0(params: ModelParams, frak_n: float, t: float) -> float:
 
     The time integral of (h1 + c*frak_n)^2 / (4k) is evaluated by adaptive
     quadrature (relative tolerance 1e-10); the formula's linear part is exact.
+    ``scipy.integrate.quad`` is imported here, at the call, so that importing
+    the package does not load ``scipy.integrate``.
     """
     t = _check_time(params, t)
     tau = params.T - t
@@ -160,6 +161,8 @@ def h0(params: ModelParams, frak_n: float, t: float) -> float:
         drift, per_unit = _h1_parts(params, s)
         w = float(drift + per_unit * frak_n) + params.c * frak_n
         return w * w / (4.0 * params.k)
+
+    from scipy.integrate import quad
 
     val, _ = quad(integrand, t, params.T, **_QUAD_OPTS)
     return base + val

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bachelier import PayoffCurve
+from .bachelier import AuxiliaryProcessLaw, PayoffCurve, expected_delta, payoff_curve_for
 from .expansion import (
     ExpansionScale,
     Lambda2,
@@ -62,6 +62,11 @@ __all__ = [
     "lambda0_monte_carlo",
     "speed_argmax_on_grid",
 ]
+
+# Paths per Philox substream in lambda0_monte_carlo.
+_LAMBDA0_CHUNK_PATHS = 100_000
+# Speed interval searched by speed_argmax_on_grid.
+_SPEED_GRID_LO, _SPEED_GRID_HI = -10.0, 10.0
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +208,10 @@ class McEstimate:
     "wealth" (mean terminal wealth, flagged) for gamma = 0.  With antithetic
     pairing, std_error is the sample std of the n_samples independent pair
     means divided by sqrt(n_samples).  ce is the certainty equivalent
-    -ln(-mean)/gamma (the mean itself in wealth mode).  clamp_events counts
-    the path-steps whose speed the engine clamped, summed over paths.
+    -ln(-mean)/gamma (the mean itself in wealth mode).  n_paths is the
+    number of simulated paths: with antithetic pairing an odd request
+    rounds up to whole pairs.  clamp_events counts the path-steps whose
+    speed the engine clamped, summed over paths.
     """
 
     mean: float
@@ -338,8 +345,9 @@ def _certainty_equivalent(mean_utility: float, gamma: float) -> float:
 
 
 def _estimate_from_wealth(
-    wealth: np.ndarray, gamma: float, n_paths: int, seed: int, antithetic: bool, clamp_events: int
+    wealth: np.ndarray, gamma: float, seed: int, antithetic: bool, clamp_events: int
 ) -> McEstimate:
+    n_paths = wealth.shape[0]
     if gamma > 0:
         mean, se, n = _mean_and_se(utility_of(wealth, gamma), antithetic)
         ce_se = se / (gamma * abs(mean))
@@ -377,12 +385,13 @@ def mc_performance(
     (wealth,), (clamped,) = _mc_samples(
         params, exposure, [strategy], initial, n_paths, n_steps, seed, antithetic, chunk_paths
     )
-    return _estimate_from_wealth(wealth, g, n_paths, seed, antithetic, clamped)
+    return _estimate_from_wealth(wealth, g, seed, antithetic, clamped)
 
 
 @dataclass(frozen=True)
 class StrategyGap:
     """Common-random-number comparison of two strategies on the CE scale;
+    n_paths is the number of simulated paths (as in ``McEstimate``) and
     clamp_events_a/_b count each strategy's clamped speeds over all paths."""
 
     ce_a: float
@@ -438,10 +447,10 @@ def mc_strategy_gap(
         ce_b = _certainty_equivalent(mean_b, g)
         gap = -math.log1p(mean_d / mean_b) / g
         gap_se = se_d / (g * abs(mean_b))
-        return StrategyGap(ce_a, ce_b, gap, gap_se, "utility", n_paths, seed, *clamps)
+        return StrategyGap(ce_a, ce_b, gap, gap_se, "utility", wealth_a.shape[0], seed, *clamps)
     mean_d, se_d, _ = _mean_and_se(wealth_a - wealth_b, antithetic)
     ce_a, ce_b = float(np.mean(wealth_a)), float(np.mean(wealth_b))
-    return StrategyGap(ce_a, ce_b, mean_d, se_d, "wealth", n_paths, seed, *clamps)
+    return StrategyGap(ce_a, ce_b, mean_d, se_d, "wealth", wealth_a.shape[0], seed, *clamps)
 
 
 # ---------------------------------------------------------------------------
@@ -567,8 +576,6 @@ def theta_sweep(
     and whether the gap is noise-bounded (|gap| <= 3*SE).  theta = 0 rows
     compare identical strategies and the gap is exactly zero.
     """
-    from .bachelier import payoff_curve_for
-
     if any(th < 0 for th in thetas):
         raise ValueError("thetas must be nonnegative")
     payoff = payoff_curve_for(params, exposure)
@@ -612,8 +619,6 @@ def theta_sweep(
 
 
 def _expected_delta(params: ModelParams, payoff: PayoffCurve, t: float, s: float, u: float) -> float:
-    from .bachelier import AuxiliaryProcessLaw, expected_delta
-
     return expected_delta(AuxiliaryProcessLaw.from_params(params), payoff, t, s, u)
 
 
@@ -664,14 +669,14 @@ def lambda0_monte_carlo(
     n_paths: int,
     n_steps: int,
     seed: int,
-    *,
-    chunk_paths: int = 100_000,
 ) -> tuple[float, float]:
     """Monte Carlo of lambda_0's defining expectation over exact Gaussian
     factor paths, trapezoid in time.  Returns (mean, std error).
 
     Plain independent sampling: the standard error must stay large relative
     to the time-discretization bias for a within-3-SE comparison to be fair.
+    Chunk i of ``_LAMBDA0_CHUNK_PATHS`` paths draws from Philox substream
+    (seed, i).
     """
     dt = (params.T - t) / n_steps
     times = t + dt * np.arange(n_steps + 1)
@@ -679,7 +684,7 @@ def lambda0_monte_carlo(
     trap_w = np.full(n_steps + 1, dt)
     trap_w[0] = trap_w[-1] = dt / 2.0
 
-    sizes = _chunk_sizes(n_paths, max(2, chunk_paths))
+    sizes = _chunk_sizes(n_paths, _LAMBDA0_CHUNK_PATHS)
     chunks = []
     sqdt = math.sqrt(dt) * params.eta
     for idx, nb in enumerate(sizes):
@@ -705,11 +710,11 @@ def speed_argmax_on_grid(
     frak_n: float,
     t: float,
     q: float,
-    lo: float = -10.0,
-    hi: float = 10.0,
     resolution: float = 1e-4,
 ) -> tuple[float, float]:
     """Grid-search argmax of the HJB speed objective vs the analytic optimum.
+
+    The grid spans [_SPEED_GRID_LO, _SPEED_GRID_HI] at spacing ``resolution``.
 
     The objective is the nu-dependent part of the optimized Hamiltonian:
     nu*(h1 + 2*h2*q) + b*q*nu + c*frak_n*nu - k*nu^2.
@@ -717,7 +722,7 @@ def speed_argmax_on_grid(
     """
     from .linear import h1 as h1_fn, h2 as h2_fn, optimal_speed_linear
 
-    grid = np.arange(lo, hi + resolution, resolution)
+    grid = np.arange(_SPEED_GRID_LO, _SPEED_GRID_HI + resolution, resolution)
     slope_term = h1_fn(params, frak_n, t) + 2.0 * h2_fn(params, t) * q
     objective = grid * (slope_term + params.b * q + params.c * frak_n) - params.k * grid * grid
     winner = float(grid[int(np.argmax(objective))])

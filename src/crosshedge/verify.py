@@ -13,7 +13,6 @@ import time
 from dataclasses import dataclass, replace
 from typing import Callable
 
-import jsonschema
 import numpy as np
 
 from . import __version__ as ARTIFACT_VERSION
@@ -25,7 +24,7 @@ from .bachelier import (
     delta_martingale_check,
     expected_delta,
 )
-from .config import PRESETS, _build_exposure, load_schema
+from .config import PRESETS, _build_exposure, _validate_document
 from .expansion import (
     ExpansionScale,
     Lambda0,
@@ -113,7 +112,7 @@ class VerifyReport:
 
     def validated_json(self) -> dict:
         doc = self.to_json()
-        jsonschema.validate(doc, load_schema("verify_report.schema.json"))
+        _validate_document(doc, "verify_report.schema.json")
         return doc
 
 

@@ -7,9 +7,11 @@ import pytest
 from scipy.stats import spearmanr
 
 from crosshedge.cli import main
+import crosshedge.config as config_mod
 from crosshedge.config import (
     PRESETS,
     ConfigError,
+    _validate_document,
     apply_overrides,
     config_hash,
     load_config,
@@ -73,6 +75,62 @@ class TestConfig:
     def test_preset_unknown(self):
         with pytest.raises(ConfigError, match="unknown preset"):
             resolve_config({"preset": "fig99"}, experiment="paths")
+
+
+# Configs the schema rejects (one error, one nested error, four at once)
+# and configs rejected by the other checks of resolve_config.
+MULTI_ERROR_CONFIG = {"preset": "fig3", "n_steps": 0, "seed": -3, "model": {"k": -1.0, "rho": 2.0}}
+BAD_CONFIGS = [
+    {"preset": "fig3", "posterior": 1},
+    {"preset": "fig3", "model": {"vol_of_vol": 0.1}},
+    MULTI_ERROR_CONFIG,
+    {"preset": "fig3", "model": {"b": 0.2}},
+    {"preset": "fig99"},
+]
+
+
+def _reference_validate(doc, name):
+    jsonschema.validate(doc, load_schema(name))
+
+
+class TestValidationParity:
+    """The cached validator raises what jsonschema.validate raises."""
+
+    @pytest.mark.parametrize("doc", BAD_CONFIGS)
+    def test_config_error_text_matches_reference(self, doc, monkeypatch):
+        with pytest.raises(ConfigError) as cached:
+            resolve_config(doc, experiment="paths")
+        monkeypatch.setattr(config_mod, "_validate_document", _reference_validate)
+        with pytest.raises(ConfigError) as reference:
+            resolve_config(doc, experiment="paths")
+        assert str(cached.value) == str(reference.value)
+
+    def test_best_match_pinned_among_several_errors(self, monkeypatch):
+        seen = []
+
+        def record(doc, name):
+            seen.append(doc)
+            _validate_document(doc, name)
+
+        monkeypatch.setattr(config_mod, "_validate_document", record)
+        with pytest.raises(ConfigError) as err:
+            resolve_config(MULTI_ERROR_CONFIG, experiment="paths")
+        errors = list(jsonschema.Draft202012Validator(load_schema("config.schema.json")).iter_errors(seen[0]))
+        # the first error found is model.rho; best_match prefers the shallower seed error
+        assert [list(e.absolute_path) for e in errors] == [["model", "rho"], ["model", "k"], ["n_steps"], ["seed"]]
+        assert str(err.value) == "seed: -3 is less than the minimum of 0"
+
+    @pytest.mark.parametrize("name, doc", [
+        ("manifest.schema.json", {"experiment": "paths", "seed": -1}),
+        ("verify_report.schema.json", {"passed": "yes", "checks": [{"name": 3}]}),
+    ])
+    def test_artifact_schemas_match_reference(self, name, doc):
+        with pytest.raises(jsonschema.ValidationError) as cached:
+            _validate_document(doc, name)
+        with pytest.raises(jsonschema.ValidationError) as reference:
+            _reference_validate(doc, name)
+        assert (cached.value.message, list(cached.value.absolute_path)) == (
+            reference.value.message, list(reference.value.absolute_path))
 
 
 class TestLinearPathRun:

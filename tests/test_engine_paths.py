@@ -155,3 +155,13 @@ class TestEngineInputs:
             assert out.n_samples == (n_paths + 1) // 2
         else:
             assert out.gap == 0.0
+
+
+@pytest.mark.parametrize("antithetic, simulated", [(True, 6), (False, 5)])
+def test_estimators_report_simulated_path_count(fig7, call100, shipped, antithetic, simulated):
+    # an odd antithetic request rounds up to whole pairs, and n_paths says so
+    perf = mc_performance(fig7, call100, shipped["nu_hat"], INIT, 5, 3, 3, antithetic=antithetic)
+    gap = mc_strategy_gap(fig7, call100, shipped["nu_hat"], shipped["nu_prime"], INIT, 5, 3, 3,
+                          antithetic=antithetic)
+    assert perf.n_paths == gap.n_paths == simulated
+    assert perf.n_samples == (simulated // 2 if antithetic else simulated)
