@@ -37,9 +37,9 @@ print(f"sup |h2_closed - h2_RK4| = {err:.2e}\n")
 print("== martingale-reduced coefficients vs nested quadrature ==")
 for (t, u) in [(0.25, 0.8), (0.5, 1.0), (0.75, 1.4)]:
     a = float(lambda1(params, curve, t, u))
-    b = lambda1_nested_quadrature(params, curve, t, u, time_nodes=48)
+    b = lambda1_nested_quadrature(params, curve, t, u)
     c = float(Lambda1(params, curve, t, u))
-    d = Lambda1_nested_quadrature(params, curve, t, u, time_nodes=48)
+    d = Lambda1_nested_quadrature(params, curve, t, u)
     print(f"  (t={t}, u={u}): |lambda1 diff| = {abs(a - b):.2e}, |Lambda1 diff| = {abs(c - d):.2e}")
 
 print("\n== HJB residual of the first-order value expansion ==")

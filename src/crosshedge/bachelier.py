@@ -37,7 +37,12 @@ __all__ = [
     "delta_martingale_check",
 ]
 
-DEFAULT_NODES = 128
+# Gauss-Hermite nodes of every conditional expectation taken by quadrature
+HERMITE_NODES = 128
+# Window, in transition standard deviations, of expected_delta's quadrature
+_TAIL_SDS = 12.0
+# Central-difference step of a custom payoff's delta without a declared derivative
+_FD_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -155,11 +160,26 @@ def linear_payoff_curve(params: ModelParams, frak_n: float) -> PayoffCurve:
     )
 
 
-@lru_cache(maxsize=16)
-def _hermite_nodes(n_nodes: int):
+@lru_cache(maxsize=1)
+def _hermite_nodes():
     # probabilists' Hermite: integrates f against the standard normal weight
-    x, w = hermegauss(n_nodes)
+    x, w = hermegauss(HERMITE_NODES)
     return x, w / math.sqrt(2.0 * math.pi)
+
+
+def _hermite_expectation(fn: Callable[[np.ndarray], np.ndarray], mean: np.ndarray, sd: float):
+    """E[fn(mean + sd*Z)] for standard normal Z, elementwise over ``mean``, by
+    the HERMITE_NODES-point Gauss-Hermite rule (fn(mean) itself when sd = 0).
+
+    A non-finite value of fn at a node raises ValueError.
+    """
+    if sd == 0.0:
+        return fn(mean)
+    x, w = _hermite_nodes()
+    fv = fn(mean[..., None] + sd * x)
+    if not np.all(np.isfinite(fv)):
+        raise ValueError("payoff returned a non-finite value at a quadrature node")
+    return fv @ w
 
 
 def generic_g(
@@ -167,36 +187,21 @@ def generic_g(
     payoff: CustomSmoothExposure | Callable[[np.ndarray], np.ndarray],
     t: float,
     u,
-    n_nodes: int = DEFAULT_NODES,
 ) -> np.ndarray | float:
     """Expected payoff E[psi(U~_T) | U~_t = u] by Gauss-Hermite quadrature.
 
     The integrand is psi evaluated at mean + std * node; for payoffs with
-    bounded fourth derivative the default 128 nodes reach well below 1e-8.
+    bounded fourth derivative the HERMITE_NODES nodes reach well below 1e-8.
     """
     fn = payoff.payoff if isinstance(payoff, CustomSmoothExposure) else payoff
     u = np.asarray(u, dtype=float)
     if t > law.T:
         raise ValueError(f"time {t} exceeds horizon {law.T}")
-    sd = law.transition_std(t, law.T)
-    if sd == 0.0:
-        vals = fn(law.transition_mean(t, law.T, u))
-    else:
-        x, w = _hermite_nodes(n_nodes)
-        pts = law.transition_mean(t, law.T, u)[..., None] + sd * x
-        fv = fn(pts)
-        if not np.all(np.isfinite(fv)):
-            raise ValueError("payoff returned a non-finite value at a quadrature node")
-        vals = fv @ w
+    vals = _hermite_expectation(fn, law.transition_mean(t, law.T, u), law.transition_std(t, law.T))
     return vals if np.ndim(vals) else float(vals)
 
 
-def custom_payoff_curve(
-    law: AuxiliaryProcessLaw,
-    exposure: CustomSmoothExposure,
-    n_nodes: int = DEFAULT_NODES,
-    fd_step: float = 1e-5,
-) -> PayoffCurve:
+def custom_payoff_curve(law: AuxiliaryProcessLaw, exposure: CustomSmoothExposure) -> PayoffCurve:
     """Payoff curve for a caller-supplied smooth payoff.
 
     delta uses the declared derivative when present (the conditional
@@ -205,19 +210,19 @@ def custom_payoff_curve(
     """
 
     def g(t, u):
-        return generic_g(law, exposure, t, u, n_nodes)
+        return generic_g(law, exposure, t, u)
 
     if exposure.payoff_derivative is not None:
         dpsi = exposure.payoff_derivative
 
         def delta(t, u):
-            return generic_g(law, dpsi, t, u, n_nodes)
+            return generic_g(law, dpsi, t, u)
 
     else:
 
         def delta(t, u):
             un = np.asarray(u, dtype=float)
-            return (g(t, un + fd_step) - g(t, un - fd_step)) / (2.0 * fd_step)
+            return (g(t, un + _FD_STEP) - g(t, un - _FD_STEP)) / (2.0 * _FD_STEP)
 
     return PayoffCurve(g=g, delta=delta, tag="custom")
 
@@ -239,7 +244,6 @@ def expected_delta(
     t: float,
     s: float,
     u: float,
-    tail_sds: float = 12.0,
 ) -> float:
     """E[delta(s, U~_s) | U~_t = u] by adaptive quadrature against the
     transition density.
@@ -264,7 +268,7 @@ def expected_delta(
 
     from scipy.integrate import quad
 
-    val, _ = quad(integrand, mean - tail_sds * sd, mean + tail_sds * sd,
+    val, _ = quad(integrand, mean - _TAIL_SDS * sd, mean + _TAIL_SDS * sd,
                   epsabs=1e-11, epsrel=1e-11, limit=500)
     return val
 

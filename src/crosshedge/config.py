@@ -26,7 +26,6 @@ from .market import (
 __all__ = [
     "PRESETS",
     "EXPERIMENTS",
-    "STRATEGY_TAGS",
     "ExperimentConfig",
     "RunManifest",
     "ConfigError",
@@ -38,13 +37,8 @@ __all__ = [
 ]
 
 EXPERIMENTS = ("linear-path", "paths", "distribution", "stats", "verify", "sweep-theta")
-STRATEGY_TAGS = (
-    "linear-optimal",
-    "expansion-nu-hat",
-    "delta-substitution",
-    "risk-neutral-cross-impact",
-    "constant",
-)
+# Seed of every run and of the verification suite unless one is given
+DEFAULT_SEED = 20260810
 
 # Figure-caption parameter sets.  The captions omit T, S0, U0, x0, q0; the
 # horizon for the option studies is set to 1.0 and initial values default to
@@ -89,7 +83,7 @@ PRESETS: dict[str, dict] = {
 _GLOBAL_DEFAULTS = {
     "theta": 1.0,
     "n_steps": 1000,
-    "seed": 20260810,
+    "seed": DEFAULT_SEED,
     "thetas": [0.2, 0.1, 0.05],
     "output_dir": "hedge-out",
     "constant_speed": 0.0,

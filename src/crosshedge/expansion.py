@@ -34,16 +34,15 @@ linear-exposure optimal speed, whose h1 is affine in that count.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .bachelier import PayoffCurve, _hermite_nodes
+from .bachelier import AuxiliaryProcessLaw, PayoffCurve, _hermite_expectation
 from .linear import _cross_gain_limit, _drift_gain_limit, _h2_limit, _optimal_speed_coeffs
-from .market import Affine, ModelParams, Strategy, _affine_speed, _affine_strategy, _check_time
+from .market import Affine, ModelParams, Strategy, _affine_speed, _check_time
 
 __all__ = [
     "ExpansionScale",
@@ -64,7 +63,6 @@ __all__ = [
 ]
 
 TIME_NODES = 64
-HERMITE_NODES = 128
 # Gauss-Legendre nodes in log(2k + m*tau) for the drift time integrals
 _LOG_A_NODES = 32
 
@@ -236,14 +234,13 @@ def _expected_delta_sq(params: ModelParams, payoff: PayoffCurve, t: float, s: fl
     u = np.asarray(u, dtype=float)
     if payoff.delta_sq_expectation is not None:
         return np.asarray(payoff.delta_sq_expectation(t, s, u), dtype=float)
-    sd = params.eta * math.sqrt(max(s - t, 0.0))
-    if sd == 0.0:
-        d = np.asarray(payoff.delta(s, u), dtype=float)
+    law = AuxiliaryProcessLaw.from_params(params)
+
+    def delta_sq(y):
+        d = np.asarray(payoff.delta(s, y), dtype=float)
         return d * d
-    x, w = _hermite_nodes(HERMITE_NODES)
-    pts = (u + params.beta * (s - t))[..., None] + sd * x
-    d = np.asarray(payoff.delta(s, pts), dtype=float)
-    return (d * d) @ w
+
+    return _hermite_expectation(delta_sq, law.transition_mean(t, s, u), law.transition_std(t, s))
 
 
 def _Lambda0_drift_weights(params: ModelParams, t: float) -> tuple[float, float]:
@@ -410,7 +407,7 @@ def expansion_value(
 
 def _strategy(tag: str, params: ModelParams, payoff: PayoffCurve, coeffs_at) -> Strategy:
     """Affine strategy with coefficients coeffs_at(t) at a validated t and the payoff's delta."""
-    return _affine_strategy(tag, lambda t: coeffs_at(_check_time(params, t)), payoff.delta)
+    return Strategy(tag=tag, coeffs=lambda t: coeffs_at(_check_time(params, t)), delta=payoff.delta)
 
 
 def expansion_nu_hat_strategy(params: ModelParams, payoff: PayoffCurve, scale: ExpansionScale) -> Strategy:

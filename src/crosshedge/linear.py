@@ -30,7 +30,6 @@ from .market import (
     ModelParams,
     State,
     Strategy,
-    _affine_strategy,
     _check_time,
     derived_constants,
 )
@@ -259,4 +258,4 @@ def linear_optimal_strategy(params: ModelParams, frak_n: float) -> Strategy:
         a, w, b = _optimal_speed_coeffs(params, _check_time(params, t))
         return a + w * frak_n, 0.0, b
 
-    return _affine_strategy("linear-optimal", coeffs)
+    return Strategy(tag="linear-optimal", coeffs=coeffs)

@@ -207,24 +207,34 @@ Affine = tuple[float, float, float]
 class Strategy:
     """A feedback trading rule (t, q, U) -> speed with an identifying tag.
 
-    ``rule`` must accept scalar t and array-like q, U and broadcast.
+    Give exactly one of ``rule`` and ``coeffs``.  ``rule`` must accept
+    scalar t and array-like q, U and broadcast; the Euler engine calls it at
+    every step.
 
-    An affine strategy, whose speed is a(t) + w(t)*delta(t,U) + B(t)*q, also
-    carries ``coeffs(t) -> (a, w, B)`` and the payoff delta ``delta(t, U)``
+    An affine strategy, whose speed is a(t) + w(t)*delta(t,U) + B(t)*q, is
+    given as ``coeffs(t) -> (a, w, B)`` and the payoff delta ``delta(t, U)``
     (None when w is zero at every t).  The Euler engine then tabulates the
     coefficients once per Monte Carlo call and evaluates the speed itself,
-    as (w*delta + a) + B*q (B*q + a when w is zero), instead of calling
-    ``rule``.  So ``rule`` must equal that evaluation bit for bit; the
-    library's factories build every rule that way (``_affine_strategy``),
-    and their rules return the broadcast shape of q and U even when w is
-    zero and no delta is called.  Without ``coeffs`` the engine calls
-    ``rule`` at every step.
+    as (w*delta + a) + B*q (B*q + a when w is zero).  Its ``rule`` is derived
+    here and gives that evaluation bit for bit, in the broadcast shape of q
+    and U even when w is zero and no delta is called.
     """
 
     tag: str
-    rule: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
+    rule: Callable[[float, np.ndarray, np.ndarray], np.ndarray] | None = None
     coeffs: Callable[[float], Affine] | None = None
     delta: Callable[[float, np.ndarray], np.ndarray] | None = None
+
+    def __post_init__(self):
+        if (self.rule is None) == (self.coeffs is None):
+            raise ValueError(f"strategy '{self.tag}' needs exactly one of rule and coeffs")
+        if self.coeffs is not None:
+            coeffs, delta = self.coeffs, self.delta
+
+            def rule(t, q, u):
+                return _affine_speed(coeffs(t), delta, t, q, u)
+
+            object.__setattr__(self, "rule", rule)
 
 
 def _affine_speed(coeffs: Affine, delta, t: float, q, u):
@@ -243,19 +253,10 @@ def _affine_speed(coeffs: Affine, delta, t: float, q, u):
     return out if out.ndim else float(out)
 
 
-def _affine_strategy(tag: str, coeffs: Callable[[float], Affine], delta=None) -> Strategy:
-    """Strategy with speed a + w*delta + B*q whose rule evaluates coeffs(t) as the engine does."""
-
-    def rule(t, q, u):
-        return _affine_speed(coeffs(t), delta, t, q, u)
-
-    return Strategy(tag=tag, rule=rule, coeffs=coeffs, delta=delta)
-
-
 def constant_strategy(speed: float) -> Strategy:
     """Trade at a constant speed regardless of state."""
     coeffs = (float(speed), 0.0, 0.0)
-    return _affine_strategy("constant", lambda t: coeffs)
+    return Strategy(tag="constant", coeffs=lambda t: coeffs)
 
 
 @dataclass(frozen=True)
@@ -296,7 +297,10 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+# Speeds are clamped to |nu| <= DEFAULT_SPEED_CLAMP; clamps are counted.
 DEFAULT_SPEED_CLAMP = 1e6
+# Series the Euler engine can record
+RECORDABLE = ("w", "z", "s", "u", "q", "x", "nu")
 
 
 def simulate_path(
@@ -308,7 +312,6 @@ def simulate_path(
     seed: int,
     *,
     stream: int = 0,
-    nu_max: float = DEFAULT_SPEED_CLAMP,
     antithetic: bool = False,
 ) -> PathBundle:
     """Euler-Maruyama simulation of one path of the controlled system.
@@ -319,13 +322,13 @@ def simulate_path(
     path, whose Gaussian increments are the exact negatives of the plain
     path's; from zero initial levels (S0 = U0 = 0) the mirror S and U paths
     are then the exact negatives as well.  Speeds are clamped to
-    |nu| <= nu_max; clamp events are counted on the returned bundle.
+    |nu| <= DEFAULT_SPEED_CLAMP; clamp events are counted on the returned
+    bundle.
     """
-    names = ("w", "z", "s", "u", "q", "x", "nu")
-    n_base, tables = _engine_inputs(params, [strategy], initial, n_steps, 1, antithetic)
+    n_base, tables = _engine_inputs(params, [strategy], initial, n_steps, 1, antithetic, 1)
     (run,) = _euler_ensemble(
         params, exposure, [strategy], initial, n_steps, seed, stream, n_base, antithetic,
-        nu_max=nu_max, record=names, tables=tables,
+        record=RECORDABLE, tables=tables,
     )
     col = 1 if antithetic else 0
     return PathBundle(
@@ -334,16 +337,17 @@ def simulate_path(
         n_steps=n_steps,
         dt=(params.T - initial.t) / n_steps,
         times=run["times"],
-        **{f"{name}_path": np.ascontiguousarray(run[name][:, col]) for name in names},
+        **{f"{name}_path": np.ascontiguousarray(run[name][:, col]) for name in RECORDABLE},
         strategy_tag=strategy.tag,
         clamp_events=int(run["clamp_events"][col]),
     )
 
 
 def _clamp_speeds(
-    strategy: Strategy, nu: np.ndarray, nu_max: float, step: int, t: float, state: dict[str, np.ndarray]
+    strategy: Strategy, nu: np.ndarray, step: int, t: float, state: dict[str, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Speeds clamped to [-nu_max, nu_max] and the per-path clamp mask.
+    """Speeds clamped to [-DEFAULT_SPEED_CLAMP, DEFAULT_SPEED_CLAMP] and the
+    per-path clamp mask.
 
     A non-finite speed raises SimulationError naming the step and the state
     of the first offending path.
@@ -355,7 +359,7 @@ def _clamp_speeds(
             f"strategy '{strategy.tag}' returned non-finite speed at step {step} "
             f"(t={t:.6g}, q={state['q'][j]:.6g}, u={state['u'][j]:.6g}, path {j})"
         )
-    return np.clip(nu, -nu_max, nu_max), np.abs(nu) > nu_max
+    return np.clip(nu, -DEFAULT_SPEED_CLAMP, DEFAULT_SPEED_CLAMP), np.abs(nu) > DEFAULT_SPEED_CLAMP
 
 
 def _step_times(params: ModelParams, initial: State, n_steps: int) -> list[float]:
@@ -390,16 +394,20 @@ def _engine_inputs(
     n_steps: int,
     n_paths: int,
     antithetic: bool,
+    chunk_paths: int,
 ) -> tuple[int, list[list[Affine] | None]]:
     """Validated inputs shared by every front end of the Euler engine: the
     number of base paths (an odd antithetic count rounds up to whole pairs)
-    and the coefficient tables on the engine's step times."""
+    and the coefficient tables on the engine's step times.  ``chunk_paths``
+    is the paths per engine call (n_paths for a front end that runs one)."""
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     if not initial.t < params.T:
         raise ValueError(f"initial.t must precede the horizon T={params.T}, got {initial.t}")
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    if chunk_paths < 1:
+        raise ValueError(f"chunk_paths must be >= 1, got {chunk_paths}")
     n_base = (n_paths + 1) // 2 if antithetic else n_paths
     return n_base, _coefficient_tables(strategies, _step_times(params, initial, n_steps))
 
@@ -415,7 +423,6 @@ def _euler_ensemble(
     n_base: int,
     antithetic: bool,
     *,
-    nu_max: float = DEFAULT_SPEED_CLAMP,
     tables: Sequence[list[Affine] | None],
     record: Sequence[str] = (),
 ) -> list[dict]:
@@ -434,9 +441,14 @@ def _euler_ensemble(
 
     Returns one dict per strategy: the time grid ``times``, terminal arrays
     q_T, u_T, s_T, x_T and ``wealth``, per-path ``clamp_events`` counts, and
-    for each name in ``record`` ("w", "z", "s", "u", "q", "x", "nu") its
+    for each name in ``record`` (a sequence of RECORDABLE names) its
     (n_steps+1, n_paths) series (n_steps rows for "nu").
     """
+    if isinstance(record, str):
+        raise ValueError(f"record must be a sequence of names from {RECORDABLE}, not the string {record!r}")
+    unknown = [name for name in record if name not in RECORDABLE]
+    if unknown:
+        raise ValueError(f"record names unknown series {unknown} (have {RECORDABLE})")
     rng = make_rng(seed, stream)
     times = _step_times(params, initial, n_steps)
     dt = (params.T - initial.t) / n_steps
@@ -501,8 +513,8 @@ def _euler_ensemble(
                     np.multiply(q, b, out=tmp)
                     v += tmp
             # two reductions cover both the finite check and the clamp test
-            if not (v.max() <= nu_max and v.min() >= -nu_max):
-                v, mask = _clamp_speeds(strategy, v, nu_max, i, t, st)
+            if not (v.max() <= DEFAULT_SPEED_CLAMP and v.min() >= -DEFAULT_SPEED_CLAMP):
+                v, mask = _clamp_speeds(strategy, v, i, t, st)
                 clamped += mask
             if "nu" in rec:
                 rec["nu"][i] = v

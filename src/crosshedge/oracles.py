@@ -63,10 +63,15 @@ __all__ = [
     "speed_argmax_on_grid",
 ]
 
+# Paths per Philox substream (one engine call) of the Monte Carlo estimators.
+DEFAULT_CHUNK_PATHS = 20_000
 # Paths per Philox substream in lambda0_monte_carlo.
 _LAMBDA0_CHUNK_PATHS = 100_000
-# Speed interval searched by speed_argmax_on_grid.
+# Speed interval searched by speed_argmax_on_grid, and its grid step.
 _SPEED_GRID_LO, _SPEED_GRID_HI = -10.0, 10.0
+_SPEED_GRID_STEP = 1e-4
+# Outer Gauss-Legendre time nodes of the nested-quadrature oracles.
+_NESTED_TIME_NODES = 48
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +267,10 @@ def simulate_ensemble(
     "u", "s", "x", "nu").  Independent paths by default (figure-style runs);
     with ``antithetic`` an odd n_paths rounds up to whole mirrored pairs.
     """
-    n_base, tables = _engine_inputs(params, [strategy], initial, n_steps, n_paths, antithetic)
+    n_base, tables = _engine_inputs(params, [strategy], initial, n_steps, n_paths, antithetic, n_paths)
     (run,) = _euler_ensemble(
         params, exposure, [strategy], initial, n_steps, seed, 0, n_base, antithetic,
-        tables=tables, record=tuple(record),
+        tables=tables, record=record,
     )
     run["clamp_events"] = int(run["clamp_events"].sum())
     return run
@@ -293,7 +298,7 @@ def _mc_samples(
     array are mirrored pairs (layout preserved across chunk boundaries by
     concatenating half-arrays separately).
     """
-    unit, tables = _engine_inputs(params, strategies, initial, n_steps, n_paths, antithetic)
+    unit, tables = _engine_inputs(params, strategies, initial, n_steps, n_paths, antithetic, chunk_paths)
     chunk_unit = max(1, (chunk_paths // 2 if antithetic else chunk_paths))
     sizes = _chunk_sizes(unit, chunk_unit)
 
@@ -367,7 +372,7 @@ def mc_performance(
     seed: int,
     *,
     antithetic: bool = True,
-    chunk_paths: int = 20_000,
+    chunk_paths: int = DEFAULT_CHUNK_PATHS,
     gamma: float | None = None,
 ) -> McEstimate:
     """Estimate the expected exponential utility of terminal wealth.
@@ -417,7 +422,7 @@ def mc_strategy_gap(
     *,
     gamma: float | None = None,
     antithetic: bool = True,
-    chunk_paths: int = 20_000,
+    chunk_paths: int = DEFAULT_CHUNK_PATHS,
 ) -> StrategyGap:
     """CE(strategy_a) - CE(strategy_b) under shared Brownian increments.
 
@@ -567,7 +572,6 @@ def theta_sweep(
     *,
     n_steps: int = 500,
     initial: State | None = None,
-    chunk_paths: int = 20_000,
 ) -> list[dict]:
     """Certainty-equivalent gap between the expansion and delta-substitution
     strategies at each theta, under common random numbers.
@@ -596,7 +600,6 @@ def theta_sweep(
             n_steps,
             seed,
             gamma=sc.effective_gamma,
-            chunk_paths=chunk_paths,
         )
         rows.append(
             {
@@ -622,36 +625,24 @@ def _expected_delta(params: ModelParams, payoff: PayoffCurve, t: float, s: float
     return expected_delta(AuxiliaryProcessLaw.from_params(params), payoff, t, s, u)
 
 
-def lambda1_nested_quadrature(
-    params: ModelParams,
-    payoff: PayoffCurve,
-    t: float,
-    u: float,
-    time_nodes: int = 128,
-) -> float:
+def lambda1_nested_quadrature(params: ModelParams, payoff: PayoffCurve, t: float, u: float) -> float:
     """lambda_1 via its defining expectation: outer time rule, inner adaptive
     quadrature of the future delta.  No martingale shortcut."""
     tau = params.T - t
     if tau <= 0:
         return 0.0
-    s_nodes, s_w = _gauss_legendre(t, params.T, time_nodes)
+    s_nodes, s_w = _gauss_legendre(t, params.T, _NESTED_TIME_NODES)
     vals = np.array([_expected_delta(params, payoff, t, float(s), u) for s in s_nodes])
     return float(-params.m / (2.0 * params.k + params.m * tau) * np.sum(s_w * vals))
 
 
-def Lambda1_nested_quadrature(
-    params: ModelParams,
-    payoff: PayoffCurve,
-    t: float,
-    u: float,
-    time_nodes: int = 128,
-) -> float:
+def Lambda1_nested_quadrature(params: ModelParams, payoff: PayoffCurve, t: float, u: float) -> float:
     """Lambda_1 via its defining expectation, quadrature both in time and space."""
     tau = params.T - t
     if tau <= 0:
         return 0.0
     k, m = params.k, params.m
-    s_nodes, s_w = _gauss_legendre(t, params.T, time_nodes)
+    s_nodes, s_w = _gauss_legendre(t, params.T, _NESTED_TIME_NODES)
     acc = 0.0
     for s, w in zip(s_nodes, s_w):
         weight = (2.0 * k + m * (params.T - s)) / (2.0 * k + m * tau)
@@ -710,11 +701,10 @@ def speed_argmax_on_grid(
     frak_n: float,
     t: float,
     q: float,
-    resolution: float = 1e-4,
 ) -> tuple[float, float]:
     """Grid-search argmax of the HJB speed objective vs the analytic optimum.
 
-    The grid spans [_SPEED_GRID_LO, _SPEED_GRID_HI] at spacing ``resolution``.
+    The grid spans [_SPEED_GRID_LO, _SPEED_GRID_HI] at spacing _SPEED_GRID_STEP.
 
     The objective is the nu-dependent part of the optimized Hamiltonian:
     nu*(h1 + 2*h2*q) + b*q*nu + c*frak_n*nu - k*nu^2.
@@ -722,7 +712,7 @@ def speed_argmax_on_grid(
     """
     from .linear import h1 as h1_fn, h2 as h2_fn, optimal_speed_linear
 
-    grid = np.arange(_SPEED_GRID_LO, _SPEED_GRID_HI + resolution, resolution)
+    grid = np.arange(_SPEED_GRID_LO, _SPEED_GRID_HI + _SPEED_GRID_STEP, _SPEED_GRID_STEP)
     slope_term = h1_fn(params, frak_n, t) + 2.0 * h2_fn(params, t) * q
     objective = grid * (slope_term + params.b * q + params.c * frak_n) - params.k * grid * grid
     winner = float(grid[int(np.argmax(objective))])

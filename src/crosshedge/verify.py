@@ -24,7 +24,7 @@ from .bachelier import (
     delta_martingale_check,
     expected_delta,
 )
-from .config import PRESETS, _build_exposure, _validate_document
+from .config import DEFAULT_SEED, PRESETS, _build_exposure, _validate_document
 from .expansion import (
     ExpansionScale,
     Lambda0,
@@ -49,6 +49,9 @@ from .market import (
     simulate_path,
 )
 from .oracles import (
+    _SPEED_GRID_HI,
+    _SPEED_GRID_LO,
+    _SPEED_GRID_STEP,
     default_probe_grid,
     hjb_residual_at,
     mc_performance,
@@ -190,8 +193,9 @@ def riccati_vs_rk4(
     return worst < tol, {"sup_error": worst, "cases": len(cases)}, f"sup|closed-RK4| = {worst:.2e} (tol {tol:g})"
 
 
-def h0_vs_simpson(n_points: int = 100_001, tol: float = 1e-8) -> tuple[bool, dict, str]:
+def h0_vs_simpson() -> tuple[bool, dict, str]:
     """h0's adaptive quadrature against a dense Simpson rule."""
+    n_points, tol = 100_001, 1e-8
     params, frak_n = FIG1, 1.0
     worst = 0.0
     for t in (0.0, 1.0):
@@ -206,17 +210,18 @@ def h0_vs_simpson(n_points: int = 100_001, tol: float = 1e-8) -> tuple[bool, dic
     return worst < tol, {"sup_error": worst}, f"sup|quad-simpson| = {worst:.2e} (tol {tol:g})"
 
 
-def long_horizon_level(tol: float = 0.02) -> tuple[bool, dict, str]:
+def long_horizon_level() -> tuple[bool, dict, str]:
     """Mid-horizon closed-form inventory sits at the long-horizon level -0.5."""
+    tol = 0.02
     kappas = np.linspace(0.25, 0.75, 21)
     qs = np.array([optimal_inventory_linear(FIG1, 1.0, 0.0, k * FIG1.T) for k in kappas])
     worst = float(np.max(np.abs(qs + 0.5)))
     return worst < tol, {"max_deviation": worst}, f"max|Q - (-0.5)| = {worst:.4f} on kappa in [0.25, 0.75]"
 
 
-def inventory_speed_consistency(tol: float = 1e-6) -> tuple[bool, dict, str]:
+def inventory_speed_consistency() -> tuple[bool, dict, str]:
     """d/dt of the closed-form inventory equals the feedback speed on it."""
-    eps = 1e-6
+    eps, tol = 1e-6, 1e-6
     worst = 0.0
     for params in (FIG1, FIG3):
         for t in np.linspace(0.05 * params.T, 0.95 * params.T, 25):
@@ -230,19 +235,17 @@ def inventory_speed_consistency(tol: float = 1e-6) -> tuple[bool, dict, str]:
     return worst < tol, {"sup_error": worst}, f"sup|dQ/dt - nu*| = {worst:.2e} (tol {tol:g})"
 
 
-def euler_vs_closed_inventory(seed: int = 7, n_steps: int = 3000) -> tuple[bool, dict, str]:
+def euler_vs_closed_inventory(seed: int = 7) -> tuple[bool, dict, str]:
     """Euler-simulated inventory under the optimal rule tracks the closed form."""
     strat = linear_optimal_strategy(FIG1, 1.0)
-    bundle = simulate_path(FIG1, LinearExposure(1.0), strat, State(0.0, 0.0, 0.0, 10.0, 5.0), n_steps, seed)
+    bundle = simulate_path(FIG1, LinearExposure(1.0), strat, State(0.0, 0.0, 0.0, 10.0, 5.0), 3000, seed)
     q_cf = np.array([optimal_inventory_linear(FIG1, 1.0, 0.0, t) for t in bundle.times])
     err = float(np.max(np.abs(bundle.q_path - q_cf)))
     tol = 10.0 * bundle.dt
     return err < tol, {"sup_error": err, "tol": tol}, f"sup|Q_euler - Q_closed| = {err:.2e} (tol 10*dt = {tol:g})"
 
 
-def value_function_mc(
-    seed: int = 11, n_paths: int = 30_000, n_steps: int = 1000, z_max: float = 3.0
-) -> tuple[bool, dict, str]:
+def value_function_mc(seed: int = 11, n_paths: int = 30_000, n_steps: int = 1000) -> tuple[bool, dict, str]:
     """Monte Carlo certainty equivalent of the optimal strategy vs the closed
     form x + q*S + frak_n*U + h(0, q)."""
     initial = State(t=0.0, x=0.0, q=0.0, s=10.0, u=5.0)
@@ -251,15 +254,15 @@ def value_function_mc(
     closed = initial.x + initial.q * initial.s + 1.0 * initial.u + h0(FIG1, 1.0, 0.0)
     z = (est.ce - closed) / est.ce_std_error
     return (
-        abs(z) < z_max,
+        abs(z) < 3.0,
         {"ce_mc": est.ce, "ce_closed": closed, "z": z, "se": est.ce_std_error},
         f"CE_mc = {est.ce:.5f}, closed = {closed:.5f}, z = {z:+.2f}",
     )
 
 
-def bachelier_call_mc(seed: int = 13, n_samples: int = 1_000_000, z_max: float = 3.0) -> tuple[bool, dict, str]:
+def bachelier_call_mc(seed: int = 13) -> tuple[bool, dict, str]:
     """Closed-form call value against a direct Monte Carlo of the payoff."""
-    t, u = 0.5, 1.2
+    t, u, n_samples = 0.5, 1.2, 1_000_000
     rng = make_rng(seed, 901)
     sd = FIG3.eta * math.sqrt(FIG3.T + CALL_100.dt_offset - t)
     draws = u + FIG3.beta * (FIG3.T + CALL_100.dt_offset - t) + sd * rng.standard_normal(n_samples)
@@ -267,12 +270,12 @@ def bachelier_call_mc(seed: int = 13, n_samples: int = 1_000_000, z_max: float =
     mean, se = float(payoff.mean()), float(payoff.std(ddof=1) / math.sqrt(n_samples))
     closed = call_value(FIG3, CALL_100, t, u)
     z = (mean - closed) / se
-    return abs(z) < z_max, {"mc": mean, "closed": closed, "z": z}, f"MC = {mean:.4f}, closed = {closed:.4f}, z = {z:+.2f}"
+    return abs(z) < 3.0, {"mc": mean, "closed": closed, "z": z}, f"MC = {mean:.4f}, closed = {closed:.4f}, z = {z:+.2f}"
 
 
-def call_delta_vs_fd(tol_rel: float = 1e-6) -> tuple[bool, dict, str]:
+def call_delta_vs_fd() -> tuple[bool, dict, str]:
     """delta = d(value)/dU by central differences, relative error on a grid."""
-    step = 1e-5
+    step, tol_rel = 1e-5, 1e-6
     worst = 0.0
     for t in (0.0, 0.5, 0.9):
         for u in np.linspace(0.2, 1.8, 9):
@@ -297,9 +300,10 @@ def delta_martingale(seed: int = 17, n_triples: int = 100, tol: float = 1e-6) ->
     return worst < tol, {"max_residual": worst, "n": n_triples}, f"max residual = {worst:.2e} (tol {tol:g})"
 
 
-def weighted_integral_property(tol: float = 1e-6) -> tuple[bool, dict, str]:
+def weighted_integral_property() -> tuple[bool, dict, str]:
     """E[integral f(s)*delta(s,U~_s) ds] = delta(t,u)*integral f(s) ds for
     f = 1 and f(s) = s, by outer Gauss-Legendre and inner adaptive quadrature."""
+    tol = 1e-6
     law = AuxiliaryProcessLaw.from_params(FIG3)
     curve = call_payoff_curve(FIG3, CALL_100)
     t, u = 0.25, 1.1
@@ -312,9 +316,10 @@ def weighted_integral_property(tol: float = 1e-6) -> tuple[bool, dict, str]:
     return worst < tol, {"max_residual": worst}, f"max residual = {worst:.2e} (tol {tol:g})"
 
 
-def lemma_reduction_equivalence(seed: int = 19, n_points: int = 50, tol: float = 1e-6) -> tuple[bool, dict, str]:
+def lemma_reduction_equivalence(seed: int = 19, n_points: int = 50) -> tuple[bool, dict, str]:
     """Martingale-reduced lambda_1 and Lambda_1 vs nested quadrature of the
     defining expectations at random (t, u)."""
+    tol = 1e-6
     rng = make_rng(seed, 903)
     curve = call_payoff_curve(FIG7, CALL_100)
     spread = 2.0 * FIG7.eta * math.sqrt(FIG7.T)
@@ -322,13 +327,14 @@ def lemma_reduction_equivalence(seed: int = 19, n_points: int = 50, tol: float =
     for _ in range(n_points):
         t = float(rng.uniform(0.0, 0.98 * FIG7.T))
         u = float(CALL_100.strike + rng.uniform(-spread, spread))
-        worst = max(worst, abs(float(lambda1(FIG7, curve, t, u)) - lambda1_nested_quadrature(FIG7, curve, t, u, time_nodes=48)))
-        worst = max(worst, abs(float(Lambda1(FIG7, curve, t, u)) - Lambda1_nested_quadrature(FIG7, curve, t, u, time_nodes=48)))
+        worst = max(worst, abs(float(lambda1(FIG7, curve, t, u)) - lambda1_nested_quadrature(FIG7, curve, t, u)))
+        worst = max(worst, abs(float(Lambda1(FIG7, curve, t, u)) - Lambda1_nested_quadrature(FIG7, curve, t, u)))
     return worst < tol, {"max_error": worst, "n": n_points}, f"max|reduced - nested| = {worst:.2e} (tol {tol:g})"
 
 
-def terminal_conditions(tol: float = 1e-12) -> tuple[bool, dict, str]:
+def terminal_conditions() -> tuple[bool, dict, str]:
     """All expansion coefficients vanish at the horizon; f2(T) = -alpha."""
+    tol = 1e-12
     curve = call_payoff_curve(FIG7, CALL_100)
     tT = FIG7.T
     u = np.asarray(1.3)
@@ -349,9 +355,9 @@ def terminal_conditions(tol: float = 1e-12) -> tuple[bool, dict, str]:
     return worst < tol, {"max_abs": worst}, f"max terminal magnitude = {worst:.2e} (tol {tol:g})"
 
 
-def pde_residual_linear_exact(tol: float = 1e-6) -> tuple[bool, dict, str]:
+def pde_residual_linear_exact() -> tuple[bool, dict, str]:
     """The exact linear-case value solves the HJB: residual is FD noise only."""
-    frak_n = 1.0
+    frak_n, tol = 1.0, 1e-6
 
     def h_exact(t, q, u):
         return h0(FIG1, frak_n, t) + h1(FIG1, frak_n, t) * q + h2(FIG1, t) * q * q + frak_n * u
@@ -408,24 +414,22 @@ def strategy_gap_order(
 
 
 def cross_impact_target(
-    seed: int = 20260810,
-    n_paths: int = 500,
-    n_steps: int = 2000,
+    seed: int = DEFAULT_SEED,
     itm_window: tuple[float, float] = (1.0, 1.22),
     otm_tol: float = 0.05,
 ) -> tuple[bool, dict, str]:
     """Deep in-the-money paths park inventory near (c/m)*N; deep out-of-the-
     money paths liquidate.
 
-    One ensemble of n_paths independent paths under the risk-neutral
-    cross-impact rule is screened at the horizon; the first path with
+    One ensemble of 500 independent paths of 2000 steps under the
+    risk-neutral cross-impact rule is screened at the horizon; the first path with
     U_T - K above 2*eta*sqrt(T) (deep ITM) and the first below minus that
     (deep OTM) are reported by their index in the ensemble."""
     curve = call_payoff_curve(FIG3, CALL_100)
     strat = risk_neutral_cross_impact_strategy(FIG3, curve)
     initial = State(t=0.0, x=0.0, q=0.0, s=10.0, u=CALL_100.strike)
     threshold = 2.0 * FIG3.eta * math.sqrt(FIG3.T)
-    ens = simulate_ensemble(FIG3, CALL_100, strat, initial, n_paths, n_steps, seed)
+    ens = simulate_ensemble(FIG3, CALL_100, strat, initial, 500, 2000, seed)
     moneyness = ens["u_T"] - CALL_100.strike
     itm = np.flatnonzero(moneyness > threshold)
     otm = np.flatnonzero(moneyness < -threshold)
@@ -466,9 +470,10 @@ def opposing_effects(seed: int = 29, n_paths: int = 10_000, n_steps: int = 500) 
     }, f"c-term = {float(c_term):+.3f}, gamma-term = {float(gamma_term):+.3f}, std peak at t = {t_peak:.3f}"
 
 
-def rk4_convergence_order(window: tuple[float, float] = (12.0, 20.0)) -> tuple[bool, dict, str]:
+def rk4_convergence_order() -> tuple[bool, dict, str]:
     """Halving the RK4 step divides the Riccati error by ~16 above the
     round-off floor."""
+    window = (12.0, 20.0)
     errs = []
     for steps in (200, 400):
         sol = rk4_backward(riccati_h_system(FIG1, 1.0, steps))
@@ -482,12 +487,13 @@ def rk4_convergence_order(window: tuple[float, float] = (12.0, 20.0)) -> tuple[b
     )
 
 
-def mc_se_scaling(seed: int = 31, reps: int = 40, n_paths: int = 1000) -> tuple[bool, dict, str]:
+def mc_se_scaling(seed: int = 31) -> tuple[bool, dict, str]:
     """Doubling the path count shrinks the standard error by about sqrt(2).
 
     Each n-path run is the first chunk of its 2n-path run (same seed, chunks
     of n paths), so the two standard errors share that chunk's noise and
     their ratio varies far less than that of independent runs."""
+    reps, n_paths = 40, 1000
     strat = linear_optimal_strategy(FIG3, 1.0)
     initial = State(t=0.0, x=0.0, q=0.0, s=10.0, u=1.0)
     ratios = []
@@ -512,15 +518,17 @@ def crn_self_gap(seed: int = 37) -> tuple[bool, dict, str]:
     return ok, {"gap": res.gap}, f"self gap = {res.gap} (exact zero required)"
 
 
-def hjb_argmax_grid(seed: int = 41, n_states: int = 100, resolution: float = 1e-4) -> tuple[bool, dict, str]:
-    """Grid search over speeds recovers the analytic feedback optimum."""
+def hjb_argmax_grid(seed: int = 41) -> tuple[bool, dict, str]:
+    """Grid search over speeds recovers the analytic feedback optimum to
+    within the oracle's grid step."""
+    resolution = _SPEED_GRID_STEP
     rng = make_rng(seed, 904)
     worst = 0.0
-    for _ in range(n_states):
+    for _ in range(100):
         t = float(rng.uniform(0.0, FIG1.T))
         q = float(rng.uniform(-0.75, 0.75))
-        winner, analytic = speed_argmax_on_grid(FIG1, 1.0, t, q, resolution=resolution)
-        if not -10.0 < analytic < 10.0:
+        winner, analytic = speed_argmax_on_grid(FIG1, 1.0, t, q)
+        if not _SPEED_GRID_LO < analytic < _SPEED_GRID_HI:
             continue
         worst = max(worst, abs(winner - analytic))
     ok = worst <= resolution
@@ -593,7 +601,7 @@ def market_conservation(seed: int = 53) -> tuple[bool, dict, str]:
 # ---------------------------------------------------------------------------
 
 
-def run_verification(seed: int = 20260810, scale: str = "fast") -> VerifyReport:
+def run_verification(seed: int = DEFAULT_SEED, scale: str = "fast") -> VerifyReport:
     """Run every check; scales: "fast" (default, suite < 5 min) or "full"
     (acceptance-stated path counts)."""
     full = scale == "full"

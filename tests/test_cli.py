@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from crosshedge.cli import main
+from crosshedge.cli import build_strategy, main
 import crosshedge.config as config_mod
 from crosshedge.config import (
+    DEFAULT_SEED,
     PRESETS,
     ConfigError,
     _validate_document,
@@ -312,9 +313,31 @@ class TestVerifyPlumbing:
         assert report["passed"] is False
         assert report["checks"][0]["name"] == "riccati-closed-form-vs-rk4"
 
+    @pytest.mark.parametrize("flags, scale", [([], "fast"), (["--full"], "full")])
+    def test_verify_scale_reaches_suite(self, tmp_path, monkeypatch, flags, scale):
+        import crosshedge.cli as cli_mod
+        from crosshedge.verify import CheckResult, VerifyReport
+
+        calls = []
+
+        def fake(**kw):
+            calls.append(kw)
+            return VerifyReport(True, [CheckResult("stub", True, 0.0, {}, "")], kw["seed"], 0.0)
+
+        monkeypatch.setattr(cli_mod, "run_verification", fake)
+        assert main(["verify", *flags, "--out", str(tmp_path / "v")]) == 0
+        assert calls == [{"seed": DEFAULT_SEED, "scale": scale}]
+
     def test_config_error_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, {"preset": "fig3", "model": {"b": 0.2}})
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 2
+
+
+@pytest.mark.parametrize("tag", load_schema("config.schema.json")["properties"]["strategy"]["enum"])
+def test_every_schema_strategy_tag_builds(tag):
+    preset = "fig1_right" if tag == "linear-optimal" else "fig7"
+    cfg = resolve_config({"preset": preset, "strategy": tag}, experiment="paths")
+    assert build_strategy(cfg).tag == tag
 
 
 class TestDefaultPresets:

@@ -93,7 +93,7 @@ class TestTabulationCount:
             calls.append(t)
             return strategy.coeffs(t)
 
-        return Strategy(tag=strategy.tag, rule=strategy.rule, coeffs=coeffs, delta=strategy.delta)
+        return Strategy(tag=strategy.tag, coeffs=coeffs, delta=strategy.delta)
 
     @pytest.mark.parametrize("chunk", [N_PATHS, 150, 40])
     def test_once_per_step_per_call(self, fig7, call100, shipped, chunk):
@@ -113,7 +113,7 @@ class TestTabulationCount:
         assert calls_a == expected
 
     def test_delta_weight_without_delta_rejected(self, fig7):
-        bad = Strategy(tag="no-delta", rule=lambda t, q, u: q, coeffs=lambda t: (0.0, 1.0, 0.0))
+        bad = Strategy(tag="no-delta", coeffs=lambda t: (0.0, 1.0, 0.0))
         with pytest.raises(ValueError, match="no-delta"):
             simulate_ensemble(fig7, LinearExposure(1.0), bad, INIT, 4, 3, 1)
 
@@ -155,6 +155,17 @@ class TestEngineInputs:
             assert out.n_samples == (n_paths + 1) // 2
         else:
             assert out.gap == 0.0
+
+
+@pytest.mark.parametrize("chunk_paths", [0, -5])
+@pytest.mark.parametrize("front_end", ["mc_performance", "mc_strategy_gap"])
+def test_non_positive_chunk_rejected(fig7, call100, shipped, front_end, chunk_paths):
+    s = shipped["nu_hat"]
+    with pytest.raises(ValueError, match=f"chunk_paths must be >= 1, got {chunk_paths}"):
+        if front_end == "mc_performance":
+            mc_performance(fig7, call100, s, INIT, 8, 3, 1, chunk_paths=chunk_paths)
+        else:
+            mc_strategy_gap(fig7, call100, s, s, INIT, 8, 3, 1, chunk_paths=chunk_paths)
 
 
 @pytest.mark.parametrize("antithetic, simulated", [(True, 6), (False, 5)])

@@ -12,6 +12,7 @@ from crosshedge import (
     Lambda2,
     LinearExposure,
     ModelParams,
+    PayoffCurve,
     call_payoff_curve,
     expansion_value,
     f_coefficients,
@@ -100,7 +101,7 @@ class TestLambda1:
         assert float(lambda1(fig3, curve, 0.5, 1.0)) == pytest.approx(LAMBDA1_NESTED_FIG3, abs=1e-6)
         for params in (fig3, replace(fig3, mu=0.1, beta=0.05)):
             curve = call_payoff_curve(params, call100)
-            live = lambda1_nested_quadrature(params, curve, 0.5, 1.0, time_nodes=48)
+            live = lambda1_nested_quadrature(params, curve, 0.5, 1.0)
             assert float(lambda1(params, curve, 0.5, 1.0)) == pytest.approx(live, abs=1e-6)
 
     def test_bound(self, fig7, call100):
@@ -166,7 +167,7 @@ class TestBigLambda1:
         assert float(Lambda1(fig5, curve, 0.3, 1.0)) == pytest.approx(BIG_LAMBDA1_NESTED_FIG5, abs=1e-6)
         for params in (fig5, replace(fig5, mu=0.1, beta=0.05)):
             curve = call_payoff_curve(params, call100)
-            live = Lambda1_nested_quadrature(params, curve, 0.3, 1.0, time_nodes=48)
+            live = Lambda1_nested_quadrature(params, curve, 0.3, 1.0)
             assert float(Lambda1(params, curve, 0.3, 1.0)) == pytest.approx(live, abs=1e-6)
 
     def test_negative_pull_when_long_delta(self, fig5, call100):
@@ -192,6 +193,18 @@ class TestBigLambda0:
         t = 0.25
         val = float(Lambda0(fig7, curve, t, np.asarray(1.0)))
         assert val == pytest.approx(-0.5 * fig7.eta**2 * 9.0 * (fig7.T - t), rel=1e-10)
+
+    def test_hermite_fallback(self, fig7):
+        # without a closed-form E[delta^2] the Gauss-Hermite rule is used
+        curve = replace(linear_payoff_curve(fig7, 3.0), delta_sq_expectation=None)
+        t = 0.25
+        val = float(Lambda0(fig7, curve, t, np.asarray(1.0)))
+        assert val == pytest.approx(-0.5 * fig7.eta**2 * 9.0 * (fig7.T - t), rel=1e-10)
+
+    def test_hermite_fallback_rejects_non_finite_delta(self, fig7):
+        curve = PayoffCurve(g=lambda t, u: u, delta=lambda t, u: np.where(np.asarray(u) > 4.0, np.nan, 1.0))
+        with pytest.raises(ValueError, match="non-finite"):
+            Lambda0(fig7, curve, 0.25, np.asarray(1.0))
 
 
 _REF_QUAD = dict(epsabs=0.0, epsrel=1e-13, limit=500)

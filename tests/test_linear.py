@@ -160,7 +160,7 @@ class TestOptimalSpeed:
         for _ in range(25):
             t = float(rng.uniform(0, fig1.T))
             q = float(rng.uniform(-0.75, 0.75))
-            winner, analytic = speed_argmax_on_grid(fig1, 1.0, t, q, resolution=1e-4)
+            winner, analytic = speed_argmax_on_grid(fig1, 1.0, t, q)
             assert abs(winner - analytic) <= 1e-4
 
 

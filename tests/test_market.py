@@ -26,6 +26,7 @@ from crosshedge import (
     terminal_wealth,
     utility_of,
 )
+from crosshedge.market import DEFAULT_SPEED_CLAMP
 from crosshedge.oracles import simulate_ensemble
 
 
@@ -97,11 +98,9 @@ class TestSimulatePath:
 
     def test_speed_clamp_counts_events(self):
         p = params_with()
-        b = simulate_path(
-            p, LinearExposure(0.0), constant_strategy(5.0), State(0, 0, 0, 10.0, 1.0), 50, seed=4, nu_max=1.0
-        )
+        b = simulate_path(p, LinearExposure(0.0), constant_strategy(2e6), State(0, 0, 0, 10.0, 1.0), 50, seed=4)
         assert b.clamp_events == 50
-        assert np.all(b.nu_path == 1.0)
+        assert np.all(b.nu_path == DEFAULT_SPEED_CLAMP)
 
     def test_bundle_is_immutable(self):
         p = params_with()
@@ -206,6 +205,25 @@ class TestWealthAndPayoff:
     def test_utility_overflow_raises(self):
         with pytest.raises(ValueError, match="overflowed"):
             utility_of(np.array([0.0, -800.0]), 1.0)
+
+
+class TestStrategy:
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(rule=lambda t, q, u: 0 * q, coeffs=lambda t: (1.0, 0.0, 0.0)),
+            dict(),
+        ],
+        ids=["both", "neither"],
+    )
+    def test_needs_exactly_one_of_rule_and_coeffs(self, kw):
+        with pytest.raises(ValueError, match="'x' needs exactly one of rule and coeffs"):
+            Strategy(tag="x", **kw)
+
+    def test_rule_derived_from_coeffs(self):
+        s = Strategy(tag="x", coeffs=lambda t: (1.0, 0.5, 2.0), delta=lambda t, u: 3.0 * u)
+        q, u = np.array([0.1, -0.2]), np.array([1.0, 2.0])
+        assert np.array_equal(s.rule(0.3, q, u), (0.5 * (3.0 * u) + 1.0) + 2.0 * q)
 
 
 class TestZeroWeightShape:

@@ -203,6 +203,12 @@ class TestEnsemble:
         assert ens["q"][0].std() == 0.0
         assert np.array_equal(ens["q"][-1], ens["q_T"])
 
+    @pytest.mark.parametrize("record, bad", [(("Q", "q"), r"\['Q'\]"), ("qu", "'qu'")])
+    def test_bad_record_rejected(self, fig1, record, bad):
+        with pytest.raises(ValueError, match=bad):
+            simulate_ensemble(fig1, LinearExposure(0.0), constant_strategy(0.0), State(0, 0, 0, 10.0, 1.0), 4, 3,
+                              seed=1, record=record)
+
     def test_clamp_events_counted(self, fig1):
         from crosshedge.market import DEFAULT_SPEED_CLAMP
 
