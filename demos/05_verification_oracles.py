@@ -21,7 +21,7 @@ from crosshedge import (
     riccati_h_system,
     rk4_backward,
 )
-from crosshedge.oracles import Lambda1_nested_quadrature, lambda1_nested_quadrature
+from crosshedge.oracles import nested_quadrature
 
 params = ModelParams(mu=0.0, sigma=1.0, beta=0.0, eta=1.0, rho=0.5,
                      b=1e-2, c=1e-3, k=1e-3, gamma=2e-3, alpha=0.05, T=1.0)
@@ -37,9 +37,8 @@ print(f"sup |h2_closed - h2_RK4| = {err:.2e}\n")
 print("== martingale-reduced coefficients vs nested quadrature ==")
 for (t, u) in [(0.25, 0.8), (0.5, 1.0), (0.75, 1.4)]:
     a = float(lambda1(params, curve, t, u))
-    b = lambda1_nested_quadrature(params, curve, t, u)
     c = float(Lambda1(params, curve, t, u))
-    d = Lambda1_nested_quadrature(params, curve, t, u)
+    b, d = nested_quadrature(params, curve, t, u)
     print(f"  (t={t}, u={u}): |lambda1 diff| = {abs(a - b):.2e}, |Lambda1 diff| = {abs(c - d):.2e}")
 
 print("\n== HJB residual of the first-order value expansion ==")

@@ -60,10 +60,11 @@ class AuxiliaryProcessLaw:
     def transition_mean(self, t: float, s: float, u) -> np.ndarray:
         return np.asarray(u, dtype=float) + self.beta * (s - t)
 
-    def transition_std(self, t: float, s: float) -> float:
-        if s < t:
+    def transition_std(self, t, s) -> np.ndarray:
+        """eta*sqrt(s - t), elementwise over array t or s."""
+        if np.any(np.less(s, t)):
             raise ValueError(f"need t <= s, got t={t}, s={s}")
-        return self.eta * math.sqrt(s - t)
+        return self.eta * np.sqrt(np.subtract(s, t))
 
     def density(self, z, t: float, s: float, u: float) -> np.ndarray:
         """Gaussian transition density of U~_s at z given U~_t = u."""
@@ -77,7 +78,8 @@ class PayoffCurve:
     """Expected payoff surface g(t,U) with its U-derivative delta(t,U).
 
     delta_sq_expectation(t, s, u), when present, evaluates
-    E[(delta(s, U~_s))^2 | U~_t = u] in closed form.  Near the horizon the
+    E[(delta(s, U~_s))^2 | U~_t = u] in closed form, elementwise over an
+    array s that broadcasts against u.  Near the horizon the
     squared delta of a barely-regularized call steepens into a step that
     fixed Gaussian quadrature cannot resolve, so closed forms are supplied
     wherever available; without one the expansion falls back to quadrature.
@@ -94,10 +96,17 @@ def _norm_pdf(z):
 
 
 def _call_z(params: ModelParams, exposure: BachelierCallExposure, t, u):
-    ttm = params.T + exposure.dt_offset - np.asarray(t, dtype=float)
-    if np.any(ttm <= 0):
-        raise ValueError("valuation time must not exceed the horizon")
-    root = np.sqrt(ttm)
+    """z and sqrt(ttm); a float t skips numpy for the time-to-maturity."""
+    if isinstance(t, float):
+        ttm = params.T + exposure.dt_offset - t
+        if ttm <= 0:
+            raise ValueError("valuation time must not exceed the horizon")
+        root = math.sqrt(ttm)
+    else:
+        ttm = params.T + exposure.dt_offset - np.asarray(t, dtype=float)
+        if np.any(ttm <= 0):
+            raise ValueError("valuation time must not exceed the horizon")
+        root = np.sqrt(ttm)
     z = (np.asarray(u, dtype=float) - exposure.strike) / (params.eta * root) + params.beta * root / params.eta
     return z, root
 
@@ -116,23 +125,24 @@ def call_delta(params: ModelParams, exposure: BachelierCallExposure, t, u) -> np
     return out if np.ndim(out) else float(out)
 
 
-def _call_delta_sq_expectation(params: ModelParams, exposure: BachelierCallExposure, t: float, s: float, u):
-    """E[(N*Phi(z(s, U~_s)))^2 | U~_t = u], exact.
+def _call_delta_sq_expectation(params: ModelParams, exposure: BachelierCallExposure, t: float, s, u):
+    """E[(N*Phi(z(s, U~_s)))^2 | U~_t = u], exact, elementwise over s and u.
 
     A squared normal CDF of a Gaussian argument is a bivariate normal
     orthant probability with equal thresholds, which reduces to Owen's T:
     Phi2(h, h; rho) = Phi(h) - 2*T(h, sqrt((1-rho)/(1+rho))).
     """
-    if s < t:
+    s = np.asarray(s, dtype=float)
+    if np.any(s < t):
         raise ValueError(f"need t <= s, got t={t}, s={s}")
-    t_mat = params.T + exposure.dt_offset
-    sig_s = params.eta * math.sqrt(t_mat - s)
-    sd = params.eta * math.sqrt(s - t)
+    root_s = np.sqrt(params.T + exposure.dt_offset - s)
+    sig_s = params.eta * root_s
+    sd = params.eta * np.sqrt(s - t)
     u = np.asarray(u, dtype=float)
-    a = (u + params.beta * (s - t) - exposure.strike) / sig_s + params.beta * math.sqrt(t_mat - s) / params.eta
+    a = (u + params.beta * (s - t) - exposure.strike) / sig_s + params.beta * root_s / params.eta
     b = sd / sig_s
-    h = a / math.sqrt(1.0 + b * b)
-    phi2 = ndtr(h) - 2.0 * owens_t(h, 1.0 / math.sqrt(1.0 + 2.0 * b * b))
+    h = a / np.sqrt(1.0 + b * b)
+    phi2 = ndtr(h) - 2.0 * owens_t(h, 1.0 / np.sqrt(1.0 + 2.0 * b * b))
     return exposure.n_options**2 * phi2
 
 
@@ -156,7 +166,7 @@ def linear_payoff_curve(params: ModelParams, frak_n: float) -> PayoffCurve:
         g=g,
         delta=lambda t, u: np.full_like(np.asarray(u, dtype=float), frak_n),
         tag="linear",
-        delta_sq_expectation=lambda t, s, u: np.full_like(np.asarray(u, dtype=float), frak_n**2),
+        delta_sq_expectation=lambda t, s, u: np.full(np.broadcast_shapes(np.shape(s), np.shape(u)), frak_n**2),
     )
 
 
@@ -167,16 +177,17 @@ def _hermite_nodes():
     return x, w / math.sqrt(2.0 * math.pi)
 
 
-def _hermite_expectation(fn: Callable[[np.ndarray], np.ndarray], mean: np.ndarray, sd: float):
-    """E[fn(mean + sd*Z)] for standard normal Z, elementwise over ``mean``, by
-    the HERMITE_NODES-point Gauss-Hermite rule (fn(mean) itself when sd = 0).
+def _hermite_expectation(fn: Callable[[np.ndarray], np.ndarray], mean: np.ndarray, sd):
+    """E[fn(mean + sd*Z)] for standard normal Z, elementwise over ``mean`` and
+    an ``sd`` that broadcasts against it, by the HERMITE_NODES-point
+    Gauss-Hermite rule (fn(mean) itself when a scalar sd is 0).
 
     A non-finite value of fn at a node raises ValueError.
     """
-    if sd == 0.0:
+    if np.ndim(sd) == 0 and sd == 0.0:
         return fn(mean)
     x, w = _hermite_nodes()
-    fv = fn(mean[..., None] + sd * x)
+    fv = fn(mean[..., None] + np.asarray(sd)[..., None] * x)
     if not np.all(np.isfinite(fv)):
         raise ValueError("payoff returned a non-finite value at a quadrature node")
     return fv @ w
@@ -185,17 +196,18 @@ def _hermite_expectation(fn: Callable[[np.ndarray], np.ndarray], mean: np.ndarra
 def generic_g(
     law: AuxiliaryProcessLaw,
     payoff: CustomSmoothExposure | Callable[[np.ndarray], np.ndarray],
-    t: float,
+    t,
     u,
 ) -> np.ndarray | float:
-    """Expected payoff E[psi(U~_T) | U~_t = u] by Gauss-Hermite quadrature.
+    """Expected payoff E[psi(U~_T) | U~_t = u] by Gauss-Hermite quadrature,
+    elementwise over a t that broadcasts against u.
 
     The integrand is psi evaluated at mean + std * node; for payoffs with
     bounded fourth derivative the HERMITE_NODES nodes reach well below 1e-8.
     """
     fn = payoff.payoff if isinstance(payoff, CustomSmoothExposure) else payoff
     u = np.asarray(u, dtype=float)
-    if t > law.T:
+    if np.any(np.greater(t, law.T)):
         raise ValueError(f"time {t} exceeds horizon {law.T}")
     vals = _hermite_expectation(fn, law.transition_mean(t, law.T, u), law.transition_std(t, law.T))
     return vals if np.ndim(vals) else float(vals)
@@ -256,7 +268,7 @@ def expected_delta(
     """
     if s < t:
         raise ValueError(f"need t <= s, got t={t}, s={s}")
-    sd = law.transition_std(t, s)
+    sd = float(law.transition_std(t, s))
     if sd == 0.0:
         return float(payoff.delta(s, np.asarray(u, dtype=float)))
     mean = float(law.transition_mean(t, s, u))

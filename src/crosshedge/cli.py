@@ -211,7 +211,7 @@ _GNUPLOT_SNIPPETS = {
     ),
     "paths": (
         'set datafile separator ","\nset key autotitle columnhead\n'
-        'plot for [i=0:4] sprintf("path_%02d.csv", i) using 1:2 with lines\n'
+        'plot for [i=0:{last_path}] sprintf("path_%02d.csv", i) using 1:2 with lines\n'
     ),
 }
 
@@ -275,7 +275,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.gnuplot and cfg.experiment in _GNUPLOT_SNIPPETS:
         gp = outdir / "plot.gp"
-        gp.write_text(_GNUPLOT_SNIPPETS[cfg.experiment])
+        gp.write_text(_GNUPLOT_SNIPPETS[cfg.experiment].format(last_path=cfg.n_paths - 1))
         outputs.append(gp.name)
 
     manifest = make_manifest(cfg, outputs, time.perf_counter() - start)

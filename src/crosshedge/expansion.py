@@ -225,8 +225,9 @@ def Lambda1(params: ModelParams, payoff: PayoffCurve, t, u) -> np.ndarray | floa
     return _affine_speed(coeffs, payoff.delta, t, 0.0, u)
 
 
-def _expected_delta_sq(params: ModelParams, payoff: PayoffCurve, t: float, s: float, u):
-    """E[(delta(s, U~_s))^2 | U~_t = u]; not lemma-reducible.
+def _expected_delta_sq(params: ModelParams, payoff: PayoffCurve, t: float, s: np.ndarray, u):
+    """E[(delta(s, U~_s))^2 | U~_t = u] over an array of times s that
+    broadcasts against u; not lemma-reducible.
 
     Uses the payoff's closed form when it carries one (calls, linear);
     otherwise Gauss-Hermite, adequate for genuinely smooth payoffs.
@@ -235,9 +236,10 @@ def _expected_delta_sq(params: ModelParams, payoff: PayoffCurve, t: float, s: fl
     if payoff.delta_sq_expectation is not None:
         return np.asarray(payoff.delta_sq_expectation(t, s, u), dtype=float)
     law = AuxiliaryProcessLaw.from_params(params)
+    s_at_node = s[..., None]  # each time against its Hermite nodes
 
     def delta_sq(y):
-        d = np.asarray(payoff.delta(s, y), dtype=float)
+        d = np.asarray(payoff.delta(s_at_node, y), dtype=float)
         return d * d
 
     return _hermite_expectation(delta_sq, law.transition_mean(t, s, u), law.transition_std(t, s))
@@ -263,11 +265,7 @@ def _Lambda0_variance(params: ModelParams, payoff: PayoffCurve, t: float, u):
     if params.eta == 0.0 or t == params.T:
         return np.zeros_like(u)
     s_nodes, s_w = _gauss_legendre(t, params.T, TIME_NODES)
-    dsq = np.stack(
-        [np.asarray(_expected_delta_sq(params, payoff, t, float(s), u)) for s in s_nodes],
-        axis=-1,
-    )
-    return -0.5 * params.eta**2 * (dsq @ s_w)
+    return -0.5 * params.eta**2 * (_expected_delta_sq(params, payoff, t, s_nodes, u[..., None]) @ s_w)
 
 
 def Lambda0(params: ModelParams, payoff: PayoffCurve, t: float, u) -> np.ndarray | float:

@@ -228,6 +228,8 @@ class Strategy:
     def __post_init__(self):
         if (self.rule is None) == (self.coeffs is None):
             raise ValueError(f"strategy '{self.tag}' needs exactly one of rule and coeffs")
+        if self.delta is not None and self.coeffs is None:
+            raise ValueError(f"strategy '{self.tag}' gives delta without coeffs; only an affine strategy reads delta")
         if self.coeffs is not None:
             coeffs, delta = self.coeffs, self.delta
 

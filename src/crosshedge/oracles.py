@@ -13,6 +13,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -57,8 +58,7 @@ __all__ = [
     "pde_residual",
     "default_probe_grid",
     "theta_sweep",
-    "lambda1_nested_quadrature",
-    "Lambda1_nested_quadrature",
+    "nested_quadrature",
     "lambda0_monte_carlo",
     "speed_argmax_on_grid",
 ]
@@ -474,22 +474,23 @@ class ResidualReport:
 
 def hjb_residual_at(
     params: ModelParams,
-    h_fn: Callable[[float, float, float], float],
+    h_fn: Callable[[float, np.ndarray, np.ndarray], np.ndarray],
     effective_c: float,
     effective_gamma: float,
     t: float,
-    q: float,
-    u: float,
-) -> float:
-    """Left side of the certainty-equivalent HJB at (t, q, u) for candidate h.
+    q,
+    u,
+) -> np.ndarray | float:
+    """Left side of the certainty-equivalent HJB at (t, q, u) for candidate h,
+    elementwise over array q and u at a scalar t (h_fn must then broadcast).
 
     Derivatives are central differences with steps scaled by the variable's
     magnitude (relative steps 1e-5 in t, 1e-4 in u and q); an exact solution
     leaves only finite-difference noise.
     """
     dt = 1e-5 * max(1.0, params.T)
-    du = 1e-4 * max(1.0, abs(u), params.eta * math.sqrt(params.T))
-    dq = 1e-4 * max(1.0, abs(q))
+    du = 1e-4 * np.maximum(np.abs(u), max(1.0, params.eta * math.sqrt(params.T)))
+    dq = 1e-4 * np.maximum(1.0, np.abs(q))
 
     h_0 = h_fn(t, q, u)
     h_t = (h_fn(t + dt, q, u) - h_fn(t - dt, q, u)) / (2 * dt)
@@ -533,9 +534,10 @@ def pde_residual(
     theta in ``thetas`` (default: theta and theta/2).  Probe points must be
     interior: t in [0.05*T, 0.95*T].
     """
-    for (t, _, _) in probe_grid:
-        if not 0.05 * params.T <= t <= 0.95 * params.T:
-            raise ValueError(f"probe time {t} outside interior window [0.05T, 0.95T]")
+    t_probe, q_probe, u_probe = np.asarray(probe_grid, dtype=float).reshape(-1, 3).T
+    outside = (t_probe < 0.05 * params.T) | (t_probe > 0.95 * params.T)
+    if outside.any():
+        raise ValueError(f"probe time {t_probe[outside][0]} outside interior window [0.05T, 0.95T]")
     if scale.theta <= 0:
         raise ValueError("pde_residual needs a positive base theta")
     base_c = scale.effective_c / scale.theta
@@ -543,17 +545,14 @@ def pde_residual(
     if thetas is None:
         thetas = [scale.theta, scale.theta / 2.0]
 
+    # the probes of each distinct time, evaluated as one array
+    probe_sets = [(t, q_probe[t_probe == t], u_probe[t_probe == t]) for t in np.unique(t_probe).tolist()]
     norms = []
     for theta in thetas:
         sc = ExpansionScale(theta=theta, effective_c=theta * base_c, effective_gamma=theta * base_gamma)
-
-        def h_fn(t, q, u, _sc=sc):
-            return float(expansion_value(params, payoff, _sc, t, q, u))
-
-        sup = 0.0
-        for (t, q, u) in probe_grid:
-            sup = max(sup, abs(hjb_residual_at(params, h_fn, sc.effective_c, sc.effective_gamma, t, q, u)))
-        norms.append(sup)
+        h_fn = partial(expansion_value, params, payoff, sc)
+        residuals = [hjb_residual_at(params, h_fn, sc.effective_c, sc.effective_gamma, *probes) for probes in probe_sets]
+        norms.append(max((float(np.max(np.abs(r))) for r in residuals), default=0.0))
     ratios = [norms[i] / norms[i + 1] if norms[i + 1] != 0 else math.inf for i in range(len(norms) - 1)]
     return ResidualReport(theta_values=list(map(float, thetas)), residual_norms=norms, ratios=ratios)
 
@@ -621,35 +620,28 @@ def theta_sweep(
 # ---------------------------------------------------------------------------
 
 
-def _expected_delta(params: ModelParams, payoff: PayoffCurve, t: float, s: float, u: float) -> float:
-    return expected_delta(AuxiliaryProcessLaw.from_params(params), payoff, t, s, u)
+def _expected_deltas(params: ModelParams, payoff: PayoffCurve, t: float, u: float, n_nodes: int):
+    """Gauss-Legendre rule (s_nodes, s_w) on [t, T] and E[delta(s, U~_s) | U~_t = u]
+    at each node, by adaptive quadrature (one scalar integral per node)."""
+    law = AuxiliaryProcessLaw.from_params(params)
+    s_nodes, s_w = _gauss_legendre(t, params.T, n_nodes)
+    return s_nodes, s_w, np.array([expected_delta(law, payoff, t, s, u) for s in s_nodes.tolist()])
 
 
-def lambda1_nested_quadrature(params: ModelParams, payoff: PayoffCurve, t: float, u: float) -> float:
-    """lambda_1 via its defining expectation: outer time rule, inner adaptive
-    quadrature of the future delta.  No martingale shortcut."""
+def nested_quadrature(params: ModelParams, payoff: PayoffCurve, t: float, u: float) -> tuple[float, float]:
+    """(lambda_1, Lambda_1) via their defining expectations: an outer time rule
+    over one set of inner adaptive quadratures of the future delta.  No
+    martingale shortcut."""
     tau = params.T - t
     if tau <= 0:
-        return 0.0
-    s_nodes, s_w = _gauss_legendre(t, params.T, _NESTED_TIME_NODES)
-    vals = np.array([_expected_delta(params, payoff, t, float(s), u) for s in s_nodes])
-    return float(-params.m / (2.0 * params.k + params.m * tau) * np.sum(s_w * vals))
-
-
-def Lambda1_nested_quadrature(params: ModelParams, payoff: PayoffCurve, t: float, u: float) -> float:
-    """Lambda_1 via its defining expectation, quadrature both in time and space."""
-    tau = params.T - t
-    if tau <= 0:
-        return 0.0
+        return 0.0, 0.0
     k, m = params.k, params.m
-    s_nodes, s_w = _gauss_legendre(t, params.T, _NESTED_TIME_NODES)
-    acc = 0.0
-    for s, w in zip(s_nodes, s_w):
-        weight = (2.0 * k + m * (params.T - s)) / (2.0 * k + m * tau)
-        e_delta = _expected_delta(params, payoff, t, float(s), u)
-        inner = float(_f1(params, s)) * float(Lambda2(params, s)) - k * params.rho * params.sigma * params.eta * e_delta
-        acc += w * weight * inner
-    return acc / k
+    s_nodes, s_w, e_delta = _expected_deltas(params, payoff, t, u, _NESTED_TIME_NODES)
+    lam1 = float(-m / (2.0 * k + m * tau) * np.sum(s_w * e_delta))
+    weight = (2.0 * k + m * (params.T - s_nodes)) / (2.0 * k + m * tau)
+    inner = _f1(params, s_nodes) * Lambda2(params, s_nodes) - k * params.rho * params.sigma * params.eta * e_delta
+    # the builtin sum adds the nodes in order; np.sum's pairwise order moves the last bits
+    return lam1, float(sum(s_w * weight * inner)) / k
 
 
 def lambda0_monte_carlo(

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from crosshedge import (
     make_rng,
     payoff_curve_for,
 )
-from crosshedge.bachelier import expected_delta
+from crosshedge.bachelier import _hermite_expectation, expected_delta
 
 
 class TestCallValue:
@@ -48,6 +49,24 @@ class TestCallValue:
         for u in np.linspace(0.0, 2.0, 9):
             v = call_value(fig3, call100, 0.3, u)
             assert v >= max(100.0 * (u - 1.0), 0.0) - 1e-12
+
+
+class TestCallTimeArgument:
+    """A float t takes the math path in _call_z, any other t the numpy path."""
+
+    U = np.linspace(0.2, 1.8, 9)
+
+    @pytest.mark.parametrize("fn", [call_value, call_delta])
+    @pytest.mark.parametrize("t", [0.0, 0.37, 1.0])
+    def test_float_and_0d_array_agree_bitwise(self, fig3, call100, fn, t):
+        for u in (1.1, self.U):
+            a, b = fn(fig3, call100, t, u), fn(fig3, call100, np.asarray(t), u)
+            assert type(a) is type(b) and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("t", [1.0 + 2e-5, np.asarray(1.0 + 2e-5), np.array([0.5, 1.0 + 2e-5])])
+    def test_past_maturity_raises_on_both_paths(self, fig3, call100, t):
+        with pytest.raises(ValueError, match="horizon"):
+            call_delta(fig3, call100, t, 1.0)
 
 
 class TestCallDelta:
@@ -113,6 +132,15 @@ class TestGenericG:
         law = AuxiliaryProcessLaw.from_params(fig3)
         with pytest.raises(ValueError, match="non-finite"):
             generic_g(law, lambda u: np.where(u > 2.0, np.nan, u), 0.1, 1.0)
+
+    def test_array_time_matches_scalar_times(self, fig3):
+        law = AuxiliaryProcessLaw.from_params(fig3)
+        ts, us = np.array([0.1, 0.5, 0.9]), np.linspace(0.5, 1.5, 4)
+        got = generic_g(law, np.tanh, ts[:, None], us)
+        for i, t in enumerate(ts):
+            np.testing.assert_allclose(got[i], generic_g(law, np.tanh, float(t), us), rtol=1e-14, atol=0.0)
+        with pytest.raises(ValueError, match="exceeds horizon"):
+            generic_g(law, np.tanh, np.array([0.5, fig3.T + 0.1]), 1.0)
 
 
 class TestDeltaMartingale:
@@ -228,3 +256,39 @@ class TestDeltaSquaredClosedForm:
         curve = call_payoff_curve(fig3, call100)
         d = float(curve.delta(0.4, np.asarray(1.1)))
         assert float(curve.delta_sq_expectation(0.4, 0.4, np.asarray(1.1))) == pytest.approx(d * d, rel=1e-12)
+
+
+class TestDeltaSquaredOverTimes:
+    """delta_sq_expectation(t, s, u) with an array s broadcast against u equals
+    the per-time scalar evaluation."""
+
+    T0 = 0.2
+    S = np.linspace(0.25, 0.999, 11)
+    U = np.linspace(0.2, 1.8, 7)
+
+    @pytest.mark.parametrize("drift", [0.0, 0.05])
+    def test_closed_forms_bitwise(self, fig3, call100, drift):
+        p = replace(fig3, beta=drift)
+        for curve in (call_payoff_curve(p, call100), linear_payoff_curve(p, 3.0)):
+            got = curve.delta_sq_expectation(self.T0, self.S, self.U[:, None])
+            assert got.shape == (self.U.size, self.S.size)
+            loop = np.stack([curve.delta_sq_expectation(self.T0, float(s), self.U) for s in self.S], axis=-1)
+            assert np.array_equal(got, loop)
+
+    def test_rejects_time_before_conditioning(self, fig3, call100):
+        curve = call_payoff_curve(fig3, call100)
+        with pytest.raises(ValueError, match="need t <= s"):
+            curve.delta_sq_expectation(0.5, np.array([0.6, 0.4]), 1.0)
+
+    def test_law_std_over_times(self, fig3):
+        law = AuxiliaryProcessLaw.from_params(fig3)
+        assert np.array_equal(law.transition_std(self.T0, self.S), [law.transition_std(self.T0, float(s)) for s in self.S])
+        with pytest.raises(ValueError, match="need t <= s"):
+            law.transition_std(0.5, np.array([0.6, 0.4]))
+
+    def test_hermite_expectation_over_sd(self, fig3):
+        mean = self.U[:, None] + 0.0 * self.S
+        sd = fig3.eta * np.sqrt(self.S - self.T0)
+        got = _hermite_expectation(np.tanh, mean, sd)
+        for j, s_sd in enumerate(sd):
+            np.testing.assert_allclose(got[:, j], _hermite_expectation(np.tanh, self.U, float(s_sd)), rtol=1e-14, atol=0.0)

@@ -277,6 +277,13 @@ class TestManifest:
         assert doc["experiment"] == "linear-path"
         assert (out / "plot.gp").exists()
 
+    def test_paths_gnuplot_names_only_written_paths(self, tmp_path):
+        cfg = write_config(tmp_path, {"preset": "fig3", "n_steps": 20, "n_paths": 3})
+        out = tmp_path / "out"
+        main(["paths", "--config", cfg, "--out", str(out), "--gnuplot"])
+        assert "for [i=0:2]" in (out / "plot.gp").read_text()
+        assert sorted(p.name for p in out.glob("path_*.csv")) == ["path_00.csv", "path_01.csv", "path_02.csv"]
+
     def test_seed_flag_overrides(self, tmp_path):
         cfg = write_config(tmp_path, {"preset": "fig3", "n_steps": 50})
         out = tmp_path / "out"

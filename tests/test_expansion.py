@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from crosshedge import (
+    CustomSmoothExposure,
     ExpansionScale,
     Lambda0,
     Lambda1,
@@ -27,20 +28,22 @@ from crosshedge import (
     optimal_speed_linear,
     risk_neutral_cross_impact_speed,
 )
+from crosshedge.bachelier import AuxiliaryProcessLaw, _hermite_expectation, custom_payoff_curve
 from crosshedge.config import PRESETS
 from crosshedge.expansion import (
+    _expected_delta_sq,
     _f1,
     _f2,
+    _gauss_legendre,
     delta_substitution_strategy,
     expansion_nu_hat_strategy,
     risk_neutral_cross_impact_strategy,
 )
 from crosshedge.oracles import (
-    Lambda1_nested_quadrature,
     Lambda2_ode_system,
     f1_ode_system,
     lambda0_monte_carlo,
-    lambda1_nested_quadrature,
+    nested_quadrature,
     rk4_backward,
 )
 
@@ -101,7 +104,7 @@ class TestLambda1:
         assert float(lambda1(fig3, curve, 0.5, 1.0)) == pytest.approx(LAMBDA1_NESTED_FIG3, abs=1e-6)
         for params in (fig3, replace(fig3, mu=0.1, beta=0.05)):
             curve = call_payoff_curve(params, call100)
-            live = lambda1_nested_quadrature(params, curve, 0.5, 1.0)
+            live, _ = nested_quadrature(params, curve, 0.5, 1.0)
             assert float(lambda1(params, curve, 0.5, 1.0)) == pytest.approx(live, abs=1e-6)
 
     def test_bound(self, fig7, call100):
@@ -110,6 +113,29 @@ class TestLambda1:
             tau = fig7.T - t
             cap = fig7.m * tau / (2 * fig7.k + fig7.m * tau) * 100.0
             assert abs(float(lambda1(fig7, curve, t, 1.2))) <= cap + 1e-12
+
+
+class TestNestedQuadrature:
+    # (lambda_1, Lambda_1) that the separate nested-quadrature oracles gave at
+    # the points the reduction tests use; one set of expected deltas now
+    # serves both
+    @pytest.mark.parametrize(
+        "preset, drift, t, expected",
+        [
+            ("fig3", {}, 0.5, (-47.87234042553192, -6.515957446808512)),
+            ("fig3", {"mu": 0.1, "beta": 0.05}, 0.5, (-49.222526420176, -6.995280333290922)),
+            ("fig5", {}, 0.3, (-48.46153846153847, -9.019230769230772)),
+            ("fig5", {"mu": 0.1, "beta": 0.05}, 0.3, (-50.078623015321824, -10.1034391584893)),
+            ("fig7", {}, 0.0, (-48.91304347826087, -12.771739130434783)),
+        ],
+    )
+    def test_values_of_the_separate_oracles(self, request, call100, preset, drift, t, expected):
+        params = replace(request.getfixturevalue(preset), **drift)
+        got = nested_quadrature(params, call_payoff_curve(params, call100), t, 1.0)
+        assert got == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+    def test_terminal(self, fig7, call100):
+        assert nested_quadrature(fig7, call_payoff_curve(fig7, call100), fig7.T, 1.0) == (0.0, 0.0)
 
 
 class TestLambda0Small:
@@ -167,7 +193,7 @@ class TestBigLambda1:
         assert float(Lambda1(fig5, curve, 0.3, 1.0)) == pytest.approx(BIG_LAMBDA1_NESTED_FIG5, abs=1e-6)
         for params in (fig5, replace(fig5, mu=0.1, beta=0.05)):
             curve = call_payoff_curve(params, call100)
-            live = Lambda1_nested_quadrature(params, curve, 0.3, 1.0)
+            _, live = nested_quadrature(params, curve, 0.3, 1.0)
             assert float(Lambda1(params, curve, 0.3, 1.0)) == pytest.approx(live, abs=1e-6)
 
     def test_negative_pull_when_long_delta(self, fig5, call100):
@@ -200,6 +226,27 @@ class TestBigLambda0:
         t = 0.25
         val = float(Lambda0(fig7, curve, t, np.asarray(1.0)))
         assert val == pytest.approx(-0.5 * fig7.eta**2 * 9.0 * (fig7.T - t), rel=1e-10)
+
+    @pytest.mark.parametrize("drift", [{}, {"mu": 0.1, "beta": 0.05}])
+    def test_hermite_fallback_over_time_nodes(self, fig7, call100, drift):
+        # E[delta^2] at all Gauss-Legendre nodes at once against the per-node
+        # Gauss-Hermite expectation, for a call without its closed form and a
+        # custom payoff whose delta is itself a Gauss-Hermite expectation
+        params = replace(fig7, **drift)
+        law = AuxiliaryProcessLaw.from_params(params)
+        curves = (
+            replace(call_payoff_curve(params, call100), delta_sq_expectation=None),
+            custom_payoff_curve(law, CustomSmoothExposure(np.tanh, lambda y: 1.0 / np.cosh(y) ** 2)),
+        )
+        t, u = 0.3, np.linspace(0.4, 1.6, 5)
+        s_nodes, _ = _gauss_legendre(t, params.T, 16)
+        for curve in curves:
+            got = _expected_delta_sq(params, curve, t, s_nodes, u[:, None])
+            for j, s in enumerate(s_nodes.tolist()):
+                node = _hermite_expectation(
+                    lambda y: np.asarray(curve.delta(s, y)) ** 2, law.transition_mean(t, s, u), law.transition_std(t, s)
+                )
+                np.testing.assert_allclose(got[:, j], node, rtol=1e-14, atol=0.0)
 
     def test_hermite_fallback_rejects_non_finite_delta(self, fig7):
         curve = PayoffCurve(g=lambda t, u: u, delta=lambda t, u: np.where(np.asarray(u) > 4.0, np.nan, 1.0))
@@ -308,12 +355,11 @@ class TestNuHat:
         t, q, u = 0.0, 0.0, 1.0
         d = float(curve.delta(t, np.asarray(u)))
         nu0 = (float(_f1(fig7, t)) + (2 * float(_f2(fig7, t)) + fig7.b) * q) / (2 * fig7.k)
+        nested_lam1, nested_Lam1 = nested_quadrature(fig7, curve, t, u)
         assembled = (
             nu0
-            + sc.effective_c * (d + lambda1_nested_quadrature(fig7, curve, t, u)) / (2 * fig7.k)
-            + sc.effective_gamma
-            * (Lambda1_nested_quadrature(fig7, curve, t, u) + 2 * float(Lambda2(fig7, t)) * q)
-            / (2 * fig7.k)
+            + sc.effective_c * (d + nested_lam1) / (2 * fig7.k)
+            + sc.effective_gamma * (nested_Lam1 + 2 * float(Lambda2(fig7, t)) * q) / (2 * fig7.k)
         )
         assert nu_hat(fig7, curve, sc, t, q, u) == pytest.approx(assembled, abs=1e-8)
 

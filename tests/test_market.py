@@ -209,15 +209,16 @@ class TestWealthAndPayoff:
 
 class TestStrategy:
     @pytest.mark.parametrize(
-        "kw",
+        "kw, match",
         [
-            dict(rule=lambda t, q, u: 0 * q, coeffs=lambda t: (1.0, 0.0, 0.0)),
-            dict(),
+            (dict(rule=lambda t, q, u: 0 * q, coeffs=lambda t: (1.0, 0.0, 0.0)), "needs exactly one of rule and coeffs"),
+            (dict(), "needs exactly one of rule and coeffs"),
+            (dict(rule=lambda t, q, u: 0 * q, delta=lambda t, u: u), "gives delta without coeffs"),
         ],
-        ids=["both", "neither"],
+        ids=["both", "neither", "delta-without-coeffs"],
     )
-    def test_needs_exactly_one_of_rule_and_coeffs(self, kw):
-        with pytest.raises(ValueError, match="'x' needs exactly one of rule and coeffs"):
+    def test_needs_exactly_one_of_rule_and_coeffs(self, kw, match):
+        with pytest.raises(ValueError, match=f"'x' {match}"):
             Strategy(tag="x", **kw)
 
     def test_rule_derived_from_coeffs(self):

@@ -1,9 +1,12 @@
 import math
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
 from crosshedge import (
+    ExpansionScale,
     LinearExposure,
     ModelParams,
     OdeSystemSpec,
@@ -11,6 +14,7 @@ from crosshedge import (
     Strategy,
     call_payoff_curve,
     constant_strategy,
+    expansion_value,
     h2,
     hjb_residual_at,
     linear_optimal_strategy,
@@ -165,6 +169,21 @@ class TestHjbResidual:
             for u in (0.6, 1.0, 1.5)
         )
         assert worst < 1e-6
+
+    @pytest.mark.parametrize("drift", [{}, {"mu": 0.1, "beta": 0.05}])
+    def test_arrays_equal_scalar_calls(self, fig7, call100, drift):
+        params = replace(fig7, **drift)
+        curve = call_payoff_curve(params, call100)
+        sc = ExpansionScale.from_params(params, 0.2)
+        h_fn = partial(expansion_value, params, curve, sc)
+        q, u = np.meshgrid(np.linspace(-2.0, 2.0, 5), np.linspace(-0.5, 2.5, 4), indexing="ij")
+        for t in (0.1 * params.T, 0.5 * params.T):
+            got = hjb_residual_at(params, h_fn, sc.effective_c, sc.effective_gamma, t, q, u)
+            loop = [
+                hjb_residual_at(params, h_fn, sc.effective_c, sc.effective_gamma, t, float(qi), float(ui))
+                for qi, ui in zip(q.ravel(), u.ravel())
+            ]
+            assert got.shape == q.shape and np.array_equal(got.ravel(), loop)
 
     def test_boundary_probe_rejected(self, fig7, call100):
         from crosshedge import ExpansionScale, pde_residual
