@@ -60,11 +60,10 @@ class AuxiliaryProcessLaw:
     def transition_mean(self, t: float, s: float, u) -> np.ndarray:
         return np.asarray(u, dtype=float) + self.beta * (s - t)
 
-    def transition_std(self, t, s) -> np.ndarray:
-        """eta*sqrt(s - t), elementwise over array t or s."""
-        if np.any(np.less(s, t)):
+    def transition_std(self, t: float, s: float) -> float:
+        if s < t:
             raise ValueError(f"need t <= s, got t={t}, s={s}")
-        return self.eta * np.sqrt(np.subtract(s, t))
+        return self.eta * math.sqrt(s - t)
 
     def density(self, z, t: float, s: float, u: float) -> np.ndarray:
         """Gaussian transition density of U~_s at z given U~_t = u."""
@@ -177,17 +176,16 @@ def _hermite_nodes():
     return x, w / math.sqrt(2.0 * math.pi)
 
 
-def _hermite_expectation(fn: Callable[[np.ndarray], np.ndarray], mean: np.ndarray, sd):
-    """E[fn(mean + sd*Z)] for standard normal Z, elementwise over ``mean`` and
-    an ``sd`` that broadcasts against it, by the HERMITE_NODES-point
-    Gauss-Hermite rule (fn(mean) itself when a scalar sd is 0).
+def _hermite_expectation(fn: Callable[[np.ndarray], np.ndarray], mean: np.ndarray, sd: float):
+    """E[fn(mean + sd*Z)] for standard normal Z, elementwise over ``mean``, by
+    the HERMITE_NODES-point Gauss-Hermite rule (fn(mean) itself when sd = 0).
 
     A non-finite value of fn at a node raises ValueError.
     """
-    if np.ndim(sd) == 0 and sd == 0.0:
+    if sd == 0.0:
         return fn(mean)
     x, w = _hermite_nodes()
-    fv = fn(mean[..., None] + np.asarray(sd)[..., None] * x)
+    fv = fn(mean[..., None] + sd * x)
     if not np.all(np.isfinite(fv)):
         raise ValueError("payoff returned a non-finite value at a quadrature node")
     return fv @ w
@@ -196,18 +194,17 @@ def _hermite_expectation(fn: Callable[[np.ndarray], np.ndarray], mean: np.ndarra
 def generic_g(
     law: AuxiliaryProcessLaw,
     payoff: CustomSmoothExposure | Callable[[np.ndarray], np.ndarray],
-    t,
+    t: float,
     u,
 ) -> np.ndarray | float:
-    """Expected payoff E[psi(U~_T) | U~_t = u] by Gauss-Hermite quadrature,
-    elementwise over a t that broadcasts against u.
+    """Expected payoff E[psi(U~_T) | U~_t = u] by Gauss-Hermite quadrature.
 
     The integrand is psi evaluated at mean + std * node; for payoffs with
     bounded fourth derivative the HERMITE_NODES nodes reach well below 1e-8.
     """
     fn = payoff.payoff if isinstance(payoff, CustomSmoothExposure) else payoff
     u = np.asarray(u, dtype=float)
-    if np.any(np.greater(t, law.T)):
+    if t > law.T:
         raise ValueError(f"time {t} exceeds horizon {law.T}")
     vals = _hermite_expectation(fn, law.transition_mean(t, law.T, u), law.transition_std(t, law.T))
     return vals if np.ndim(vals) else float(vals)
@@ -268,7 +265,7 @@ def expected_delta(
     """
     if s < t:
         raise ValueError(f"need t <= s, got t={t}, s={s}")
-    sd = float(law.transition_std(t, s))
+    sd = law.transition_std(t, s)
     if sd == 0.0:
         return float(payoff.delta(s, np.asarray(u, dtype=float)))
     mean = float(law.transition_mean(t, s, u))

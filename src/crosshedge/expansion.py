@@ -225,24 +225,27 @@ def Lambda1(params: ModelParams, payoff: PayoffCurve, t, u) -> np.ndarray | floa
     return _affine_speed(coeffs, payoff.delta, t, 0.0, u)
 
 
-def _expected_delta_sq(params: ModelParams, payoff: PayoffCurve, t: float, s: np.ndarray, u):
-    """E[(delta(s, U~_s))^2 | U~_t = u] over an array of times s that
-    broadcasts against u; not lemma-reducible.
+def _expected_delta_sq(params: ModelParams, payoff: PayoffCurve, t: float, s: np.ndarray, u: np.ndarray):
+    """E[(delta(s, U~_s))^2 | U~_t = u] at each time of the array s, along a
+    last axis after u's; not lemma-reducible.
 
-    Uses the payoff's closed form when it carries one (calls, linear);
-    otherwise Gauss-Hermite, adequate for genuinely smooth payoffs.
+    Uses the payoff's closed form when it carries one (calls, linear), in one
+    call over all times; otherwise Gauss-Hermite, adequate for genuinely smooth
+    payoffs, one time at a time: delta is called with a float time, and a
+    delta that is itself a quadrature keeps its memory to one time's nodes.
     """
-    u = np.asarray(u, dtype=float)
     if payoff.delta_sq_expectation is not None:
-        return np.asarray(payoff.delta_sq_expectation(t, s, u), dtype=float)
+        return np.asarray(payoff.delta_sq_expectation(t, s, u[..., None]), dtype=float)
     law = AuxiliaryProcessLaw.from_params(params)
-    s_at_node = s[..., None]  # each time against its Hermite nodes
 
-    def delta_sq(y):
-        d = np.asarray(payoff.delta(s_at_node, y), dtype=float)
-        return d * d
+    def at(si: float):
+        def delta_sq(y):
+            d = np.asarray(payoff.delta(si, y), dtype=float)
+            return d * d
 
-    return _hermite_expectation(delta_sq, law.transition_mean(t, s, u), law.transition_std(t, s))
+        return _hermite_expectation(delta_sq, law.transition_mean(t, si, u), law.transition_std(t, si))
+
+    return np.stack([at(si) for si in s.tolist()], axis=-1)
 
 
 def _Lambda0_drift_weights(params: ModelParams, t: float) -> tuple[float, float]:
@@ -265,7 +268,7 @@ def _Lambda0_variance(params: ModelParams, payoff: PayoffCurve, t: float, u):
     if params.eta == 0.0 or t == params.T:
         return np.zeros_like(u)
     s_nodes, s_w = _gauss_legendre(t, params.T, TIME_NODES)
-    return -0.5 * params.eta**2 * (_expected_delta_sq(params, payoff, t, s_nodes, u[..., None]) @ s_w)
+    return -0.5 * params.eta**2 * (_expected_delta_sq(params, payoff, t, s_nodes, u) @ s_w)
 
 
 def Lambda0(params: ModelParams, payoff: PayoffCurve, t: float, u) -> np.ndarray | float:

@@ -620,11 +620,11 @@ def theta_sweep(
 # ---------------------------------------------------------------------------
 
 
-def _expected_deltas(params: ModelParams, payoff: PayoffCurve, t: float, u: float, n_nodes: int):
+def _expected_deltas(params: ModelParams, payoff: PayoffCurve, t: float, u: float):
     """Gauss-Legendre rule (s_nodes, s_w) on [t, T] and E[delta(s, U~_s) | U~_t = u]
     at each node, by adaptive quadrature (one scalar integral per node)."""
     law = AuxiliaryProcessLaw.from_params(params)
-    s_nodes, s_w = _gauss_legendre(t, params.T, n_nodes)
+    s_nodes, s_w = _gauss_legendre(t, params.T, _NESTED_TIME_NODES)
     return s_nodes, s_w, np.array([expected_delta(law, payoff, t, s, u) for s in s_nodes.tolist()])
 
 
@@ -636,7 +636,7 @@ def nested_quadrature(params: ModelParams, payoff: PayoffCurve, t: float, u: flo
     if tau <= 0:
         return 0.0, 0.0
     k, m = params.k, params.m
-    s_nodes, s_w, e_delta = _expected_deltas(params, payoff, t, u, _NESTED_TIME_NODES)
+    s_nodes, s_w, e_delta = _expected_deltas(params, payoff, t, u)
     lam1 = float(-m / (2.0 * k + m * tau) * np.sum(s_w * e_delta))
     weight = (2.0 * k + m * (params.T - s_nodes)) / (2.0 * k + m * tau)
     inner = _f1(params, s_nodes) * Lambda2(params, s_nodes) - k * params.rho * params.sigma * params.eta * e_delta

@@ -298,7 +298,7 @@ def weighted_integral_property() -> tuple[bool, dict, str]:
     tol = 1e-6
     curve = call_payoff_curve(FIG3, CALL_100)
     t, u = 0.25, 1.1
-    s_nodes, s_w, e_delta = _expected_deltas(FIG3, curve, t, u, 48)
+    s_nodes, s_w, e_delta = _expected_deltas(FIG3, curve, t, u)
     d = float(curve.delta(t, np.asarray(u)))
     # the builtin sum adds the nodes in order; np.sum's pairwise order moves the
     # last bits, which are all this residual measures

@@ -20,7 +20,7 @@ from crosshedge import (
     make_rng,
     payoff_curve_for,
 )
-from crosshedge.bachelier import _hermite_expectation, expected_delta
+from crosshedge.bachelier import expected_delta
 
 
 class TestCallValue:
@@ -132,15 +132,6 @@ class TestGenericG:
         law = AuxiliaryProcessLaw.from_params(fig3)
         with pytest.raises(ValueError, match="non-finite"):
             generic_g(law, lambda u: np.where(u > 2.0, np.nan, u), 0.1, 1.0)
-
-    def test_array_time_matches_scalar_times(self, fig3):
-        law = AuxiliaryProcessLaw.from_params(fig3)
-        ts, us = np.array([0.1, 0.5, 0.9]), np.linspace(0.5, 1.5, 4)
-        got = generic_g(law, np.tanh, ts[:, None], us)
-        for i, t in enumerate(ts):
-            np.testing.assert_allclose(got[i], generic_g(law, np.tanh, float(t), us), rtol=1e-14, atol=0.0)
-        with pytest.raises(ValueError, match="exceeds horizon"):
-            generic_g(law, np.tanh, np.array([0.5, fig3.T + 0.1]), 1.0)
 
 
 class TestDeltaMartingale:
@@ -279,16 +270,3 @@ class TestDeltaSquaredOverTimes:
         curve = call_payoff_curve(fig3, call100)
         with pytest.raises(ValueError, match="need t <= s"):
             curve.delta_sq_expectation(0.5, np.array([0.6, 0.4]), 1.0)
-
-    def test_law_std_over_times(self, fig3):
-        law = AuxiliaryProcessLaw.from_params(fig3)
-        assert np.array_equal(law.transition_std(self.T0, self.S), [law.transition_std(self.T0, float(s)) for s in self.S])
-        with pytest.raises(ValueError, match="need t <= s"):
-            law.transition_std(0.5, np.array([0.6, 0.4]))
-
-    def test_hermite_expectation_over_sd(self, fig3):
-        mean = self.U[:, None] + 0.0 * self.S
-        sd = fig3.eta * np.sqrt(self.S - self.T0)
-        got = _hermite_expectation(np.tanh, mean, sd)
-        for j, s_sd in enumerate(sd):
-            np.testing.assert_allclose(got[:, j], _hermite_expectation(np.tanh, self.U, float(s_sd)), rtol=1e-14, atol=0.0)

@@ -229,7 +229,7 @@ class TestBigLambda0:
 
     @pytest.mark.parametrize("drift", [{}, {"mu": 0.1, "beta": 0.05}])
     def test_hermite_fallback_over_time_nodes(self, fig7, call100, drift):
-        # E[delta^2] at all Gauss-Legendre nodes at once against the per-node
+        # E[delta^2] at all Gauss-Legendre nodes against the per-node
         # Gauss-Hermite expectation, for a call without its closed form and a
         # custom payoff whose delta is itself a Gauss-Hermite expectation
         params = replace(fig7, **drift)
@@ -241,12 +241,25 @@ class TestBigLambda0:
         t, u = 0.3, np.linspace(0.4, 1.6, 5)
         s_nodes, _ = _gauss_legendre(t, params.T, 16)
         for curve in curves:
-            got = _expected_delta_sq(params, curve, t, s_nodes, u[:, None])
+            got = _expected_delta_sq(params, curve, t, s_nodes, u)
             for j, s in enumerate(s_nodes.tolist()):
                 node = _hermite_expectation(
                     lambda y: np.asarray(curve.delta(s, y)) ** 2, law.transition_mean(t, s, u), law.transition_std(t, s)
                 )
-                np.testing.assert_allclose(got[:, j], node, rtol=1e-14, atol=0.0)
+                assert np.array_equal(got[:, j], node)
+
+    def test_hermite_fallback_calls_delta_with_a_float_time(self, fig7):
+        # a delta written for a scalar time; E[delta^2 at s] = T - s, whose
+        # integral over [t, T] is (T - t)^2 / 2
+        def delta(t, u):
+            if t > fig7.T:
+                raise ValueError("past the horizon")
+            return math.sqrt(fig7.T - t) * np.ones_like(u)
+
+        params = replace(fig7, mu=0.0, beta=0.0)
+        t, u = 0.25, np.linspace(0.5, 1.5, 3)
+        val = Lambda0(params, PayoffCurve(g=lambda t, u: u, delta=delta), t, u)
+        np.testing.assert_allclose(val, -0.25 * params.eta**2 * (params.T - t) ** 2 * np.ones_like(u), rtol=1e-12)
 
     def test_hermite_fallback_rejects_non_finite_delta(self, fig7):
         curve = PayoffCurve(g=lambda t, u: u, delta=lambda t, u: np.where(np.asarray(u) > 4.0, np.nan, 1.0))
