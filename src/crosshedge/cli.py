@@ -79,6 +79,8 @@ def run_linear_path(cfg: ExperimentConfig, outdir: Path) -> list[str]:
     long-horizon level, on the time grid."""
     if not isinstance(cfg.exposure, LinearExposure):
         raise ConfigError("exposure: linear-path needs a linear exposure")
+    if cfg.initial.t != 0.0:
+        raise ConfigError("initial.t: linear-path starts its closed-form inventory at t = 0")
     params = cfg.model
     frak_n = cfg.exposure.frak_n
     q0 = cfg.initial.q
@@ -98,6 +100,8 @@ def run_linear_path(cfg: ExperimentConfig, outdir: Path) -> list[str]:
 def run_paths(cfg: ExperimentConfig, outdir: Path) -> list[str]:
     """A handful of simulated paths (t, Q, nu, U per path) plus a summary
     with each path's terminal-factor rank."""
+    if cfg.n_paths < 1:
+        raise ConfigError("n_paths: paths runs need at least 1 path")
     strategy = build_strategy(cfg)
     n_paths = cfg.n_paths
     bundles = [
@@ -157,6 +161,8 @@ def run_stats(cfg: ExperimentConfig, outdir: Path) -> list[str]:
 
 def run_sweep_theta(cfg: ExperimentConfig, outdir: Path) -> list[str]:
     """Certainty-equivalent gap between the two approximate strategies per theta."""
+    if cfg.n_paths < 1:
+        raise ConfigError("n_paths: sweep-theta runs need at least 1 path")
     rows = theta_sweep(
         cfg.model, cfg.exposure, cfg.thetas, cfg.n_paths, cfg.seed,
         n_steps=cfg.n_steps, initial=cfg.initial,

@@ -271,6 +271,8 @@ def resolve_config(doc: dict, experiment: str | None = None) -> ExperimentConfig
         s=float(init.get("s", 10.0)),
         u=float(init.get("u", 1.0)),
     )
+    if initial.t >= model.T:
+        raise ConfigError(f"initial.t: {initial.t} must lie before the horizon model.T = {model.T}")
     return ExperimentConfig(
         experiment=merged["experiment"],
         model=model,
@@ -301,6 +303,8 @@ def load_config(
     else:
         try:
             doc = json.loads(Path(path).read_text())
+        except (OSError, UnicodeDecodeError) as err:
+            raise ConfigError(f"config file {path} cannot be read: {err}") from err
         except json.JSONDecodeError as err:
             raise ConfigError(f"config file {path} is not valid JSON: {err}") from err
     if overrides:

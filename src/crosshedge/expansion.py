@@ -19,7 +19,7 @@ The drift (mu != 0) time integrals -- f0, the lambda_0 weight, the
 drift-risk integral D(t) inside Lambda_1 and nu_hat, and the drift part of
 Lambda_0 -- have integrands rational in time-to-go tau with poles only at
 A = 2k + m*tau = 0.  In log A they are entire, so each is one fixed
-Gauss-Legendre sum in log A (``_tau_integral``), vectorised over t.
+Gauss-Legendre sum in log A (``linear._tau_integral``), vectorised over t.
 
 Every strategy shipped here is affine in the payoff delta and in inventory,
 
@@ -35,13 +35,13 @@ linear-exposure optimal speed, whose h1 is affine in that count.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .bachelier import AuxiliaryProcessLaw, PayoffCurve, _hermite_expectation
-from .linear import _cross_gain_limit, _drift_gain_limit, _h2_limit, _optimal_speed_coeffs
+from .linear import _cross_gain_limit, _drift_gain_limit, _gauss_legendre, _h2_limit
+from .linear import _optimal_speed_coeffs, _tau_integral
 from .market import Affine, ModelParams, Strategy, _affine_speed, _check_time
 
 __all__ = [
@@ -63,8 +63,6 @@ __all__ = [
 ]
 
 TIME_NODES = 64
-# Gauss-Legendre nodes in log(2k + m*tau) for the drift time integrals
-_LOG_A_NODES = 32
 
 
 @dataclass(frozen=True)
@@ -96,36 +94,6 @@ def _f1(params: ModelParams, t):
 def _f2(params: ModelParams, t):
     """f2, the gamma = 0 limit of the linear h2."""
     return _h2_limit(params, params.T - (t if isinstance(t, float) else np.asarray(t, dtype=float)))
-
-
-@lru_cache(maxsize=16)
-def _legendre_nodes(n: int):
-    return leggauss(n)
-
-
-def _gauss_legendre(t0: float, t1: float, n: int):
-    x, w = _legendre_nodes(n)
-    mid, half = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
-    return mid + half * x, half * w
-
-
-def _tau_integral(params: ModelParams, g, t):
-    """integral_0^{T-t} g(x, A) dx with A = 2k + m*x, vectorised over t.
-
-    With v = log(A/2k) the span is log1p(m*tau/2k), x = 2k*expm1(v)/m and
-    dx = A dv/m (m > 0 is enforced by ModelParams).  The drift integrands
-    are rational in x with poles only at A = 0, hence entire in v, and a
-    fixed Gauss-Legendre rule in v converges geometrically.
-    """
-    tau = params.T - np.asarray(t, dtype=float)
-    two_k, m = 2.0 * params.k, params.m
-    nodes, weights = _legendre_nodes(_LOG_A_NODES)
-    half_span = 0.5 * np.log1p(m * tau / two_k)[..., None]
-    v = half_span * (1.0 + nodes)
-    a = two_k * np.exp(v)
-    x = two_k * np.expm1(v) / m
-    out = (g(x, a) * a) @ weights * half_span[..., 0] / m
-    return out if out.ndim else float(out)
 
 
 def f_coefficients(params: ModelParams, t: float) -> tuple[float, float, float]:

@@ -16,14 +16,17 @@ limits are rationals in time-to-go tau and are the zero-order expansion
 coefficients: the h2 limit is f2, the h1 drift gain at forcing mu is f1,
 and the cross-impact gain is the lambda_1 weight.  They are defined here
 once (``_h2_limit``, ``_drift_gain_limit``, ``_cross_gain_limit``) and
-``expansion`` evaluates f1, f2 and lambda_1 through them.
+``expansion`` evaluates f1, f2 and lambda_1 through them; so are the
+Gauss-Legendre rules h0, ``expansion`` and ``oracles`` share.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .market import (
     Affine,
@@ -49,13 +52,45 @@ __all__ = [
 # Relative omega size below which the analytic gamma=0 limit is used.
 OMEGA_SWITCH = 1e-8
 
-_QUAD_OPTS = dict(epsabs=1e-14, epsrel=1e-10, limit=200)
+# Gauss-Legendre nodes in log(2k + m*tau) for the deterministic time integrals
+_LOG_A_NODES = 32
 
 
 def uses_zero_gamma_branch(params: ModelParams) -> bool:
     """True when omega is small enough that the gamma=0 limit formulas apply."""
     omega = math.sqrt(params.k * params.gamma * params.sigma**2 / 2.0)
     return omega < OMEGA_SWITCH * max(1.0, params.m)
+
+
+@lru_cache(maxsize=16)
+def _legendre_nodes(n: int):
+    return leggauss(n)
+
+
+def _gauss_legendre(t0: float, t1: float, n: int):
+    x, w = _legendre_nodes(n)
+    mid, half = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
+    return mid + half * x, half * w
+
+
+def _tau_integral(params: ModelParams, g, t):
+    """integral_0^{T-t} g(x, A) dx with A = 2k + m*x, vectorised over t.
+
+    With v = log(A/2k) the span is log1p(m*tau/2k), x = 2k*expm1(v)/m and
+    dx = A dv/m (m > 0 is enforced by ModelParams).  The drift integrands
+    are rational in x with poles only at A = 0, hence entire in v, and a
+    fixed Gauss-Legendre rule in v converges geometrically.  At gamma > 0
+    the h0 integrand's poles (phi_- e^2 + phi_+ = 0) lie off the interval.
+    """
+    tau = params.T - np.asarray(t, dtype=float)
+    two_k, m = 2.0 * params.k, params.m
+    nodes, weights = _legendre_nodes(_LOG_A_NODES)
+    half_span = 0.5 * np.log1p(m * tau / two_k)[..., None]
+    v = half_span * (1.0 + nodes)
+    a = two_k * np.exp(v)
+    x = two_k * np.expm1(v) / m
+    out = (g(x, a) * a) @ weights * half_span[..., 0] / m
+    return out if out.ndim else float(out)
 
 
 def _h2_limit(params: ModelParams, tau):
@@ -142,10 +177,9 @@ def h1(params: ModelParams, frak_n, t) -> np.ndarray | float:
 def h0(params: ModelParams, frak_n: float, t: float) -> float:
     """Inventory-independent value component.
 
-    The time integral of (h1 + c*frak_n)^2 / (4k) is evaluated by adaptive
-    quadrature (relative tolerance 1e-10); the formula's linear part is exact.
-    ``scipy.integrate.quad`` is imported here, at the call, so that importing
-    the package does not load ``scipy.integrate``.
+    The time integral of (h1 + c*frak_n)^2 / (4k) is one fixed Gauss-Legendre
+    sum in log(2k + m*tau) (``_tau_integral``); the formula's linear part is
+    exact.
     """
     t = _check_time(params, t)
     tau = params.T - t
@@ -156,15 +190,12 @@ def h0(params: ModelParams, frak_n: float, t: float) -> float:
     if zeta == 0.0 and params.c * frak_n == 0.0:
         return base
 
-    def integrand(s: float) -> float:
-        drift, per_unit = _h1_parts(params, s)
-        w = float(drift + per_unit * frak_n) + params.c * frak_n
-        return w * w / (4.0 * params.k)
+    def squared_forcing(x, a):
+        drift, per_unit = _h1_parts(params, params.T - x)
+        w = drift + per_unit * frak_n + params.c * frak_n
+        return w * w
 
-    from scipy.integrate import quad
-
-    val, _ = quad(integrand, t, params.T, **_QUAD_OPTS)
-    return base + val
+    return base + _tau_integral(params, squared_forcing, t) / (4.0 * params.k)
 
 
 def optimal_speed_linear(params: ModelParams, frak_n, t, q) -> np.ndarray | float:

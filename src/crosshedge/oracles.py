@@ -24,11 +24,11 @@ from .expansion import (
     Lambda2,
     _f1,
     _f2,
-    _gauss_legendre,
     delta_substitution_strategy,
     expansion_nu_hat_strategy,
     expansion_value,
 )
+from .linear import _gauss_legendre
 from .market import (
     Exposure,
     ModelParams,

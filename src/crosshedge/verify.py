@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -93,16 +93,7 @@ class VerifyReport:
             "artifact_version": ARTIFACT_VERSION,
             "seed": self.seed,
             "wall_clock_seconds": self.wall_clock_seconds,
-            "checks": [
-                {
-                    "name": c.name,
-                    "passed": c.passed,
-                    "seconds": c.seconds,
-                    "measured": c.measured,
-                    "detail": c.detail,
-                }
-                for c in self.checks
-            ],
+            "checks": [asdict(c) for c in self.checks],
         }
 
     def validated_json(self) -> dict:
@@ -186,7 +177,9 @@ def riccati_vs_rk4(
 
 
 def h0_vs_simpson() -> tuple[bool, dict, str]:
-    """h0's adaptive quadrature against a dense Simpson rule."""
+    """h0's fixed Gauss-Legendre rule in log(2k + m*tau) against dense Simpson."""
+    from scipy.integrate import simpson
+
     n_points, tol = 100_001, 1e-8
     params, frak_n = FIG1, 1.0
     worst = 0.0
@@ -194,12 +187,10 @@ def h0_vs_simpson() -> tuple[bool, dict, str]:
         s = np.linspace(t, params.T, n_points)
         w = np.asarray(h1(params, frak_n, s)) + params.c * frak_n
         integrand = w * w / (4.0 * params.k)
-        from scipy.integrate import simpson
-
         base = (params.beta * frak_n - 0.5 * params.gamma * params.eta**2 * frak_n**2) * (params.T - t)
         dense = base + float(simpson(integrand, x=s))
         worst = max(worst, abs(dense - h0(params, frak_n, t)))
-    return worst < tol, {"sup_error": worst}, f"sup|quad-simpson| = {worst:.2e} (tol {tol:g})"
+    return worst < tol, {"sup_error": worst}, f"sup|gauss-legendre - simpson| = {worst:.2e} (tol {tol:g})"
 
 
 def long_horizon_level() -> tuple[bool, dict, str]:
@@ -384,13 +375,13 @@ def strategy_gap_order(
     seed: int = 23, n_paths: int = 30_000, n_steps: int = 500, factor: float = 4.0
 ) -> tuple[bool, dict, str]:
     """CE gap between the expansion and delta-substitution strategies under
-    common random numbers shrinks by >= factor when theta halves, unless both
-    gaps are inside 3x Monte Carlo noise (then reported noise-bounded)."""
+    common random numbers shrinks by >= factor when theta halves, unless either
+    gap is inside 3 SE (``theta_sweep``'s ``noise_bounded``; reported as such)."""
     initial = State(t=0.0, x=0.0, q=0.0, s=10.0, u=CALL_100.strike)
     rows = theta_sweep(FIG7, CALL_100, (0.2, 0.1), n_paths, seed, n_steps=n_steps, initial=initial)
     (g02, s02), (g01, s01) = ((r["gap"], r["gap_se"]) for r in rows)
     measured = {"gap_0.2": g02, "se_0.2": s02, "gap_0.1": g01, "se_0.1": s01}
-    if abs(g01) <= 3.0 * s01 or abs(g02) <= 3.0 * s02:
+    if any(r["noise_bounded"] for r in rows):
         return True, {**measured, "outcome": "noise-bounded"}, (
             f"noise-bounded: gap(0.2) = {g02:.2e} (3se {3 * s02:.2e}), "
             f"gap(0.1) = {g01:.2e} (3se {3 * s01:.2e})"

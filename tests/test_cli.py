@@ -368,3 +368,28 @@ class TestDefaultPresets:
         assert resolved["n_steps"] == 20 and resolved["seed"] == 5 and manifest["seed"] == 5
         rows = (tmp_path / "path_00.csv").read_text().strip().split("\n")
         assert len(rows) == 1 + 21
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["verify", "--config", "{tmp}/missing.json"], "missing.json"),
+        (["verify", "--config", "{tmp}"], "config file"),
+        (["verify", "--config", "{tmp}/latin1.json"], "latin1.json"),
+        (["paths", "--set", "initial.t=1.0"], "initial.t"),
+        (["paths", "--set", "n_paths=0", "--gnuplot"], "n_paths"),
+        (["sweep-theta", "--set", "n_paths=0"], "n_paths"),
+        (["linear-path", "--set", "initial.t=0.5"], "initial.t"),
+    ],
+    ids=["missing-config", "directory-config", "undecodable-config", "start-at-horizon", "paths-no-paths",
+         "sweep-no-paths", "linear-path-late-start"],
+)
+def test_bad_input_is_config_error(tmp_path, capsys, argv, field):
+    # a config written in Latin-1, which is not valid UTF-8
+    (tmp_path / "latin1.json").write_bytes('{"preset": "fig3", "output_dir": "d\xe9j\xe0"}'.encode("latin-1"))
+    out = tmp_path / "out"
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and field in err
+    assert not (out / "manifest.json").exists() and not (out / "paths_summary.csv").exists()

@@ -1,7 +1,10 @@
 import math
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from crosshedge import (
     LinearExposure,
@@ -15,7 +18,10 @@ from crosshedge import (
     optimal_inventory_linear,
     optimal_speed_linear,
 )
+from crosshedge.config import PRESETS
+from crosshedge.market import derived_constants
 from crosshedge.oracles import speed_argmax_on_grid
+from crosshedge.verify import random_well_posed_params
 
 # Oracle-computed reference values (frozen):
 #  - RK4 backward integration of the (h0, h1, h2) terminal-value system,
@@ -102,6 +108,59 @@ class TestH0:
 
     def test_fig1_left_matches_simpson(self, fig1_left):
         assert h0(fig1_left, 1.0, 0.0) == pytest.approx(H0_FIG1L_SIMPSON_T0, abs=1e-8)
+
+    @pytest.mark.parametrize(
+        "overrides, frak_n, frac",
+        [({}, 100.0, 0.0), ({"beta": 0.05}, -3.0, 0.3), ({"k": 0.01, "T": 3.0, "beta": -0.02}, 1.0, 0.9)],
+        ids=["fig3", "fig3-beta", "fig3-slow"],
+    )
+    def test_gamma0_closed_form(self, fig3, overrides, frak_n, frac):
+        # gamma = mu = 0: h0 = beta*n*tau + (c*n)^2 * k/m * (1/(2k) - 1/(2k + m*tau)),
+        # evaluated exactly in rationals on the float inputs (5/92 for fig3)
+        p = replace(fig3, **overrides)
+        t = frac * p.T
+        tau, k, m = (Fraction(v) for v in (p.T - t, p.k, p.m))
+        cn = Fraction(p.c) * Fraction(frak_n)
+        exact = float(Fraction(p.beta) * Fraction(frak_n) * tau + cn * cn * k / m * (1 / (2 * k) - 1 / (2 * k + m * tau)))
+        assert abs(h0(p, frak_n, t) - exact) <= 4 * math.ulp(exact)
+
+    @staticmethod
+    def _worst_vs_adaptive(cases):
+        """Largest |h0 - ref| relative to max(|ref|, integral) at t in {0, 0.3T, 0.9T};
+        ref is quad at epsrel 2e-14 with breakpoints at the 2k/m and k/omega
+        scales before the horizon.  The integral, not h0, sets the scale, so
+        cancellation against the exact linear part does not inflate the error."""
+        worst = 0.0
+        for p, frak_n in cases:
+            omega = derived_constants(p).omega
+            scales = [2 * p.k / p.m] + ([p.k / omega] if omega > 0 else [])
+            for frac in (0.0, 0.3, 0.9):
+                t = frac * p.T
+                points = sorted({p.T - s * f for s in scales for f in (0.1, 1, 10, 100) if t < p.T - s * f < p.T})
+                integral, _ = quad(
+                    lambda s: (h1(p, frak_n, s) + p.c * frak_n) ** 2 / (4 * p.k),
+                    t, p.T, epsabs=0.0, epsrel=2e-14, limit=1000, points=points or None,
+                )
+                ref = (p.beta * frak_n - 0.5 * p.gamma * p.eta**2 * frak_n**2) * (p.T - t) + integral
+                worst = max(worst, abs(h0(p, frak_n, t) - ref) / max(abs(ref), integral))
+        return worst
+
+    def test_matches_tight_adaptive_reference(self):
+        presets = [ModelParams(**v["model"]) for v in PRESETS.values()]
+        models = presets + [replace(p, mu=0.1, beta=0.05) for p in presets]
+        rng = np.random.default_rng(11)
+        cases = [(p, n) for p in models for n in (1.0, 100.0, -3.0)]
+        cases += [(random_well_posed_params(rng), float(rng.uniform(-2, 2))) for _ in range(40)]
+        assert self._worst_vs_adaptive(cases) <= 1e-14
+
+    def test_stiff_sets_match_tight_adaptive_reference(self, fig1):
+        cases = [
+            (replace(fig1, k=k, gamma=gamma, T=T, mu=0.1), 1.0)
+            for k in (1e-4, 1e-3)
+            for gamma in (1e-3, 1.0, 10.0)
+            for T in (0.5, 3.0, 10.0)
+        ]
+        assert self._worst_vs_adaptive(cases) <= 5e-11
 
 
 class TestOdeConsistency:

@@ -1,6 +1,7 @@
 """Import footprint: ``import crosshedge`` and the CLI leave scipy.integrate
-(and the scipy.optimize it pulls in) unloaded; the two adaptive-quadrature
-paths import ``quad`` at the call and keep their values bit for bit."""
+(and the scipy.optimize it pulls in) unloaded, and so does h0's fixed rule;
+the one adaptive-quadrature path, ``expected_delta``, imports ``quad`` at the
+call and keeps its values bit for bit."""
 
 import json
 import os
@@ -27,27 +28,25 @@ def model(name, **kw):
     return ModelParams(**{**PRESETS[name]["model"], **kw})
 
 
+h0(model("fig1_right"), 1.0, 0.0)
+h0(model("fig1_left", mu=0.1, beta=0.05), 1.0, 0.2)
+h0(model("fig3"), 100.0, 0.0)
+integrate_after_h0 = "scipy.integrate" in sys.modules
 call = _build_exposure(PRESETS["fig7"]["exposure"])
 fig7, fig7_drift = model("fig7"), model("fig7", mu=0.1, beta=0.05)
 values = [
-    h0(model("fig1_right"), 1.0, 0.0),
-    h0(model("fig1_left", mu=0.1, beta=0.05), 1.0, 0.2),
-    h0(model("fig3"), 100.0, 0.0),
     expected_delta(AuxiliaryProcessLaw.from_params(fig7), call_payoff_curve(fig7, call), 0.2, 0.6, 1.1),
     expected_delta(AuxiliaryProcessLaw.from_params(fig7_drift), call_payoff_curve(fig7_drift, call),
                    0.0, 0.9, 0.95),
 ]
-print(json.dumps({"loaded_at_import": loaded_at_import, "values": [repr(v) for v in values],
+print(json.dumps({"loaded_at_import": loaded_at_import, "integrate_after_h0": integrate_after_h0,
+                  "values": [repr(v) for v in values],
                   "integrate_after_calls": "scipy.integrate" in sys.modules}))
 """
 
-# h0 (fig1_right; fig1_left with drift at t = 0.2; fig3 with 100 units) and
 # expected_delta (fig7 call, without and with drift), as computed when quad
 # was still imported with the package.
 PINNED = [
-    "-1.1498559220419309",
-    "-0.1247742346957525",
-    "0.05434782608695653",
     "54.45100767147515",
     "50.000019947014295",
 ]
@@ -64,6 +63,7 @@ def run_probe() -> dict:
 def test_import_leaves_quadrature_unloaded_and_values_unchanged():
     out = run_probe()
     assert out["loaded_at_import"] == []
-    # the adaptive oracles load scipy.integrate on first use
+    assert not out["integrate_after_h0"]
+    # the adaptive oracle loads scipy.integrate on first use
     assert out["integrate_after_calls"]
     assert out["values"] == PINNED
