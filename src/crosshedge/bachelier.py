@@ -95,12 +95,14 @@ def _norm_pdf(z):
 
 
 def _call_z(params: ModelParams, exposure: BachelierCallExposure, t, u):
-    """z and sqrt(ttm); a float t skips numpy for the time-to-maturity."""
+    """z and sqrt(ttm); a float t skips numpy for sqrt(ttm), and for z too with a float u."""
     if isinstance(t, float):
         ttm = params.T + exposure.dt_offset - t
         if ttm <= 0:
             raise ValueError("valuation time must not exceed the horizon")
         root = math.sqrt(ttm)
+        if isinstance(u, float):
+            return (u - exposure.strike) / (params.eta * root) + params.beta * root / params.eta, root
     else:
         ttm = params.T + exposure.dt_offset - np.asarray(t, dtype=float)
         if np.any(ttm <= 0):
@@ -260,8 +262,8 @@ def expected_delta(
     Adaptive subdivision resolves the sharpening delta profile near the
     horizon, where fixed Gaussian rules lose accuracy; the integration window
     of +-12 transition standard deviations leaves a negligible tail for any
-    bounded delta.  ``scipy.integrate.quad`` is imported here, at the call,
-    so that importing the package does not load ``scipy.integrate``.
+    bounded delta, which is called with a float u.  ``quad`` is imported at
+    the call, so that importing the package does not load ``scipy.integrate``.
     """
     if s < t:
         raise ValueError(f"need t <= s, got t={t}, s={s}")
@@ -273,7 +275,7 @@ def expected_delta(
 
     def integrand(y: float) -> float:
         w = norm * math.exp(-0.5 * ((y - mean) / sd) ** 2)
-        return w * float(payoff.delta(s, np.asarray(y, dtype=float)))
+        return w * float(payoff.delta(s, y))
 
     from scipy.integrate import quad
 

@@ -6,7 +6,7 @@ import copy
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
@@ -158,16 +158,7 @@ class RunManifest:
     resolved_config: dict
 
     def to_json(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "config_hash": self.config_hash,
-            "seed": self.seed,
-            "artifact_version": self.artifact_version,
-            "wall_clock_seconds": self.wall_clock_seconds,
-            "outputs": self.outputs,
-            "created_unix": self.created_unix,
-            "resolved_config": self.resolved_config,
-        }
+        return asdict(self)
 
     def write(self, path: Path) -> None:
         doc = self.to_json()

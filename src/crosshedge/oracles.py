@@ -82,16 +82,17 @@ _NESTED_TIME_NODES = 48
 @dataclass(frozen=True)
 class OdeSystemSpec:
     """Terminal-value ODE system y' = rhs(t, y), y(t_end) = terminal_value,
-    solved on [0, t_end]."""
+    solved on [0, t_end]; a (dim, *batch) state has a t_end per member."""
 
     rhs: Callable[[float, np.ndarray], np.ndarray]
     terminal_value: np.ndarray
     step_count: int
-    t_end: float
+    t_end: float | np.ndarray
 
 
 class DenseOdeSolution:
-    """Grid solution with cubic-Hermite dense output (O(h^4) between nodes)."""
+    """Grid solution with cubic-Hermite dense output (O(h^4) between nodes); a
+    time outside the grid, beyond rounding of 1e-12 relative to its end, raises."""
 
     def __init__(self, t_grid: np.ndarray, values: np.ndarray, derivs: np.ndarray):
         self.t_grid = t_grid
@@ -102,6 +103,10 @@ class DenseOdeSolution:
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
         tq = np.atleast_1d(t)
+        lo, hi = self.t_grid[0], self.t_grid[-1]
+        outside = (tq < lo - 1e-12 * abs(hi)) | (tq > hi + 1e-12 * abs(hi))
+        if outside.any():
+            raise ValueError(f"time {tq[outside][0]} outside the solution interval [{lo}, {hi}]")
         idx = np.clip(np.searchsorted(self.t_grid, tq, side="right") - 1, 0, len(self.t_grid) - 2)
         t0 = self.t_grid[idx]
         h = self.t_grid[idx + 1] - t0
@@ -121,83 +126,82 @@ class DenseOdeSolution:
 def rk4_backward(spec: OdeSystemSpec) -> DenseOdeSolution:
     """Classical RK4 from t_end back to 0 on a uniform grid.
 
-    The state is checked for finiteness once, after the sweep; the error
-    names the first grid time at which it is not finite.
+    A batch state (dim, *batch) steps each member on its own grid: t_grid is
+    (n + 1, *batch), values/derivs (n + 1, dim, *batch), and a member's dense
+    output is the DenseOdeSolution of its slices.  Finiteness is checked once,
+    after the sweep; the error names the first non-finite grid time.
     """
     n = spec.step_count
     if n < 1:
         raise ValueError("step_count must be >= 1")
     h = -spec.t_end / n
     half, sixth = h / 2, h / 6
-    ts = spec.t_end + h * np.arange(n + 1)
+    ts = spec.t_end + np.multiply.outer(np.arange(n + 1), h)
+    tl = ts.tolist() if ts.ndim == 1 else ts  # one system steps on Python floats
     rhs = spec.rhs
-    dim = np.atleast_1d(np.asarray(spec.terminal_value, dtype=float)).shape[0]
-    ys = np.empty((n + 1, dim))
-    fs = np.empty((n + 1, dim))
-    y = np.atleast_1d(np.asarray(spec.terminal_value, dtype=float)).copy()
+    y = np.array(spec.terminal_value, dtype=float)
+    ys = np.empty((n + 1, *y.shape))
+    fs = np.empty_like(ys)
     ys[0] = y
-    fs[0] = rhs(ts[0], y)
-    tl = ts.tolist()
+    fs[0] = rhs(tl[0], y)
     for i in range(n):
         t = tl[i]
         k1 = fs[i]
-        k2 = np.asarray(rhs(t + half, y + half * k1))
-        k3 = np.asarray(rhs(t + half, y + half * k2))
-        k4 = np.asarray(rhs(t + h, y + h * k3))
+        k2 = rhs(t + half, y + half * k1)
+        k3 = rhs(t + half, y + half * k2)
+        k4 = rhs(t + h, y + h * k3)
         y = y + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
         ys[i + 1] = y
         fs[i + 1] = rhs(tl[i + 1], y)
-    finite = np.isfinite(ys).all(axis=1)
-    if not finite.all():
-        raise SimulationError(f"ODE state became non-finite near t={ts[np.argmin(finite)]:.6g}")
+    bad = np.argwhere(~np.isfinite(ys).all(axis=1))
+    if bad.size:
+        raise SimulationError(f"ODE state became non-finite near t={ts[tuple(bad[0])]:.6g}")
     # stored backward from t_end; flip to ascending time
     return DenseOdeSolution(ts[::-1].copy(), ys[::-1].copy(), fs[::-1].copy())
 
 
-def riccati_h_system(params: ModelParams, frak_n: float, step_count: int = 10_000) -> OdeSystemSpec:
-    """The coupled terminal-value system for (h0, h1, h2) of the linear case."""
-    k, b, c = params.k, params.b, params.c
-    zeta = params.mu - params.gamma * params.rho * params.sigma * params.eta * frak_n
-    g_half_sig = 0.5 * params.sigma**2 * params.gamma
+def riccati_h_system(
+    params: ModelParams | Sequence[ModelParams], frak_n: float | Sequence[float], step_count: int = 10_000
+) -> OdeSystemSpec:
+    """The coupled terminal-value system for (h0, h1, h2) of the linear case.
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        _, h1_, h2_ = y.tolist()
-        w = h1_ + c * frak_n
+    Equal-length sequences of parameter sets and frak_n values make a batch:
+    one member per pair, state (3, n) and t_end the array of horizons.
+    """
+    one = isinstance(params, ModelParams)
+    rows = [
+        (-p.beta * n + 0.5 * p.gamma * p.eta**2 * n**2, p.c * n, p.mu - p.gamma * p.rho * p.sigma * p.eta * n,
+         p.b, 4.0 * p.k, 2.0 * p.k, 0.5 * p.sigma**2 * p.gamma, p.alpha, p.T)
+        for p, n in ([(params, frak_n)] if one else zip(params, frak_n))
+    ]
+    forcing, cn, zeta, b, k4, k2, g_half_sig, alpha, t_end = rows[0] if one else np.array(rows).T
+
+    def rhs(t, y: np.ndarray) -> np.ndarray:
+        _, h1_, h2_ = y.tolist() if one else y
+        w = h1_ + cn
         slope = 2.0 * h2_ + b
-        return np.array(
-            [
-                -params.beta * frak_n
-                + 0.5 * params.gamma * params.eta**2 * frak_n**2
-                - w * w / (4.0 * k),
-                -zeta - w * slope / (2.0 * k),
-                g_half_sig - slope * slope / (4.0 * k),
-            ]
-        )
+        return np.array([forcing - w * w / k4, -zeta - w * slope / k2, g_half_sig - slope * slope / k4])
 
+    zero = np.zeros_like(alpha)
+    return OdeSystemSpec(rhs=rhs, terminal_value=np.array([zero, zero, -alpha]), step_count=step_count, t_end=t_end)
+
+
+def _drift_gain_system(params: ModelParams, forcing: float, gain: float, step_count: int) -> OdeSystemSpec:
+    """y' = forcing - (2*f2(t) + b)*y/gain, y(T) = 0: the f1 and Lambda2 systems."""
     return OdeSystemSpec(
-        rhs=rhs,
-        terminal_value=np.array([0.0, 0.0, -params.alpha]),
-        step_count=step_count,
-        t_end=params.T,
+        rhs=lambda t, y: np.array([forcing - (2.0 * _f2(params, t) + params.b) * float(y[0]) / gain]),
+        terminal_value=np.array([0.0]), step_count=step_count, t_end=params.T,
     )
 
 
 def f1_ode_system(params: ModelParams, step_count: int = 10_000) -> OdeSystemSpec:
     """Terminal-value ODE for the zero-order drift coefficient f1."""
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        return np.array([-params.mu - (2.0 * _f2(params, t) + params.b) * float(y[0]) / (2.0 * params.k)])
-
-    return OdeSystemSpec(rhs=rhs, terminal_value=np.array([0.0]), step_count=step_count, t_end=params.T)
+    return _drift_gain_system(params, -params.mu, 2.0 * params.k, step_count)
 
 
 def Lambda2_ode_system(params: ModelParams, step_count: int = 10_000) -> OdeSystemSpec:
     """Terminal-value ODE for the inventory-risk coefficient Lambda2."""
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        return np.array([0.5 * params.sigma**2 - (2.0 * _f2(params, t) + params.b) * float(y[0]) / params.k])
-
-    return OdeSystemSpec(rhs=rhs, terminal_value=np.array([0.0]), step_count=step_count, t_end=params.T)
+    return _drift_gain_system(params, 0.5 * params.sigma**2, params.k, step_count)
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +337,7 @@ def _mean_and_se(values: np.ndarray, antithetic: bool) -> tuple[float, float, in
 
     Antithetic halves are dependent, so the SE treats each mirrored pair's
     average as one sample; the mean itself is unchanged by the pairing.
+    Fewer than two independent samples leave the SE undefined (NaN).
     """
     mean = float(np.mean(values))
     if antithetic:
@@ -341,7 +346,7 @@ def _mean_and_se(values: np.ndarray, antithetic: bool) -> tuple[float, float, in
     else:
         indep = values
     n = indep.shape[0]
-    se = float(np.std(indep, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    se = float(np.std(indep, ddof=1) / math.sqrt(n)) if n > 1 else math.nan
     return mean, se, n
 
 
@@ -576,8 +581,9 @@ def theta_sweep(
     strategies at each theta, under common random numbers.
 
     Each row reports the CEs, the gap with its standard error, gap/theta^2,
-    and whether the gap is noise-bounded (|gap| <= 3*SE).  theta = 0 rows
-    compare identical strategies and the gap is exactly zero.
+    and whether the gap is noise-bounded (|gap| <= 3*SE, or an undefined SE
+    from a single antithetic pair).  theta = 0 rows compare identical
+    strategies and the gap is exactly zero.
     """
     if any(th < 0 for th in thetas):
         raise ValueError("thetas must be nonnegative")
@@ -608,7 +614,7 @@ def theta_sweep(
                 "gap": res.gap,
                 "gap_se": res.gap_se,
                 "gap_over_theta2": res.gap / theta**2 if theta > 0 else None,
-                "noise_bounded": abs(res.gap) <= 3.0 * res.gap_se,
+                "noise_bounded": not abs(res.gap) > 3.0 * res.gap_se,
                 "kind": res.kind,
             }
         )

@@ -41,6 +41,7 @@ from .market import (
     simulate_path,
 )
 from .oracles import (
+    DenseOdeSolution,
     _SPEED_GRID_HI,
     _SPEED_GRID_LO,
     _SPEED_GRID_STEP,
@@ -165,11 +166,11 @@ def riccati_vs_rk4(
     """
     rng = make_rng(seed, 900)
     cases = [(FIG1, 1.0)] + [(random_well_posed_params(rng), float(rng.uniform(-2, 2))) for _ in range(n_random)]
+    sol = rk4_backward(riccati_h_system(*zip(*cases), step_count))
     worst = 0.0
-    for params, frak_n in cases:
-        sol = rk4_backward(riccati_h_system(params, frak_n, step_count))
+    for j, (params, frak_n) in enumerate(cases):
         ts = np.linspace(0.0, params.T, 401)
-        vals = sol(ts)
+        vals = DenseOdeSolution(sol.t_grid[:, j], sol.values[..., j], sol.derivs[..., j])(ts)
         err_h2 = np.max(np.abs(h2_fn(params, ts) - vals[:, 2]))
         err_h1 = np.max(np.abs(h1_fn(params, frak_n, ts) - vals[:, 1]))
         worst = max(worst, float(err_h1), float(err_h2))

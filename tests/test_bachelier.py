@@ -59,9 +59,11 @@ class TestCallTimeArgument:
     @pytest.mark.parametrize("fn", [call_value, call_delta])
     @pytest.mark.parametrize("t", [0.0, 0.37, 1.0])
     def test_float_and_0d_array_agree_bitwise(self, fig3, call100, fn, t):
-        for u in (1.1, self.U):
-            a, b = fn(fig3, call100, t, u), fn(fig3, call100, np.asarray(t), u)
-            assert type(a) is type(b) and np.array_equal(a, b)
+        # a float t with a float u (expected_delta's integrand) also computes z with math
+        for params in (fig3, replace(fig3, beta=0.05)):
+            for u in (1.1, -0.4, 2.6, np.asarray(1.1), self.U):
+                a, b = fn(params, call100, t, u), fn(params, call100, np.asarray(t), np.asarray(u))
+                assert type(a) is type(b) and np.array_equal(a, b)
 
     @pytest.mark.parametrize("t", [1.0 + 2e-5, np.asarray(1.0 + 2e-5), np.array([0.5, 1.0 + 2e-5])])
     def test_past_maturity_raises_on_both_paths(self, fig3, call100, t):

@@ -340,6 +340,17 @@ class TestVerifyPlumbing:
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 2
 
 
+def test_sweep_theta_of_one_pair_reports_undefined_se(tmp_path):
+    # one antithetic pair gives no standard error, so no theta reads as resolved
+    assert main(["sweep-theta", "--set", "n_paths=2", "--set", "n_steps=10", "--out", str(tmp_path)]) == 0
+    header, *rows = (tmp_path / "sweep_theta.csv").read_text().strip().split("\n")
+    cols = header.split(",")
+    assert rows and all(
+        r.split(",")[cols.index("gap_se")] == "nan" and r.split(",")[cols.index("noise_bounded")] == "true"
+        for r in rows
+    )
+
+
 @pytest.mark.parametrize("tag", load_schema("config.schema.json")["properties"]["strategy"]["enum"])
 def test_every_schema_strategy_tag_builds(tag):
     preset = "fig1_right" if tag == "linear-optimal" else "fig7"

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 from functools import partial
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from crosshedge import (
+    DenseOdeSolution,
     ExpansionScale,
     LinearExposure,
     ModelParams,
@@ -26,7 +28,7 @@ from crosshedge import (
 )
 from crosshedge.expansion import _f1, _f2
 from crosshedge.market import SimulationError
-from crosshedge.oracles import simulate_ensemble
+from crosshedge.oracles import Lambda2_ode_system, f1_ode_system, simulate_ensemble
 from crosshedge.verify import (
     mc_se_scaling,
     rk4_convergence_order,
@@ -67,6 +69,58 @@ class TestRk4:
     def test_convergence_order(self):
         ok, measured, _ = rk4_convergence_order()
         assert ok, measured
+
+    def test_riccati_batch_equals_single_solves(self, fig1, fig7):
+        # members differ in T and frak_n; each sees the operations of its own solve
+        cases = [(fig1, 1.0), (replace(fig1, T=0.7, gamma=0.3), -1.5), (fig7, 0.4),
+                 (replace(fig7, mu=0.1, beta=0.05), 2.0)]
+        batch = rk4_backward(riccati_h_system([p for p, _ in cases], [n for _, n in cases], 2_000))
+        assert batch.t_grid.shape == (2_001, 4) and batch.values.shape == (2_001, 3, 4)
+        for j, (params, frak_n) in enumerate(cases):
+            one = rk4_backward(riccati_h_system(params, frak_n, 2_000))
+            member = DenseOdeSolution(batch.t_grid[:, j], batch.values[..., j], batch.derivs[..., j])
+            for name in ("t_grid", "values", "derivs"):
+                assert np.array_equal(getattr(member, name), getattr(one, name)), name
+            ts = np.linspace(0.0, params.T, 401)
+            assert np.array_equal(member(ts), one(ts))
+
+    def test_drift_gain_systems_pinned(self, fig7):
+        # f1 and Lambda2 at the grids of test_expansion's RK4 checks, as first computed
+        mu_params = ModelParams(mu=0.1, sigma=1.0, beta=0.0, eta=1.0, rho=0.5, b=1e-2, c=1e-3, k=1e-3, gamma=0.0,
+                                alpha=0.05, T=1.0)
+        f1_sol = rk4_backward(f1_ode_system(mu_params, 2_500))
+        assert [float(f1_sol(t)[0]) for t in np.linspace(0.0, mu_params.T, 7)] == [
+            0.05108695652173908, 0.042748917748917765, 0.03440860215053764, 0.026063829787234035,
+            0.01770833333333334, 0.00931372549019621, 0.0,
+        ]
+        l2_sol = rk4_backward(Lambda2_ode_system(fig7, 2_500))
+        assert l2_sol(np.linspace(0.0, fig7.T, 7))[:, 0].tolist() == [
+            -0.17036862003779552, -0.14259009388877866, -0.11481096080469153, -0.0870303304662294,
+            -0.05924479166656971, -0.03143021914613884, 0.0,
+        ]
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_batch_blowup_names_member_time(self):
+        # member 0 stays finite (x = 1/(t + 2)); member 1 explodes backward
+        # from x(1.5) = 10, so the error names member 1's first non-finite time
+        def spec(terminal, t_end):
+            return OdeSystemSpec(rhs=lambda t, y: -y * y, terminal_value=terminal, step_count=2000, t_end=t_end)
+
+        with pytest.raises(SimulationError) as single:
+            rk4_backward(spec(np.array([10.0]), 1.5))
+        with pytest.raises(SimulationError, match=f"^{re.escape(str(single.value))}$"):
+            rk4_backward(spec(np.array([[0.25, 10.0]]), np.array([2.0, 1.5])))
+
+    def test_dense_output_rejects_times_outside_grid(self):
+        spec = OdeSystemSpec(rhs=lambda t, y: y, terminal_value=np.array([1.0]), step_count=100, t_end=1.0)
+        sol = rk4_backward(spec)
+        for t in (-2.0, 1.5, [0.5, 1.5]):
+            with pytest.raises(ValueError, match=r"time (-2\.0|1\.5) outside the solution interval \[0\.0, 1\.0\]"):
+                sol(t)
+        # the endpoints, and rounding of 1e-12 relative to t_end, are inside
+        assert sol(1.0)[0] == 1.0 and sol(1.0 + 1e-13)[0] == pytest.approx(1.0)
+        assert sol(0.0)[0] == pytest.approx(math.exp(-1.0), abs=1e-10)
+        assert sol(-1e-13)[0] == pytest.approx(math.exp(-1.0), abs=1e-10)
 
 
 class TestMcPerformance:
@@ -129,6 +183,16 @@ class TestMcPerformance:
         # window [1.3, 1.5] holds well beyond the default seed
         ok, measured, _ = mc_se_scaling(seed=seed)
         assert ok, measured
+
+    def test_single_pair_leaves_se_undefined(self, fig1):
+        # one antithetic pair is one independent sample: no standard error
+        strat = linear_optimal_strategy(fig1, 1.0)
+        init = State(0, 0, 0, 10.0, 5.0)
+        est = mc_performance(fig1, LinearExposure(1.0), strat, init, 2, 10, seed=1)
+        assert est.n_samples == 1 and math.isnan(est.std_error) and math.isnan(est.ce_std_error)
+        pert = Strategy(tag="perturbed", rule=lambda t, q, u: strat.rule(t, q, u) + 0.1)
+        gap = mc_strategy_gap(fig1, LinearExposure(1.0), strat, pert, init, 2, 10, seed=1)
+        assert math.isnan(gap.gap_se)
 
     def test_crn_self_gap_zero(self, fig1):
         strat = linear_optimal_strategy(fig1, 1.0)
