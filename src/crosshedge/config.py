@@ -208,7 +208,7 @@ def _build_exposure(doc: dict) -> Exposure:
         return BachelierCallExposure(
             n_options=float(doc["n_options"]),
             strike=float(doc["strike"]),
-            dt_offset=float(doc.get("dt_offset", 1e-5)),
+            dt_offset=float(doc.get("dt_offset", BachelierCallExposure.dt_offset)),
         )
     raise ConfigError(f"exposure.type '{kind}' is not supported")
 
@@ -255,13 +255,16 @@ def resolve_config(doc: dict, experiment: str | None = None) -> ExperimentConfig
     except (KeyError, ValueError) as err:
         raise ConfigError(f"exposure: {err}") from err
     init = merged.get("initial", {})
-    initial = State(
-        t=float(init.get("t", 0.0)),
-        x=float(init.get("x", 0.0)),
-        q=float(init.get("q", 0.0)),
-        s=float(init.get("s", 10.0)),
-        u=float(init.get("u", 1.0)),
-    )
+    try:
+        initial = State(
+            t=float(init.get("t", 0.0)),
+            x=float(init.get("x", 0.0)),
+            q=float(init.get("q", 0.0)),
+            s=float(init.get("s", 10.0)),
+            u=float(init.get("u", 1.0)),
+        )
+    except ValueError as err:
+        raise ConfigError(f"initial: {err}") from err
     if initial.t >= model.T:
         raise ConfigError(f"initial.t: {initial.t} must lie before the horizon model.T = {model.T}")
     return ExperimentConfig(

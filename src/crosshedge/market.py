@@ -10,7 +10,7 @@ Cash X and inventory Q follow from the execution price.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -40,6 +40,14 @@ class SimulationError(RuntimeError):
     """Raised when a path simulation produces a non-finite quantity."""
 
 
+def _check_finite(obj) -> None:
+    """Reject a dataclass with a non-finite field, naming the first one."""
+    for field in fields(obj):
+        value = getattr(obj, field.name)
+        if not math.isfinite(value):
+            raise ValueError(f"{field.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Market, impact, and preference constants.
@@ -54,8 +62,9 @@ class ModelParams:
     alpha      : terminal quadratic liquidation penalty, > 0
     T          : trading horizon, > 0
 
-    The constructor enforces 2*alpha - b > 0; without it the closed-form
-    value-function coefficients can blow up inside [0, T].
+    Every field must be finite.  The constructor enforces 2*alpha - b > 0;
+    without it the closed-form value-function coefficients can blow up
+    inside [0, T].
     """
 
     mu: float
@@ -71,6 +80,7 @@ class ModelParams:
     T: float
 
     def __post_init__(self):
+        _check_finite(self)
         if not self.k > 0:
             raise ValueError(f"temporary impact k must be positive, got {self.k}")
         if not self.T > 0:
@@ -136,11 +146,11 @@ def _check_time(params: ModelParams, t) -> float | np.ndarray:
     if not isinstance(t, float):
         t = np.asarray(t, dtype=float)
         if t.ndim:
-            if np.any(t < -1e-12) or np.any(t > params.T * (1.0 + 1e-12)):
+            if not (np.all(t >= -1e-12) and np.all(t <= params.T * (1.0 + 1e-12))):
                 raise ValueError(f"time must lie in [0, T={params.T}], got {t}")
             return np.clip(t, 0.0, params.T)
         t = float(t)
-    if t < -1e-12 or t > params.T * (1.0 + 1e-12):
+    if not (-1e-12 <= t <= params.T * (1.0 + 1e-12)):
         raise ValueError(f"time must lie in [0, T={params.T}], got {t}")
     return min(max(t, 0.0), params.T)
 
@@ -186,7 +196,7 @@ Exposure = Union[LinearExposure, BachelierCallExposure, CustomSmoothExposure]
 
 @dataclass(frozen=True)
 class State:
-    """A point (t, x, q, S, U) of the controlled system."""
+    """A point (t, x, q, S, U) of the controlled system: finite, with t >= 0."""
 
     t: float
     x: float
@@ -195,6 +205,7 @@ class State:
     u: float
 
     def __post_init__(self):
+        _check_finite(self)
         if self.t < 0:
             raise ValueError(f"time must be nonnegative, got {self.t}")
 
@@ -282,7 +293,7 @@ class PathBundle:
     x_path: np.ndarray
     nu_path: np.ndarray
     strategy_tag: str
-    clamp_events: int = 0
+    clamp_events: int
 
     def __post_init__(self):
         for name in ("times", "w_path", "z_path", "s_path", "u_path", "q_path", "x_path", "nu_path"):

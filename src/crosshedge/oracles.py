@@ -28,7 +28,7 @@ from .expansion import (
     expansion_nu_hat_strategy,
     expansion_value,
 )
-from .linear import _gauss_legendre
+from .linear import _gauss_legendre, h1, h2, optimal_speed_linear
 from .market import (
     Exposure,
     ModelParams,
@@ -100,11 +100,16 @@ class DenseOdeSolution:
         self.derivs = derivs
 
     def __call__(self, t) -> np.ndarray:
+        if self.t_grid.ndim != 1:
+            raise ValueError(
+                f"a batch solution (t_grid of shape {self.t_grid.shape}) has no dense output; "
+                "call DenseOdeSolution(t_grid[:, j], values[..., j], derivs[..., j]) for member j"
+            )
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
         tq = np.atleast_1d(t)
         lo, hi = self.t_grid[0], self.t_grid[-1]
-        outside = (tq < lo - 1e-12 * abs(hi)) | (tq > hi + 1e-12 * abs(hi))
+        outside = ~((tq >= lo - 1e-12 * abs(hi)) & (tq <= hi + 1e-12 * abs(hi)))
         if outside.any():
             raise ValueError(f"time {tq[outside][0]} outside the solution interval [{lo}, {hi}]")
         idx = np.clip(np.searchsorted(self.t_grid, tq, side="right") - 1, 0, len(self.t_grid) - 2)
@@ -231,7 +236,7 @@ class McEstimate:
     ce: float
     ce_std_error: float
     n_samples: int
-    clamp_events: int = 0
+    clamp_events: int
 
 
 def _worker_count(n_tasks: int) -> int:
@@ -244,11 +249,15 @@ def _worker_count(n_tasks: int) -> int:
     return max(1, min(cap, n_tasks))
 
 
-def _chunk_sizes(total: int, chunk: int) -> list[int]:
-    sizes = [chunk] * (total // chunk)
-    if total % chunk:
-        sizes.append(total % chunk)
-    return sizes
+def _run_chunks(task: Callable[[int, int], object], total: int, chunk: int) -> list:
+    """[task(i, size) for each chunk i of ``total`` paths], in chunk order:
+    chunks of ``chunk`` paths and a shorter last one, on _worker_count threads."""
+    sizes = [min(chunk, total - start) for start in range(0, total, chunk)]
+    workers = _worker_count(len(sizes))
+    if workers == 1:
+        return list(map(task, range(len(sizes)), sizes))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(task, range(len(sizes)), sizes))
 
 
 def simulate_ensemble(
@@ -291,60 +300,39 @@ def _mc_samples(
     antithetic: bool,
     chunk_paths: int,
 ) -> tuple[list[np.ndarray], list[int]]:
-    """Per-path terminal wealth per strategy under common random numbers,
-    and the number of clamped speeds per strategy.
+    """Terminal wealth per strategy under common random numbers, and the
+    number of clamped speeds per strategy.
 
     Chunk i of the paths runs on Philox substream (seed, i), so results
     depend on ``chunk_paths`` but not on the number of worker threads.
     Affine strategies are tabulated once here and shared by every chunk.
 
-    With antithetic sampling the first and second halves of each returned
-    array are mirrored pairs (layout preserved across chunk boundaries by
-    concatenating half-arrays separately).
+    Each wealth array is (members, samples): (2, pairs) with antithetic
+    sampling, base paths over their mirrors, and (1, paths) without.
     """
     unit, tables = _engine_inputs(params, strategies, initial, n_steps, n_paths, antithetic, chunk_paths)
-    chunk_unit = max(1, (chunk_paths // 2 if antithetic else chunk_paths))
-    sizes = _chunk_sizes(unit, chunk_unit)
+    rows = 2 if antithetic else 1
 
-    def task(args):
-        idx, nb = args
+    def task(idx, nb):
         runs = _euler_ensemble(params, exposure, strategies, initial, n_steps, seed, idx, nb, antithetic, tables=tables)
-        return [(run["wealth"], int(run["clamp_events"].sum())) for run in runs]
+        return [(run["wealth"].reshape(rows, -1), int(run["clamp_events"].sum())) for run in runs]
 
-    jobs = list(enumerate(sizes))
-    workers = _worker_count(len(jobs))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(task, jobs))
-    else:
-        results = [task(j) for j in jobs]
-
-    samples, clamps = [], []
-    for r in range(len(strategies)):
-        wealth = [res[r][0] for res in results]
-        if antithetic:
-            base = np.concatenate([w[: w.shape[0] // 2] for w in wealth])
-            mirror = np.concatenate([w[w.shape[0] // 2 :] for w in wealth])
-            samples.append(np.concatenate([base, mirror]))
-        else:
-            samples.append(np.concatenate(wealth))
-        clamps.append(sum(res[r][1] for res in results))
+    results = _run_chunks(task, unit, max(1, chunk_paths // rows))
+    samples = [np.concatenate([res[r][0] for res in results], axis=1) for r in range(len(strategies))]
+    clamps = [sum(res[r][1] for res in results) for r in range(len(strategies))]
     return samples, clamps
 
 
-def _mean_and_se(values: np.ndarray, antithetic: bool) -> tuple[float, float, int]:
-    """Mean over all paths; standard error from independent samples.
+def _mean_and_se(values: np.ndarray) -> tuple[float, float, int]:
+    """Mean over all paths of a (members, samples) array; standard error
+    from its independent samples, the member means of each column.
 
-    Antithetic halves are dependent, so the SE treats each mirrored pair's
+    Antithetic members are dependent, so the SE treats each mirrored pair's
     average as one sample; the mean itself is unchanged by the pairing.
     Fewer than two independent samples leave the SE undefined (NaN).
     """
     mean = float(np.mean(values))
-    if antithetic:
-        half = values.shape[0] // 2
-        indep = 0.5 * (values[:half] + values[half:])
-    else:
-        indep = values
+    indep = values.mean(axis=0)
     n = indep.shape[0]
     se = float(np.std(indep, ddof=1) / math.sqrt(n)) if n > 1 else math.nan
     return mean, se, n
@@ -352,19 +340,6 @@ def _mean_and_se(values: np.ndarray, antithetic: bool) -> tuple[float, float, in
 
 def _certainty_equivalent(mean_utility: float, gamma: float) -> float:
     return -math.log(-mean_utility) / gamma
-
-
-def _estimate_from_wealth(
-    wealth: np.ndarray, gamma: float, seed: int, antithetic: bool, clamp_events: int
-) -> McEstimate:
-    n_paths = wealth.shape[0]
-    if gamma > 0:
-        mean, se, n = _mean_and_se(utility_of(wealth, gamma), antithetic)
-        ce_se = se / (gamma * abs(mean))
-        ce = _certainty_equivalent(mean, gamma)
-        return McEstimate(mean, se, n_paths, seed, "utility", ce, ce_se, n, clamp_events)
-    mean, se, n = _mean_and_se(wealth, antithetic)
-    return McEstimate(mean, se, n_paths, seed, "wealth", mean, se, n, clamp_events)
 
 
 def mc_performance(
@@ -395,7 +370,12 @@ def mc_performance(
     (wealth,), (clamped,) = _mc_samples(
         params, exposure, [strategy], initial, n_paths, n_steps, seed, antithetic, chunk_paths
     )
-    return _estimate_from_wealth(wealth, g, seed, antithetic, clamped)
+    if g > 0:
+        mean, se, n = _mean_and_se(utility_of(wealth, g))
+        ce = _certainty_equivalent(mean, g)
+        return McEstimate(mean, se, wealth.size, seed, "utility", ce, se / (g * abs(mean)), n, clamped)
+    mean, se, n = _mean_and_se(wealth)
+    return McEstimate(mean, se, wealth.size, seed, "wealth", mean, se, n, clamped)
 
 
 @dataclass(frozen=True)
@@ -411,8 +391,8 @@ class StrategyGap:
     kind: str
     n_paths: int
     seed: int
-    clamp_events_a: int = 0
-    clamp_events_b: int = 0
+    clamp_events_a: int
+    clamp_events_b: int
 
 
 def mc_strategy_gap(
@@ -452,15 +432,15 @@ def mc_strategy_gap(
         util_b = utility_of(wealth_b, g)
         mean_a = float(np.mean(util_a))
         mean_b = float(np.mean(util_b))
-        mean_d, se_d, _ = _mean_and_se(util_a - util_b, antithetic)
+        mean_d, se_d, _ = _mean_and_se(util_a - util_b)
         ce_a = _certainty_equivalent(mean_a, g)
         ce_b = _certainty_equivalent(mean_b, g)
         gap = -math.log1p(mean_d / mean_b) / g
         gap_se = se_d / (g * abs(mean_b))
-        return StrategyGap(ce_a, ce_b, gap, gap_se, "utility", wealth_a.shape[0], seed, *clamps)
-    mean_d, se_d, _ = _mean_and_se(wealth_a - wealth_b, antithetic)
+        return StrategyGap(ce_a, ce_b, gap, gap_se, "utility", wealth_a.size, seed, *clamps)
+    mean_d, se_d, _ = _mean_and_se(wealth_a - wealth_b)
     ce_a, ce_b = float(np.mean(wealth_a)), float(np.mean(wealth_b))
-    return StrategyGap(ce_a, ce_b, mean_d, se_d, "wealth", wealth_a.shape[0], seed, *clamps)
+    return StrategyGap(ce_a, ce_b, mean_d, se_d, "wealth", wealth_a.size, seed, *clamps)
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +645,7 @@ def lambda0_monte_carlo(
     Plain independent sampling: the standard error must stay large relative
     to the time-discretization bias for a within-3-SE comparison to be fair.
     Chunk i of ``_LAMBDA0_CHUNK_PATHS`` paths draws from Philox substream
-    (seed, i).
+    (seed, i), so the result is bit-identical for any number of worker threads.
     """
     dt = (params.T - t) / n_steps
     times = t + dt * np.arange(n_steps + 1)
@@ -673,10 +653,9 @@ def lambda0_monte_carlo(
     trap_w = np.full(n_steps + 1, dt)
     trap_w[0] = trap_w[-1] = dt / 2.0
 
-    sizes = _chunk_sizes(n_paths, _LAMBDA0_CHUNK_PATHS)
-    chunks = []
     sqdt = math.sqrt(dt) * params.eta
-    for idx, nb in enumerate(sizes):
+
+    def task(idx, nb):
         rng = make_rng(seed, idx)
         integrals = np.zeros(nb)
         upaths = np.full(nb, float(u))
@@ -687,10 +666,9 @@ def lambda0_monte_carlo(
             integrals += trap_w[j] * f1_over_2k[j] * (lam1 * d + d)
             if j < n_steps:
                 upaths = upaths + params.beta * dt + sqdt * rng.standard_normal(nb)
-        chunks.append(integrals)
-    samples = np.concatenate(chunks)
-    mean = float(samples.mean())
-    se = float(samples.std(ddof=1) / math.sqrt(samples.shape[0]))
+        return integrals.reshape(1, -1)
+
+    mean, se, _ = _mean_and_se(np.concatenate(_run_chunks(task, n_paths, _LAMBDA0_CHUNK_PATHS), axis=1))
     return mean, se
 
 
@@ -708,10 +686,8 @@ def speed_argmax_on_grid(
     nu*(h1 + 2*h2*q) + b*q*nu + c*frak_n*nu - k*nu^2.
     Returns (grid winner, analytic optimum).
     """
-    from .linear import h1 as h1_fn, h2 as h2_fn, optimal_speed_linear
-
     grid = np.arange(_SPEED_GRID_LO, _SPEED_GRID_HI + _SPEED_GRID_STEP, _SPEED_GRID_STEP)
-    slope_term = h1_fn(params, frak_n, t) + 2.0 * h2_fn(params, t) * q
+    slope_term = h1(params, frak_n, t) + 2.0 * h2(params, t) * q
     objective = grid * (slope_term + params.b * q + params.c * frak_n) - params.k * grid * grid
     winner = float(grid[int(np.argmax(objective))])
     return winner, float(optimal_speed_linear(params, frak_n, t, q))

@@ -39,6 +39,7 @@ from .market import (
     constant_strategy,
     make_rng,
     simulate_path,
+    utility_of,
 )
 from .oracles import (
     DenseOdeSolution,
@@ -46,6 +47,8 @@ from .oracles import (
     _SPEED_GRID_LO,
     _SPEED_GRID_STEP,
     _expected_deltas,
+    _mc_samples,
+    _mean_and_se,
     default_probe_grid,
     hjb_residual_at,
     mc_performance,
@@ -471,20 +474,20 @@ def rk4_convergence_order() -> tuple[bool, dict, str]:
 def mc_se_scaling(seed: int = 31) -> tuple[bool, dict, str]:
     """Doubling the path count shrinks the standard error by about sqrt(2).
 
-    Each n-path run is the first chunk of its 2n-path run (same seed, chunks
-    of n paths), so the two standard errors share that chunk's noise and
-    their ratio varies far less than that of independent runs."""
+    Each rep simulates 2n paths in chunks of n; its n-path sample is the
+    first chunk (the first n columns), so the two standard errors share that
+    chunk's noise and their ratio varies far less than that of independent
+    runs."""
     reps, n_paths = 40, 1000
     strat = linear_optimal_strategy(FIG3, 1.0)
     initial = State(t=0.0, x=0.0, q=0.0, s=10.0, u=1.0)
     ratios = []
     for rep in range(reps):
-        a, b = (
-            mc_performance(FIG3, LinearExposure(1.0), strat, initial, n, 50, seed + 1000 * rep,
-                           antithetic=False, chunk_paths=n_paths, gamma=1.0)
-            for n in (n_paths, 2 * n_paths)
+        (wealth,), _ = _mc_samples(
+            FIG3, LinearExposure(1.0), [strat], initial, 2 * n_paths, 50, seed + 1000 * rep, False, n_paths
         )
-        ratios.append(a.std_error / b.std_error)
+        util = utility_of(wealth, 1.0)
+        ratios.append(_mean_and_se(util[:, :n_paths])[1] / _mean_and_se(util)[1])
     mean_ratio = float(np.mean(ratios))
     ok = 1.3 <= mean_ratio <= 1.5
     return ok, {"mean_ratio": mean_ratio, "reps": reps}, f"mean SE ratio = {mean_ratio:.3f} (window [1.3, 1.5])"

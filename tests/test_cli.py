@@ -391,9 +391,12 @@ class TestDefaultPresets:
         (["paths", "--set", "n_paths=0", "--gnuplot"], "n_paths"),
         (["sweep-theta", "--set", "n_paths=0"], "n_paths"),
         (["linear-path", "--set", "initial.t=0.5"], "initial.t"),
+        (["linear-path", "--set", "model.mu=NaN"], "model: mu must be finite"),
+        (["linear-path", "--set", "model.T=Infinity"], "model: T must be finite"),
+        (["paths", "--set", "initial.u=Infinity"], "initial: u must be finite"),
     ],
     ids=["missing-config", "directory-config", "undecodable-config", "start-at-horizon", "paths-no-paths",
-         "sweep-no-paths", "linear-path-late-start"],
+         "sweep-no-paths", "linear-path-late-start", "nan-model-field", "infinite-horizon", "infinite-initial-state"],
 )
 def test_bad_input_is_config_error(tmp_path, capsys, argv, field):
     # a config written in Latin-1, which is not valid UTF-8

@@ -353,6 +353,12 @@ class TestNuHat:
         base = (float(_f1(fig7, 0.3)) + (2 * float(_f2(fig7, 0.3)) + fig7.b) * (-0.7)) / (2 * fig7.k)
         assert got == base
 
+    def test_nan_time_rejected(self, fig7, call100):
+        curve = call_payoff_curve(fig7, call100)
+        sc = ExpansionScale.from_params(fig7, 0.5)
+        with pytest.raises(ValueError, match="time must lie in"):
+            nu_hat(fig7, curve, sc, math.nan, 0.0, 1.2)
+
     def test_terminal_reduces_to_cross_term(self, fig7, call100):
         curve = call_payoff_curve(fig7, call100)
         sc = ExpansionScale.from_params(fig7, 0.5)

@@ -55,6 +55,10 @@ class TestH2:
     def test_domain_error(self, fig1):
         with pytest.raises(ValueError):
             h2(fig1, fig1.T + 0.5)
+        # a NaN time fails the range test like any time outside [0, T]
+        for call in (lambda: h2(fig1, math.nan), lambda: h1(fig1, 1.0, [0.5, math.nan])):
+            with pytest.raises(ValueError, match="time must lie in"):
+                call()
 
     def test_finite_and_bounded(self, fig1):
         ts = np.linspace(0, fig1.T, 101)

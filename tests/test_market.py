@@ -41,9 +41,13 @@ class TestModelParams:
         with pytest.raises(ValueError, match="2\\*alpha - b"):
             params_with(alpha=0.05, b=0.2)
 
-    @pytest.mark.parametrize("field,value", [("k", 0.0), ("T", -1.0), ("rho", 1.0), ("b", -0.1), ("alpha", 0.0)])
+    @pytest.mark.parametrize(
+        "field,value",
+        [("k", 0.0), ("T", -1.0), ("rho", 1.0), ("b", -0.1), ("alpha", 0.0),
+         ("mu", math.nan), ("T", math.inf), ("c", -math.inf), ("gamma", math.nan)],
+    )
     def test_invalid_fields(self, field, value):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=rf"\b{field}\b"):
             params_with(**{field: value})
 
     def test_derived_constants(self):
@@ -55,6 +59,13 @@ class TestModelParams:
         assert d.phi_plus + d.phi_minus == pytest.approx(2 * d.omega)
         assert d.phi_minus - d.phi_plus == pytest.approx(p.b - 2 * p.alpha)
         assert d.zeta == pytest.approx(p.mu - p.gamma * p.rho * p.sigma * p.eta)
+
+
+@pytest.mark.parametrize("field,value", [("t", math.nan), ("x", math.inf), ("u", -math.inf), ("s", math.nan)])
+def test_state_rejects_non_finite(field, value):
+    fields = dict(t=0.0, x=0.0, q=0.0, s=10.0, u=1.0)
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        State(**{**fields, field: value})
 
 
 class TestSimulatePath:

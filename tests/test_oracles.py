@@ -28,7 +28,7 @@ from crosshedge import (
 )
 from crosshedge.expansion import _f1, _f2
 from crosshedge.market import SimulationError
-from crosshedge.oracles import Lambda2_ode_system, f1_ode_system, simulate_ensemble
+from crosshedge.oracles import Lambda2_ode_system, _mc_samples, f1_ode_system, lambda0_monte_carlo, simulate_ensemble
 from crosshedge.verify import (
     mc_se_scaling,
     rk4_convergence_order,
@@ -111,11 +111,17 @@ class TestRk4:
         with pytest.raises(SimulationError, match=f"^{re.escape(str(single.value))}$"):
             rk4_backward(spec(np.array([[0.25, 10.0]]), np.array([2.0, 1.5])))
 
+    def test_batch_solution_has_no_dense_output(self):
+        spec = OdeSystemSpec(rhs=lambda t, y: y, terminal_value=np.array([[1.0, 2.0]]), step_count=10,
+                             t_end=np.array([1.0, 0.5]))
+        with pytest.raises(ValueError, match=re.escape("DenseOdeSolution(t_grid[:, j], values[..., j], derivs[..., j])")):
+            rk4_backward(spec)(0.25)
+
     def test_dense_output_rejects_times_outside_grid(self):
         spec = OdeSystemSpec(rhs=lambda t, y: y, terminal_value=np.array([1.0]), step_count=100, t_end=1.0)
         sol = rk4_backward(spec)
-        for t in (-2.0, 1.5, [0.5, 1.5]):
-            with pytest.raises(ValueError, match=r"time (-2\.0|1\.5) outside the solution interval \[0\.0, 1\.0\]"):
+        for t in (-2.0, 1.5, [0.5, 1.5], math.nan, [0.5, math.nan]):
+            with pytest.raises(ValueError, match=r"time (-2\.0|1\.5|nan) outside the solution interval \[0\.0, 1\.0\]"):
                 sol(t)
         # the endpoints, and rounding of 1e-12 relative to t_end, are inside
         assert sol(1.0)[0] == 1.0 and sol(1.0 + 1e-13)[0] == pytest.approx(1.0)
@@ -154,18 +160,31 @@ class TestMcPerformance:
         with pytest.raises(ValueError, match="smaller gamma"):
             mc_performance(p, LinearExposure(0.0), constant_strategy(0.0), State(0, -800.0, 0, 10.0, 1.0), 8, 4, seed=3)
 
-    def test_determinism_across_thread_counts(self, fig1, monkeypatch):
-        # four chunks of 1000 paths, run by one worker and then by two
+    def test_determinism_across_thread_counts(self, fig1, call100, monkeypatch):
+        # four chunks of 1000 paths, and lambda0's chunks of 100,000 and
+        # 50,000 paths, run by one worker and then by two
         strat = linear_optimal_strategy(fig1, 1.0)
         pert = Strategy(tag="perturbed", rule=lambda t, q, u: strat.rule(t, q, u) + 0.1)
         init = State(0, 0, 0, 10.0, 5.0)
+        drift = replace(fig1, mu=0.1)
+        curve = call_payoff_curve(drift, call100)
         results = []
         for threads in ("1", "2"):
             monkeypatch.setenv("HEDGE_THREADS", threads)
             perf = mc_performance(fig1, LinearExposure(1.0), strat, init, 4000, 50, seed=9, chunk_paths=1000)
             gap = mc_strategy_gap(fig1, LinearExposure(1.0), strat, pert, init, 4000, 50, seed=9, chunk_paths=1000)
-            results.append((perf, gap))
+            lam0 = lambda0_monte_carlo(drift, curve, 0.0, 1.0, n_paths=150_000, n_steps=4, seed=9)
+            results.append((perf, gap, lam0))
         assert results[0] == results[1]
+
+    def test_pairing_survives_uneven_chunks(self):
+        # 151 pairs in chunks of 50 pairs and one; with no drift and no
+        # trading from S0 = U0 = 0, each mirror's wealth is its base's negative
+        p = ModelParams(mu=0.0, sigma=1.0, beta=0.0, eta=1.0, rho=0.3, b=0.0, c=0.0, k=1e-2, gamma=1.0, alpha=0.05, T=1.0)
+        (wealth,), _ = _mc_samples(p, LinearExposure(2.0), [constant_strategy(0.0)], State(0, 0, 0, 0.0, 0.0),
+                                   301, 20, 5, True, 100)
+        assert wealth.shape == (2, 151)
+        assert np.array_equal(wealth[1], -wealth[0]) and np.all(wealth[0] != 0.0)
 
     @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
     def test_malformed_hedge_threads_rejected(self, fig1, monkeypatch, value):
