@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
@@ -267,19 +268,25 @@ def resolve_config(doc: dict, experiment: str | None = None) -> ExperimentConfig
         raise ConfigError(f"initial: {err}") from err
     if initial.t >= model.T:
         raise ConfigError(f"initial.t: {initial.t} must lie before the horizon model.T = {model.T}")
+    theta, constant_speed = float(merged["theta"]), float(merged["constant_speed"])
+    thetas = [float(x) for x in merged["thetas"]]
+    for name, value in [("theta", theta), ("constant_speed", constant_speed),
+                        *((f"thetas.{i}", x) for i, x in enumerate(thetas))]:
+        if not math.isfinite(value):
+            raise ConfigError(f"{name}: must be finite, got {value}")
     return ExperimentConfig(
         experiment=merged["experiment"],
         model=model,
         exposure=exposure,
         strategy_tag=merged["strategy"],
-        theta=float(merged["theta"]),
+        theta=theta,
         n_paths=int(merged["n_paths"]),
         n_steps=int(merged["n_steps"]),
         seed=int(merged["seed"]),
         initial=initial,
-        thetas=[float(x) for x in merged["thetas"]],
+        thetas=thetas,
         output_dir=str(merged["output_dir"]),
-        constant_speed=float(merged["constant_speed"]),
+        constant_speed=constant_speed,
         raw=merged,
     )
 

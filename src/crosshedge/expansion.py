@@ -42,7 +42,7 @@ import numpy as np
 from .bachelier import AuxiliaryProcessLaw, PayoffCurve, _hermite_expectation
 from .linear import _cross_gain_limit, _drift_gain_limit, _gauss_legendre, _h2_limit
 from .linear import _optimal_speed_coeffs, _tau_integral
-from .market import Affine, ModelParams, Strategy, _affine_speed, _check_time
+from .market import Affine, ModelParams, Strategy, _affine_speed, _check_finite, _check_time
 
 __all__ = [
     "ExpansionScale",
@@ -74,6 +74,7 @@ class ExpansionScale:
     effective_gamma: float
 
     def __post_init__(self):
+        _check_finite(self)
         if not self.theta >= 0:
             raise ValueError(f"theta must be nonnegative, got {self.theta}")
 

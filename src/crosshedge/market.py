@@ -161,6 +161,9 @@ class LinearExposure:
 
     frak_n: float
 
+    def __post_init__(self):
+        _check_finite(self)
+
 
 @dataclass(frozen=True)
 class BachelierCallExposure:
@@ -175,6 +178,7 @@ class BachelierCallExposure:
     dt_offset: float = 1e-5
 
     def __post_init__(self):
+        _check_finite(self)
         if not self.dt_offset > 0:
             raise ValueError("dt_offset must be positive (smooth-payoff regularization)")
 

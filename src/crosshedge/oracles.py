@@ -82,9 +82,11 @@ _NESTED_TIME_NODES = 48
 @dataclass(frozen=True)
 class OdeSystemSpec:
     """Terminal-value ODE system y' = rhs(t, y), y(t_end) = terminal_value,
-    solved on [0, t_end]; a (dim, *batch) state has a t_end per member."""
+    solved on [0, t_end]; a (dim, *batch) state has a t_end per member.  A
+    one-equation system (terminal value of shape (1,), scalar t_end) is
+    stepped on Python floats: its rhs receives a float y and returns a float."""
 
-    rhs: Callable[[float, np.ndarray], np.ndarray]
+    rhs: Callable[[float, np.ndarray | float], np.ndarray | float]
     terminal_value: np.ndarray
     step_count: int
     t_end: float | np.ndarray
@@ -133,31 +135,38 @@ def rk4_backward(spec: OdeSystemSpec) -> DenseOdeSolution:
 
     A batch state (dim, *batch) steps each member on its own grid: t_grid is
     (n + 1, *batch), values/derivs (n + 1, dim, *batch), and a member's dense
-    output is the DenseOdeSolution of its slices.  Finiteness is checked once,
-    after the sweep; the error names the first non-finite grid time.
+    output is the DenseOdeSolution of its slices.  A one-equation system
+    steps its state on Python floats (rhs gets and returns a float) and stores
+    it as (n + 1, 1), like any other.  Finiteness is checked once, after the
+    sweep; the error names the first non-finite grid time.
     """
     n = spec.step_count
     if n < 1:
         raise ValueError("step_count must be >= 1")
-    h = -spec.t_end / n
+    t_end = spec.t_end
+    if not np.all(np.isfinite(t_end) & (t_end > 0)):
+        raise ValueError(f"t_end must be finite and > 0 for every member, got {t_end}")
+    h = -t_end / n
     half, sixth = h / 2, h / 6
-    ts = spec.t_end + np.multiply.outer(np.arange(n + 1), h)
+    ts = t_end + np.multiply.outer(np.arange(n + 1), h)
     tl = ts.tolist() if ts.ndim == 1 else ts  # one system steps on Python floats
     rhs = spec.rhs
     y = np.array(spec.terminal_value, dtype=float)
     ys = np.empty((n + 1, *y.shape))
     fs = np.empty_like(ys)
+    if y.shape == (1,) and ts.ndim == 1:
+        y = float(y[0])
     ys[0] = y
-    fs[0] = rhs(tl[0], y)
+    f = fs[0] = rhs(tl[0], y)
     for i in range(n):
         t = tl[i]
-        k1 = fs[i]
+        k1 = f
         k2 = rhs(t + half, y + half * k1)
         k3 = rhs(t + half, y + half * k2)
         k4 = rhs(t + h, y + h * k3)
         y = y + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
         ys[i + 1] = y
-        fs[i + 1] = rhs(tl[i + 1], y)
+        f = fs[i + 1] = rhs(tl[i + 1], y)
     bad = np.argwhere(~np.isfinite(ys).all(axis=1))
     if bad.size:
         raise SimulationError(f"ODE state became non-finite near t={ts[tuple(bad[0])]:.6g}")
@@ -194,7 +203,7 @@ def riccati_h_system(
 def _drift_gain_system(params: ModelParams, forcing: float, gain: float, step_count: int) -> OdeSystemSpec:
     """y' = forcing - (2*f2(t) + b)*y/gain, y(T) = 0: the f1 and Lambda2 systems."""
     return OdeSystemSpec(
-        rhs=lambda t, y: np.array([forcing - (2.0 * _f2(params, t) + params.b) * float(y[0]) / gain]),
+        rhs=lambda t, y: forcing - (2.0 * _f2(params, t) + params.b) * y / gain,
         terminal_value=np.array([0.0]), step_count=step_count, t_end=params.T,
     )
 

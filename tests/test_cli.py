@@ -394,9 +394,17 @@ class TestDefaultPresets:
         (["linear-path", "--set", "model.mu=NaN"], "model: mu must be finite"),
         (["linear-path", "--set", "model.T=Infinity"], "model: T must be finite"),
         (["paths", "--set", "initial.u=Infinity"], "initial: u must be finite"),
+        (["paths", "--set", "preset=fig7", "--set", "theta=Infinity"], "theta: must be finite"),
+        (["paths", "--set", "preset=fig7", "--set", "exposure.strike=NaN"], "exposure: strike must be finite"),
+        (["paths", "--set", "preset=fig7", "--set", "exposure.n_options=Infinity"], "exposure: n_options must be finite"),
+        (["paths", "--set", "preset=fig7", "--set", "strategy=constant", "--set", "constant_speed=NaN"],
+         "constant_speed: must be finite"),
+        (["sweep-theta", "--set", "preset=fig7", "--set", "n_paths=4", "--set", "n_steps=4",
+          "--set", "thetas=[0.2, NaN]"], "thetas.1: must be finite"),
     ],
     ids=["missing-config", "directory-config", "undecodable-config", "start-at-horizon", "paths-no-paths",
-         "sweep-no-paths", "linear-path-late-start", "nan-model-field", "infinite-horizon", "infinite-initial-state"],
+         "sweep-no-paths", "linear-path-late-start", "nan-model-field", "infinite-horizon", "infinite-initial-state",
+         "infinite-theta", "nan-strike", "infinite-option-count", "nan-constant-speed", "nan-sweep-theta"],
 )
 def test_bad_input_is_config_error(tmp_path, capsys, argv, field):
     # a config written in Latin-1, which is not valid UTF-8

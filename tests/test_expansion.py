@@ -585,3 +585,10 @@ class TestScale:
     def test_negative_theta_rejected(self, fig7):
         with pytest.raises(ValueError):
             ExpansionScale.from_params(fig7, -0.1)
+
+    @pytest.mark.parametrize("field", ["theta", "effective_c", "effective_gamma"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_field_rejected(self, field, value):
+        fields = dict(theta=0.1, effective_c=1e-4, effective_gamma=2e-4)
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ExpansionScale(**{**fields, field: value})

@@ -68,6 +68,18 @@ def test_state_rejects_non_finite(field, value):
         State(**{**fields, field: value})
 
 
+@pytest.mark.parametrize("make, field", [
+    (lambda v: LinearExposure(frak_n=v), "frak_n"),
+    (lambda v: BachelierCallExposure(n_options=v, strike=1.0), "n_options"),
+    (lambda v: BachelierCallExposure(n_options=100.0, strike=v), "strike"),
+    (lambda v: BachelierCallExposure(n_options=100.0, strike=1.0, dt_offset=v), "dt_offset"),
+], ids=["frak_n", "n_options", "strike", "dt_offset"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_exposure_rejects_non_finite(make, field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        make(value)
+
+
 class TestSimulatePath:
     def test_drift_only_no_trading(self):
         p = params_with(mu=0.1, sigma=0.0, eta=0.0, beta=0.3)

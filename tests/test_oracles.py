@@ -99,6 +99,38 @@ class TestRk4:
             -0.05924479166656971, -0.03143021914613884, 0.0,
         ]
 
+    @pytest.mark.parametrize("make", [f1_ode_system, Lambda2_ode_system])
+    def test_one_equation_float_lane_equals_one_member_batch(self, fig7, make):
+        # an unbatched one-equation system steps on Python floats; a one-member
+        # batch of the same rhs steps on arrays, and both give the same bits
+        params = replace(fig7, mu=0.1, beta=0.05)
+        one = make(params, 2_500)
+        batch = rk4_backward(replace(one, terminal_value=np.array([[0.0]]), t_end=np.array([params.T])))
+        sol = rk4_backward(one)
+        assert sol.values.shape == (2_501, 1) and batch.values.shape == (2_501, 1, 1)
+        assert np.array_equal(sol.t_grid, batch.t_grid[:, 0])
+        assert np.array_equal(sol.values, batch.values[..., 0])
+        assert np.array_equal(sol.derivs, batch.derivs[..., 0])
+
+    def test_one_equation_rhs_gets_float(self):
+        seen = set()
+
+        def rhs(t, y):
+            seen.add(type(y))
+            return -y
+
+        sol = rk4_backward(OdeSystemSpec(rhs=rhs, terminal_value=np.array([1.0]), step_count=20, t_end=1.0))
+        assert seen == {float} and sol.values.shape == (21, 1)
+
+    @pytest.mark.parametrize("terminal, t_end", [
+        (np.array([1.0]), 0.0), (np.array([1.0]), -1.0), (np.array([1.0]), math.nan), (np.array([1.0]), math.inf),
+        (np.array([[1.0, 2.0]]), np.array([1.0, 0.0])),
+    ], ids=["zero", "negative", "nan", "inf", "batch-member-zero"])
+    def test_t_end_must_be_finite_and_positive(self, terminal, t_end):
+        spec = OdeSystemSpec(rhs=lambda t, y: y, terminal_value=terminal, step_count=10, t_end=t_end)
+        with pytest.raises(ValueError, match=r"^t_end must be finite and > 0"):
+            rk4_backward(spec)
+
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_batch_blowup_names_member_time(self):
         # member 0 stays finite (x = 1/(t + 2)); member 1 explodes backward
