@@ -8,6 +8,13 @@ the role of an option delta and is a martingale along U~.
 Calls admit the exact normal-model formulas; generic smooth payoffs are
 integrated against the Gaussian transition density with Gauss-Hermite
 quadrature.
+
+The call formulas need scipy.special's ``ndtr`` and ``owens_t``, and nothing
+else in the package does.  Loading scipy.special takes about half of a fresh
+process's start-up, so it is loaded once, at the first call priced
+(``call_value``, ``call_delta``, the closed-form E[delta^2]) or when
+``call_payoff_curve`` builds a call curve.  Importing the package, and all
+linear-exposure work, load no scipy at all.
 """
 
 from __future__ import annotations
@@ -19,7 +26,6 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
-from scipy.special import ndtr, owens_t
 
 from .market import BachelierCallExposure, CustomSmoothExposure, Exposure, LinearExposure, ModelParams
 
@@ -90,6 +96,27 @@ class PayoffCurve:
     delta_sq_expectation: Callable[[float, float, np.ndarray], np.ndarray] | None = None
 
 
+def _load_special() -> None:
+    """Bind scipy.special's ndtr and owens_t in place of the stubs below.
+
+    After the first call both names are the ufuncs themselves, so pricing pays
+    no per-call import.  Concurrent first calls are safe: the import system
+    serialises the import and every thread binds the same objects.
+    """
+    global ndtr, owens_t
+    from scipy.special import ndtr, owens_t
+
+
+def ndtr(x):  # replaced by scipy.special.ndtr at first use
+    _load_special()
+    return ndtr(x)
+
+
+def owens_t(h, a):  # replaced by scipy.special.owens_t at first use
+    _load_special()
+    return owens_t(h, a)
+
+
 def _norm_pdf(z):
     return np.exp(-0.5 * np.asarray(z, dtype=float) ** 2) / math.sqrt(2.0 * math.pi)
 
@@ -148,7 +175,11 @@ def _call_delta_sq_expectation(params: ModelParams, exposure: BachelierCallExpos
 
 
 def call_payoff_curve(params: ModelParams, exposure: BachelierCallExposure) -> PayoffCurve:
-    """Closed-form payoff curve for a regularized call on the factor."""
+    """Closed-form payoff curve for a regularized call on the factor.
+
+    Loads scipy.special here, so that pricing along the curve never does.
+    """
+    _load_special()
     return PayoffCurve(
         g=lambda t, u: call_value(params, exposure, t, u),
         delta=lambda t, u: call_delta(params, exposure, t, u),

@@ -348,6 +348,9 @@ def _mean_and_se(values: np.ndarray) -> tuple[float, float, int]:
 
 
 def _certainty_equivalent(mean_utility: float, gamma: float) -> float:
+    """-ln(-mean)/gamma; a mean utility that underflowed to zero raises ValueError."""
+    if mean_utility == 0.0:
+        raise ValueError("mean exponential utility underflowed to zero; use a smaller gamma or normalize wealth")
     return -math.log(-mean_utility) / gamma
 
 
@@ -443,6 +446,7 @@ def mc_strategy_gap(
         mean_b = float(np.mean(util_b))
         mean_d, se_d, _ = _mean_and_se(util_a - util_b)
         ce_a = _certainty_equivalent(mean_a, g)
+        # raises before the gap divides by a mean_b that underflowed to zero
         ce_b = _certainty_equivalent(mean_b, g)
         gap = -math.log1p(mean_d / mean_b) / g
         gap_se = se_d / (g * abs(mean_b))
@@ -570,9 +574,10 @@ def theta_sweep(
     strategies at each theta, under common random numbers.
 
     Each row reports the CEs, the gap with its standard error, gap/theta^2,
-    and whether the gap is noise-bounded (|gap| <= 3*SE, or an undefined SE
-    from a single antithetic pair).  theta = 0 rows compare identical
-    strategies and the gap is exactly zero.
+    whether the gap is noise-bounded (|gap| <= 3*SE, or an undefined SE
+    from a single antithetic pair), and each strategy's clamped speeds over
+    all paths.  theta = 0 rows compare identical strategies and the gap is
+    exactly zero.
     """
     if any(th < 0 for th in thetas):
         raise ValueError("thetas must be nonnegative")
@@ -605,6 +610,8 @@ def theta_sweep(
                 "gap_over_theta2": res.gap / theta**2 if theta > 0 else None,
                 "noise_bounded": not abs(res.gap) > 3.0 * res.gap_se,
                 "kind": res.kind,
+                "clamp_events_nu_hat": res.clamp_events_a,
+                "clamp_events_nu_prime": res.clamp_events_b,
             }
         )
     return rows

@@ -242,7 +242,7 @@ def value_function_mc(seed: int = 11, n_paths: int = 30_000, n_steps: int = 1000
     z = (est.ce - closed) / est.ce_std_error
     return (
         abs(z) < 3.0,
-        {"ce_mc": est.ce, "ce_closed": closed, "z": z, "se": est.ce_std_error},
+        {"ce_mc": est.ce, "ce_closed": closed, "z": z, "se": est.ce_std_error, "clamp_events": est.clamp_events},
         f"CE_mc = {est.ce:.5f}, closed = {closed:.5f}, z = {z:+.2f}",
     )
 
@@ -385,6 +385,9 @@ def strategy_gap_order(
     rows = theta_sweep(FIG7, CALL_100, (0.2, 0.1), n_paths, seed, n_steps=n_steps, initial=initial)
     (g02, s02), (g01, s01) = ((r["gap"], r["gap_se"]) for r in rows)
     measured = {"gap_0.2": g02, "se_0.2": s02, "gap_0.1": g01, "se_0.1": s01}
+    for r in rows:
+        for tag in ("nu_hat", "nu_prime"):
+            measured[f"clamp_events_{tag}_{r['theta']}"] = r[f"clamp_events_{tag}"]
     if any(r["noise_bounded"] for r in rows):
         return True, {**measured, "outcome": "noise-bounded"}, (
             f"noise-bounded: gap(0.2) = {g02:.2e} (3se {3 * s02:.2e}), "

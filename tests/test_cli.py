@@ -351,6 +351,13 @@ def test_sweep_theta_of_one_pair_reports_undefined_se(tmp_path):
     )
 
 
+def test_sweep_theta_columns_leave_out_clamp_counts(tmp_path):
+    # theta_sweep rows carry clamp counts; the CSV keeps its columns
+    assert main(["sweep-theta", "--set", "n_paths=4", "--set", "n_steps=10", "--out", str(tmp_path)]) == 0
+    header = (tmp_path / "sweep_theta.csv").read_text().split("\n")[0]
+    assert header == "theta,ce_nu_hat,ce_nu_prime,gap,gap_se,gap_over_theta2,noise_bounded,kind"
+
+
 @pytest.mark.parametrize("tag", load_schema("config.schema.json")["properties"]["strategy"]["enum"])
 def test_every_schema_strategy_tag_builds(tag):
     preset = "fig1_right" if tag == "linear-optimal" else "fig7"

@@ -26,12 +26,15 @@ from crosshedge import (
     riccati_h_system,
     theta_sweep,
 )
+from crosshedge.config import PRESETS, _build_exposure
 from crosshedge.expansion import _f1, _f2
 from crosshedge.market import SimulationError
 from crosshedge.oracles import Lambda2_ode_system, _mc_samples, f1_ode_system, lambda0_monte_carlo, simulate_ensemble
 from crosshedge.verify import (
     mc_se_scaling,
     rk4_convergence_order,
+    strategy_gap_order,
+    value_function_mc,
 )
 
 
@@ -192,6 +195,19 @@ class TestMcPerformance:
         with pytest.raises(ValueError, match="smaller gamma"):
             mc_performance(p, LinearExposure(0.0), constant_strategy(0.0), State(0, -800.0, 0, 10.0, 1.0), 8, 4, seed=3)
 
+    def test_underflow_raises(self, fig1_left):
+        # initial cash 760 drives every utility, and so their mean, to -0.0
+        strat = linear_optimal_strategy(fig1_left, 1.0)
+        init = State(0, 760.0, 0, 10.0, 1.0)
+        with pytest.raises(ValueError, match="underflowed to zero; use a smaller gamma"):
+            mc_performance(fig1_left, LinearExposure(1.0), strat, init, 2000, 50, seed=1)
+
+    def test_gap_underflow_raises(self, fig1_left):
+        strat = linear_optimal_strategy(fig1_left, 1.0)
+        init = State(0, 760.0, 0, 10.0, 1.0)
+        with pytest.raises(ValueError, match="underflowed to zero; use a smaller gamma"):
+            mc_strategy_gap(fig1_left, LinearExposure(1.0), strat, constant_strategy(0.0), init, 2000, 50, seed=1)
+
     def test_determinism_across_thread_counts(self, fig1, call100, monkeypatch):
         # four chunks of 1000 paths, and lambda0's chunks of 100,000 and
         # 50,000 paths, run by one worker and then by two
@@ -324,6 +340,24 @@ class TestThetaSweep:
     def test_rejects_negative(self, fig7):
         with pytest.raises(ValueError):
             theta_sweep(fig7, LinearExposure(1.0), [-0.1], 100, seed=1, n_steps=10)
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_rows_carry_zero_clamp_counts_on_presets(self, preset):
+        doc = PRESETS[preset]
+        model, exposure = ModelParams(**doc["model"]), _build_exposure(doc["exposure"])
+        initial = State(t=0.0, **doc["initial"])
+        rows = theta_sweep(model, exposure, [0.2, 0.0], 400, seed=1, n_steps=50, initial=initial)
+        for row in rows:
+            assert (row["clamp_events_nu_hat"], row["clamp_events_nu_prime"]) == (0, 0)
+
+    def test_verify_checks_report_zero_clamp_counts(self):
+        _, measured, _ = value_function_mc(seed=11, n_paths=2000, n_steps=100)
+        assert measured["clamp_events"] == 0
+        _, measured, _ = strategy_gap_order(seed=23, n_paths=2000, n_steps=50)
+        clamps = {k: v for k, v in measured.items() if k.startswith("clamp_events_")}
+        assert sorted(clamps) == [f"clamp_events_{tag}_{theta}" for tag in ("nu_hat", "nu_prime")
+                                  for theta in (0.1, 0.2)]
+        assert set(clamps.values()) == {0}
 
 
 class TestEnsemble:
