@@ -364,7 +364,7 @@ def _clamp_speeds(
     strategy: Strategy, nu: np.ndarray, step: int, t: float, state: dict[str, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Speeds clamped to [-DEFAULT_SPEED_CLAMP, DEFAULT_SPEED_CLAMP] and the
-    per-path clamp mask.
+    clamp mask, both in the shape of ``nu``.
 
     A non-finite speed raises SimulationError naming the step and the state
     of the first offending path.
@@ -456,6 +456,14 @@ def _euler_ensemble(
     ``tables`` (from ``_engine_inputs``); an opaque one calls its rule.  A
     step allocates nothing beyond what a rule or delta call returns.
 
+    An affine strategy with w == 0 on every row (the linear optimum, a
+    constant speed) never reads delta and every path starts at initial.q, so
+    its inventory, speed, nu*dt and clamp test are held once per step as
+    one-element arrays that broadcast against the path arrays.  Every output
+    is bit-identical to the per-path evaluation: each product keeps its
+    order, e.g. ((S + k*nu)*nu)*dt, and IEEE addition commutes.  Opaque rules
+    and strategies with a nonzero delta weight keep per-path inventory.
+
     Returns one dict per strategy: the time grid ``times``, terminal arrays
     q_T, u_T, s_T, x_T and ``wealth``, per-path ``clamp_events`` counts, and
     for each name in ``record`` (a sequence of RECORDABLE names) its
@@ -475,9 +483,20 @@ def _euler_ensemble(
     n = 2 * n_base if antithetic else n_base
     tracked = [name for name in ("s", "u", "q", "x", "w", "z") if name in record]
 
+    # per strategy, the buffers (nu, nu*dt, scratch) of its speed: one
+    # element for a delta-free affine strategy (see above), else path-sized
+    tmp = np.empty(n)
+    lanes, path_lane = [], None
+    for table in tables:
+        if table is not None and all(w == 0.0 for _, w, _ in table):
+            lanes.append((np.empty(1), np.empty(1), np.empty(1)))
+        else:
+            path_lane = path_lane or (np.empty(n), np.empty(n), tmp)
+            lanes.append(path_lane)
     runs = []
-    for _ in strategies:
-        state = {name: np.full(n, float(getattr(initial, name))) for name in ("s", "u", "q", "x")}
+    for lane in lanes:
+        state = {name: np.full(n, float(getattr(initial, name))) for name in ("s", "u", "x")}
+        state["q"] = np.full(lane[0].size, float(initial.q))
         state.update((name, np.zeros(n)) for name in ("w", "z") if name in record)
         rec = {name: np.empty((n_steps if name == "nu" else n_steps + 1, n)) for name in record}
         for name in tracked:
@@ -496,7 +515,6 @@ def _euler_ensemble(
         name: (np.empty(n), *spec) for name, spec in shocks.items() if name in ("s", "u") or name in record
     }
     xi = np.empty((2, n_base))
-    nu, nudt, tmp = np.empty(n), np.empty(n), np.empty(n)
     base, mirror = slice(0, n_base), slice(n_base, n)
 
     for i, t in enumerate(times):
@@ -512,7 +530,7 @@ def _euler_ensemble(
                 np.subtract(drift, buf[base], out=buf[mirror])
             if drift:
                 buf[base] += drift
-        for strategy, table, (st, rec, clamped) in zip(strategies, tables, runs):
+        for strategy, table, (nu, nudt, kv), (st, rec, clamped) in zip(strategies, tables, lanes, runs):
             q = st["q"]
             if table is None:
                 v = np.asarray(strategy.rule(t, q, st["u"]), dtype=float)
@@ -536,16 +554,16 @@ def _euler_ensemble(
             if "nu" in rec:
                 rec["nu"][i] = v
             # cash keeps the order ((S + k*nu)*nu)*dt of its bookkeeping identity
-            np.multiply(v, k, out=tmp)
-            tmp += st["s"]
+            np.multiply(v, k, out=kv)
+            np.add(st["s"], kv, out=tmp)
             tmp *= v
             tmp *= dt
             st["x"] -= tmp
             np.multiply(v, dt, out=nudt)
             q += nudt
             for name, impact in (("s", b_imp), ("u", c_imp)):
-                np.multiply(nudt, impact, out=tmp)
-                tmp += shocks[name][0]
+                np.multiply(nudt, impact, out=kv)
+                np.add(shocks[name][0], kv, out=tmp)
                 st[name] += tmp
             for name in ("w", "z"):
                 if name in shocks:
@@ -553,6 +571,9 @@ def _euler_ensemble(
             for name in tracked:
                 rec[name][i + 1] = st[name]
 
+    for st, _, _ in runs:
+        if st["q"].size < n:
+            st["q"] = np.full(n, st["q"][0])
     grid = initial.t + dt * np.arange(n_steps + 1)
     return [
         {

@@ -250,11 +250,17 @@ class McEstimate:
 
 def _worker_count(n_tasks: int) -> int:
     """Worker threads for n_tasks chunks: HEDGE_THREADS (a positive integer)
-    caps them; unset or empty means os.cpu_count()."""
+    caps them; unset or empty means one per CPU this process may run on
+    (os.sched_getaffinity where the platform has it, else os.cpu_count())."""
     env = os.environ.get("HEDGE_THREADS", "")
     if env and not (env.isdecimal() and int(env) >= 1):
         raise ValueError(f"HEDGE_THREADS must be a positive integer, got {env!r}")
-    cap = int(env) if env else (os.cpu_count() or 1)
+    if env:
+        cap = int(env)
+    elif hasattr(os, "sched_getaffinity"):
+        cap = len(os.sched_getaffinity(0))
+    else:
+        cap = os.cpu_count() or 1
     return max(1, min(cap, n_tasks))
 
 

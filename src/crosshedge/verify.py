@@ -572,7 +572,7 @@ def market_conservation(seed: int = 53) -> tuple[bool, dict, str]:
 
     params = ModelParams(mu=0.0, sigma=0.7, beta=0.1, eta=1.0, rho=0.4, b=0.0, c=0.3, k=1e-2, gamma=0.0, alpha=0.05, T=1.0)
     n = 256
-    round_trip = Strategy(tag="round-trip", rule=lambda t, q_, u_: np.where(t < params.T / 2, 1.0, -1.0) + 0.0 * q_)
+    round_trip = Strategy(tag="round-trip", coeffs=lambda t: (1.0 if t < params.T / 2 else -1.0, 0.0, 0.0))
     rb = simulate_path(params, LinearExposure(0.0), round_trip, State(0.0, 0.0, 0.0, 10.0, 1.0), n, seed)
     net_q = rb.q_path[-1] - rb.q_path[0]
     resid = rb.u_path[-1] - rb.u_path[0] - params.eta * rb.z_path[-1] - params.beta * params.T - params.c * net_q

@@ -1,6 +1,8 @@
 """The Euler engine's tabulated path for affine strategies against the
 per-step rule path: every shipped strategy must give the same bits both ways."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from crosshedge import (
     risk_neutral_cross_impact_strategy,
     simulate_path,
 )
+from crosshedge.market import DEFAULT_SPEED_CLAMP, SimulationError, _step_times
 from crosshedge.oracles import simulate_ensemble
 
 NAMES = ("w", "z", "s", "u", "q", "x", "nu")
@@ -176,3 +179,65 @@ def test_estimators_report_simulated_path_count(fig7, call100, shipped, antithet
                           antithetic=antithetic)
     assert perf.n_paths == gap.n_paths == simulated
     assert perf.n_samples == (simulated // 2 if antithetic else simulated)
+
+
+class TestDeltaFreeInventoryOncePerStep:
+    """A strategy with w == 0 on every step holds one inventory for all paths;
+    every output must still equal its opaque twin's per-path run."""
+
+    @staticmethod
+    def bursting(params) -> Strategy:
+        # a beyond the clamp on the first quarter of the horizon only
+        def coeffs(t):
+            return (2.0 * DEFAULT_SPEED_CLAMP if t < params.T / 4 else 0.3, 0.0, -0.2)
+
+        return Strategy(tag="burst", coeffs=coeffs)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("antithetic", [True, False])
+    def test_clamped_affine_matches_opaque_twin(self, fig7, call100, shipped, monkeypatch, threads, antithetic):
+        monkeypatch.setenv("HEDGE_THREADS", threads)
+        s = self.bursting(fig7)
+        tab, rule = (
+            simulate_ensemble(fig7, call100, x, INIT, N_PATHS, N_STEPS, 6, record=NAMES, antithetic=antithetic)
+            for x in (s, opaque(s))
+        )
+        assert 0 < tab["clamp_events"] < tab["nu"].size
+        assert tab["clamp_events"] == rule["clamp_events"]
+        for key in ("q", "nu", "x", "q_T", "wealth"):
+            assert same_bits(tab[key], rule[key]), key
+        kw = dict(antithetic=antithetic, chunk_paths=CHUNK, gamma=0.0)
+        perf = [mc_performance(fig7, call100, x, INIT, N_PATHS, N_STEPS, 5, **kw) for x in (s, opaque(s))]
+        ref = shipped["nu_prime"]
+        gap = [mc_strategy_gap(fig7, call100, x, y, INIT, N_PATHS, N_STEPS, 5, **kw)
+               for x, y in ((s, ref), (opaque(s), opaque(ref)))]
+        assert perf[0].clamp_events > 0
+        assert repr(perf[0]) == repr(perf[1])
+        assert repr(gap[0]) == repr(gap[1])
+
+    @pytest.mark.parametrize("front_end", ["simulate_ensemble", "mc_performance"])
+    def test_nan_coefficient_message_matches_opaque_twin(self, fig7, call100, front_end):
+        bad_t = _step_times(fig7, INIT, N_STEPS)[7]
+        s = Strategy(tag="nan-step", coeffs=lambda t: (math.nan if t == bad_t else 0.1, 0.0, 0.5))
+        messages = []
+        for x in (s, opaque(s)):
+            with pytest.raises(SimulationError, match=r"'nan-step'.*step 7 .*path 0\)") as err:
+                if front_end == "simulate_ensemble":
+                    simulate_ensemble(fig7, call100, x, INIT, N_PATHS, N_STEPS, 6)
+                else:
+                    mc_performance(fig7, call100, x, INIT, N_PATHS, N_STEPS, 5, chunk_paths=CHUNK)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("antithetic", [True, False])
+    @pytest.mark.parametrize("name", ["linear-optimal", "constant"])
+    def test_series_keep_path_shapes(self, fig7, call100, shipped, name, antithetic):
+        ens = simulate_ensemble(fig7, call100, shipped[name], INIT, N_PATHS, N_STEPS, 6, record=("q", "nu"),
+                                antithetic=antithetic)
+        n = N_PATHS + 1 if antithetic else N_PATHS
+        assert ens["q"].shape == (N_STEPS + 1, n) and ens["nu"].shape == (N_STEPS, n)
+        for key in ("q", "nu"):
+            assert np.all(ens[key] == ens[key][:, :1]), key
+        q_t = ens["q_T"]
+        assert q_t.shape == (n,) and q_t.dtype == np.float64 and q_t.flags.writeable
+        assert np.all(q_t == ens["q"][-1])

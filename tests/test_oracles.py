@@ -1,4 +1,5 @@
 import math
+import os
 import re
 from dataclasses import replace
 from functools import partial
@@ -29,7 +30,14 @@ from crosshedge import (
 from crosshedge.config import PRESETS, _build_exposure
 from crosshedge.expansion import _f1, _f2
 from crosshedge.market import SimulationError
-from crosshedge.oracles import Lambda2_ode_system, _mc_samples, f1_ode_system, lambda0_monte_carlo, simulate_ensemble
+from crosshedge.oracles import (
+    Lambda2_ode_system,
+    _mc_samples,
+    _worker_count,
+    f1_ode_system,
+    lambda0_monte_carlo,
+    simulate_ensemble,
+)
 from crosshedge.verify import (
     mc_se_scaling,
     rk4_convergence_order,
@@ -239,6 +247,25 @@ class TestMcPerformance:
         monkeypatch.setenv("HEDGE_THREADS", value)
         with pytest.raises(ValueError, match=f"HEDGE_THREADS.*'{value}'"):
             mc_performance(fig1, LinearExposure(1.0), constant_strategy(0.0), State(0, 0, 0, 10.0, 5.0), 8, 4, seed=1)
+
+    def test_unset_threads_follow_affinity_mask(self, monkeypatch):
+        # a process pinned to fewer cores than the machine has runs one
+        # worker per core it may use, not per machine core
+        monkeypatch.delenv("HEDGE_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        assert _worker_count(5) == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert (_worker_count(5), _worker_count(2)) == (3, 2)
+        monkeypatch.setenv("HEDGE_THREADS", "4")
+        assert _worker_count(5) == 4
+
+    @pytest.mark.parametrize("cpus, workers", [(3, 3), (None, 1)])
+    def test_unset_threads_without_affinity_use_cpu_count(self, monkeypatch, cpus, workers):
+        monkeypatch.delenv("HEDGE_THREADS", raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert _worker_count(5) == workers
 
     def test_se_scaling(self):
         ok, measured, _ = mc_se_scaling(seed=31)
