@@ -17,6 +17,7 @@ import jsonschema
 
 from . import __version__ as ARTIFACT_VERSION
 from .market import (
+    RNG_LAYOUT,
     BachelierCallExposure,
     Exposure,
     LinearExposure,
@@ -153,6 +154,7 @@ class RunManifest:
     config_hash: str
     seed: int
     artifact_version: str
+    rng_layout: str
     wall_clock_seconds: float
     outputs: list[str]
     created_unix: float
@@ -328,6 +330,7 @@ def make_manifest(cfg: ExperimentConfig, outputs: list[str], wall_clock: float) 
         config_hash=config_hash(cfg.raw),
         seed=cfg.seed,
         artifact_version=ARTIFACT_VERSION,
+        rng_layout=RNG_LAYOUT,
         wall_clock_seconds=wall_clock,
         outputs=outputs,
         created_unix=time.time(),

@@ -63,9 +63,9 @@ __all__ = [
     "speed_argmax_on_grid",
 ]
 
-# Paths per Philox substream (one engine call) of the Monte Carlo estimators.
+# Paths per RNG substream (one engine call) of the Monte Carlo estimators.
 DEFAULT_CHUNK_PATHS = 20_000
-# Paths per Philox substream in lambda0_monte_carlo.
+# Paths per RNG substream in lambda0_monte_carlo.
 _LAMBDA0_CHUNK_PATHS = 100_000
 # Speed interval searched by speed_argmax_on_grid, and its grid step.
 _SPEED_GRID_LO, _SPEED_GRID_HI = -10.0, 10.0
@@ -318,7 +318,7 @@ def _mc_samples(
     """Terminal wealth per strategy under common random numbers, and the
     number of clamped speeds per strategy.
 
-    Chunk i of the paths runs on Philox substream (seed, i), so results
+    Chunk i of the paths runs on the make_rng substream (seed, i), so results
     depend on ``chunk_paths`` but not on the number of worker threads.
     Affine strategies are tabulated once here and shared by every chunk.
 
@@ -380,7 +380,7 @@ def mc_performance(
     number comparisons.  For gamma = 0 the estimate is mean terminal wealth,
     flagged in ``kind``.
 
-    Each block of ``chunk_paths`` paths draws from its own Philox substream,
+    Each block of ``chunk_paths`` paths draws from its own make_rng substream,
     so the estimate depends on ``chunk_paths``; it is bit-identical for any
     number of worker threads (``HEDGE_THREADS``).
     """
@@ -666,7 +666,7 @@ def lambda0_monte_carlo(
 
     Plain independent sampling: the standard error must stay large relative
     to the time-discretization bias for a within-3-SE comparison to be fair.
-    Chunk i of ``_LAMBDA0_CHUNK_PATHS`` paths draws from Philox substream
+    Chunk i of ``_LAMBDA0_CHUNK_PATHS`` paths draws from make_rng substream
     (seed, i), so the result is bit-identical for any number of worker threads.
     """
     dt = (params.T - t) / n_steps

@@ -32,6 +32,7 @@ from .expansion import (
 )
 from .linear import h0, h1, h2, linear_optimal_strategy, optimal_inventory_linear, optimal_speed_linear
 from .market import (
+    RNG_LAYOUT,
     LinearExposure,
     ModelParams,
     State,
@@ -95,6 +96,7 @@ class VerifyReport:
         return {
             "passed": self.passed,
             "artifact_version": ARTIFACT_VERSION,
+            "rng_layout": RNG_LAYOUT,
             "seed": self.seed,
             "wall_clock_seconds": self.wall_clock_seconds,
             "checks": [asdict(c) for c in self.checks],

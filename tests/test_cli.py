@@ -134,6 +134,39 @@ class TestValidationParity:
             reference.value.message, list(reference.value.absolute_path))
 
 
+class TestRngLayoutInArtifacts:
+    """Manifests and verify reports name the RNG layout and validate against their schemas."""
+
+    def test_manifest_carries_layout(self, tmp_path):
+        from crosshedge.market import RNG_LAYOUT
+
+        cfg = write_config(tmp_path, {"preset": "fig1_left", "n_steps": 20})
+        assert main(["linear-path", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        doc = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert doc["rng_layout"] == RNG_LAYOUT
+        jsonschema.validate(doc, load_schema("manifest.schema.json"))
+        del doc["rng_layout"]
+        with pytest.raises(jsonschema.ValidationError, match="rng_layout"):
+            jsonschema.validate(doc, load_schema("manifest.schema.json"))
+
+    def test_verify_report_carries_layout(self, tmp_path, monkeypatch):
+        import crosshedge.cli as cli_mod
+        from crosshedge.market import RNG_LAYOUT
+        from crosshedge.verify import CheckResult, VerifyReport
+
+        fake = VerifyReport(passed=True, checks=[CheckResult("x", True, 0.01, {"v": 1.0}, "ok")], seed=3,
+                            wall_clock_seconds=0.01)
+        monkeypatch.setattr(cli_mod, "run_verification", lambda **kw: fake)
+        assert main(["verify", "--config", write_config(tmp_path, {"preset": "fig3"}),
+                     "--out", str(tmp_path / "v")]) == 0
+        doc = json.loads((tmp_path / "v" / "verify_report.json").read_text())
+        assert doc["rng_layout"] == RNG_LAYOUT
+        jsonschema.validate(doc, load_schema("verify_report.schema.json"))
+        del doc["rng_layout"]
+        with pytest.raises(jsonschema.ValidationError, match="rng_layout"):
+            jsonschema.validate(doc, load_schema("verify_report.schema.json"))
+
+
 class TestLinearPathRun:
     def test_fig1_right_long_horizon_column(self, tmp_path):
         cfg = write_config(tmp_path, {"preset": "fig1_right", "n_steps": 300})

@@ -26,7 +26,7 @@ from crosshedge import (
     terminal_wealth,
     utility_of,
 )
-from crosshedge.market import DEFAULT_SPEED_CLAMP
+from crosshedge.market import DEFAULT_SPEED_CLAMP, RNG_LAYOUT, make_rng
 from crosshedge.oracles import simulate_ensemble
 
 
@@ -248,6 +248,28 @@ class TestStrategy:
         s = Strategy(tag="x", coeffs=lambda t: (1.0, 0.5, 2.0), delta=lambda t, u: 3.0 * u)
         q, u = np.array([0.1, -0.2]), np.array([1.0, 2.0])
         assert np.array_equal(s.rule(0.3, q, u), (0.5 * (3.0 * u) + 1.0) + 2.0 * q)
+
+
+class TestMakeRng:
+    """The RNG layout: SFC64 substreams keyed by SeedSequence spawn keys."""
+
+    @pytest.mark.parametrize("seed, stream", [(1, 0), (20260810, 3), (23, 901)])
+    def test_equals_sfc64_spawn_key_construction(self, seed, stream):
+        ref = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(stream,))))
+        got = make_rng(seed, stream)
+        assert type(got.bit_generator) is np.random.SFC64
+        assert np.array_equal(got.standard_normal((2, 50)), ref.standard_normal((2, 50)))
+        assert RNG_LAYOUT.startswith("SFC64/")
+
+    def test_streams_differ(self):
+        a, b = make_rng(7, 0).standard_normal(64), make_rng(7, 1).standard_normal(64)
+        assert not np.any(a == b)
+
+    def test_raw_draws_pinned(self):
+        # integers read the same on every CPU, unlike exp-based transforms
+        raw = make_rng(20260810, 3).bit_generator.random_raw(4)
+        assert raw.tolist() == [16936391909311546449, 14837062859642363682, 10553925281303599250,
+                                2998654007962320234]
 
 
 class TestZeroWeightShape:

@@ -176,3 +176,26 @@ def test_first_call_priced_in_workers_is_thread_safe():
     assert serial["after"] and threaded["after"]
     assert serial["on_main"] == [True] and threaded["on_main"] == [False]
     assert threaded["estimate"] == serial["estimate"]
+
+
+# numpy.random is loaded by make_rng at its first call, not at import: a
+# process that imports the CLI and builds the mc-linear-value benchmark's
+# inputs (fig1_left config, h0 closed form, linear optimum) never loads it.
+RANDOM_PROBE = """
+import json, sys
+import crosshedge, crosshedge.cli
+from crosshedge.config import resolve_config
+from crosshedge.linear import h0, linear_optimal_strategy
+
+cfg = resolve_config({"preset": "fig1_left"}, experiment="stats")
+h0(cfg.model, cfg.exposure.frak_n, cfg.initial.t)
+linear_optimal_strategy(cfg.model, cfg.exposure.frak_n)
+before = "numpy.random" in sys.modules
+crosshedge.make_rng(1, 0)
+print(json.dumps({"before": before, "after": "numpy.random" in sys.modules}))
+"""
+
+
+def test_linear_setup_leaves_numpy_random_unloaded():
+    out = run_script(RANDOM_PROBE)
+    assert out == {"before": False, "after": True}
