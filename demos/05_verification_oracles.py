@@ -38,7 +38,7 @@ print("== martingale-reduced coefficients vs nested quadrature ==")
 for (t, u) in [(0.25, 0.8), (0.5, 1.0), (0.75, 1.4)]:
     a = float(lambda1(params, curve, t, u))
     c = float(Lambda1(params, curve, t, u))
-    b, d = nested_quadrature(params, curve, t, u)
+    _, b, d = nested_quadrature(params, curve, t, u)
     print(f"  (t={t}, u={u}): |lambda1 diff| = {abs(a - b):.2e}, |Lambda1 diff| = {abs(c - d):.2e}")
 
 print("\n== HJB residual of the first-order value expansion ==")

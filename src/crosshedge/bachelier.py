@@ -71,12 +71,6 @@ class AuxiliaryProcessLaw:
             raise ValueError(f"need t <= s, got t={t}, s={s}")
         return self.eta * math.sqrt(s - t)
 
-    def density(self, z, t: float, s: float, u: float) -> np.ndarray:
-        """Gaussian transition density of U~_s at z given U~_t = u."""
-        sd = self.transition_std(t, s)
-        z = np.asarray(z, dtype=float)
-        return np.exp(-0.5 * ((z - u - self.beta * (s - t)) / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi))
-
 
 @dataclass(frozen=True)
 class PayoffCurve:

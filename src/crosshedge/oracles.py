@@ -2,8 +2,8 @@
 
 Nothing here reuses the closed forms it is meant to check: the Riccati
 system is integrated with a hand-rolled RK4, Feynman-Kac expectations are
-evaluated by nested quadrature or Monte Carlo over the uncontrolled factor,
-and strategy quality is measured by common-random-number Monte Carlo of the
+evaluated by nested quadrature over the uncontrolled factor, and strategy
+quality is measured by common-random-number Monte Carlo of the
 exponential-utility performance criterion.
 """
 
@@ -37,7 +37,7 @@ from .market import (
     Strategy,
     _engine_inputs,
     _euler_ensemble,
-    make_rng,
+    make_rng,  # not called here; the benchmark harness tests read oracles.make_rng
     utility_of,
 )
 
@@ -59,14 +59,11 @@ __all__ = [
     "default_probe_grid",
     "theta_sweep",
     "nested_quadrature",
-    "lambda0_monte_carlo",
     "speed_argmax_on_grid",
 ]
 
 # Paths per RNG substream (one engine call) of the Monte Carlo estimators.
 DEFAULT_CHUNK_PATHS = 20_000
-# Paths per RNG substream in lambda0_monte_carlo.
-_LAMBDA0_CHUNK_PATHS = 100_000
 # Speed interval searched by speed_argmax_on_grid, and its grid step.
 _SPEED_GRID_LO, _SPEED_GRID_HI = -10.0, 10.0
 _SPEED_GRID_STEP = 1e-4
@@ -624,7 +621,7 @@ def theta_sweep(
 
 
 # ---------------------------------------------------------------------------
-# Nested-quadrature and Monte Carlo oracles for the expansion coefficients
+# Nested-quadrature oracle for the expansion coefficients
 # ---------------------------------------------------------------------------
 
 
@@ -636,62 +633,25 @@ def _expected_deltas(params: ModelParams, payoff: PayoffCurve, t: float, u: floa
     return s_nodes, s_w, np.array([expected_delta(law, payoff, t, s, u) for s in s_nodes.tolist()])
 
 
-def nested_quadrature(params: ModelParams, payoff: PayoffCurve, t: float, u: float) -> tuple[float, float]:
-    """(lambda_1, Lambda_1) via their defining expectations: an outer time rule
-    over one set of inner adaptive quadratures of the future delta.  No
-    martingale shortcut."""
+def nested_quadrature(params: ModelParams, payoff: PayoffCurve, t: float, u: float) -> tuple[float, float, float]:
+    """(lambda_0, lambda_1, Lambda_1) via their defining expectations: an outer
+    time rule over one set of inner adaptive quadratures of the future delta,
+    with no martingale shortcut from time t.  lambda_0 integrates
+    f1(s)/(2k) * E[delta + lambda_1] with lambda_1(s, .) = -m(T-s)/(2k+m(T-s))
+    * delta(s, .), so its time weight is f1(s)/(2k+m(T-s))."""
     tau = params.T - t
     if tau <= 0:
-        return 0.0, 0.0
+        return 0.0, 0.0, 0.0
     k, m = params.k, params.m
     s_nodes, s_w, e_delta = _expected_deltas(params, payoff, t, u)
+    f1 = _f1(params, s_nodes)
+    gain = 2.0 * k + m * (params.T - s_nodes)
+    lam0 = float(np.sum(s_w * f1 / gain * e_delta))
     lam1 = float(-m / (2.0 * k + m * tau) * np.sum(s_w * e_delta))
-    weight = (2.0 * k + m * (params.T - s_nodes)) / (2.0 * k + m * tau)
-    inner = _f1(params, s_nodes) * Lambda2(params, s_nodes) - k * params.rho * params.sigma * params.eta * e_delta
+    weight = gain / (2.0 * k + m * tau)
+    inner = f1 * Lambda2(params, s_nodes) - k * params.rho * params.sigma * params.eta * e_delta
     # the builtin sum adds the nodes in order; np.sum's pairwise order moves the last bits
-    return lam1, float(sum(s_w * weight * inner)) / k
-
-
-def lambda0_monte_carlo(
-    params: ModelParams,
-    payoff: PayoffCurve,
-    t: float,
-    u: float,
-    n_paths: int,
-    n_steps: int,
-    seed: int,
-) -> tuple[float, float]:
-    """Monte Carlo of lambda_0's defining expectation over exact Gaussian
-    factor paths, trapezoid in time.  Returns (mean, std error).
-
-    Plain independent sampling: the standard error must stay large relative
-    to the time-discretization bias for a within-3-SE comparison to be fair.
-    Chunk i of ``_LAMBDA0_CHUNK_PATHS`` paths draws from make_rng substream
-    (seed, i), so the result is bit-identical for any number of worker threads.
-    """
-    dt = (params.T - t) / n_steps
-    times = t + dt * np.arange(n_steps + 1)
-    f1_over_2k = _f1(params, times) / (2.0 * params.k)
-    trap_w = np.full(n_steps + 1, dt)
-    trap_w[0] = trap_w[-1] = dt / 2.0
-
-    sqdt = math.sqrt(dt) * params.eta
-
-    def task(idx, nb):
-        rng = make_rng(seed, idx)
-        integrals = np.zeros(nb)
-        upaths = np.full(nb, float(u))
-        for j in range(n_steps + 1):
-            s = float(times[j])
-            d = np.asarray(payoff.delta(s, upaths), dtype=float)
-            lam1 = float(-params.m * (params.T - s) / (2.0 * params.k + params.m * (params.T - s)))
-            integrals += trap_w[j] * f1_over_2k[j] * (lam1 * d + d)
-            if j < n_steps:
-                upaths = upaths + params.beta * dt + sqdt * rng.standard_normal(nb)
-        return integrals.reshape(1, -1)
-
-    mean, se, _ = _mean_and_se(np.concatenate(_run_chunks(task, n_paths, _LAMBDA0_CHUNK_PATHS), axis=1))
-    return mean, se
+    return lam0, lam1, float(sum(s_w * weight * inner)) / k
 
 
 def speed_argmax_on_grid(

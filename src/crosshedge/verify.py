@@ -63,11 +63,10 @@ from .oracles import (
     theta_sweep,
 )
 
-__all__ = ["CheckResult", "VerifyReport", "run_verification", "FIG1", "FIG3", "FIG5", "FIG7"]
+__all__ = ["CheckResult", "VerifyReport", "run_verification", "FIG1", "FIG3", "FIG7"]
 
 FIG1 = ModelParams(**PRESETS["fig1_right"]["model"])
 FIG3 = ModelParams(**PRESETS["fig3"]["model"])
-FIG5 = ModelParams(**PRESETS["fig5"]["model"])
 FIG7 = ModelParams(**PRESETS["fig7"]["model"])
 CALL_100 = _build_exposure(PRESETS["fig7"]["exposure"])
 
@@ -304,8 +303,8 @@ def weighted_integral_property() -> tuple[bool, dict, str]:
 
 
 def lemma_reduction_equivalence(seed: int = 19, n_points: int = 50) -> tuple[bool, dict, str]:
-    """Martingale-reduced lambda_1 and Lambda_1 vs nested quadrature of the
-    defining expectations at random (t, u)."""
+    """Martingale-reduced lambda_0, lambda_1 and Lambda_1 vs nested quadrature
+    of the defining expectations at random (t, u)."""
     tol = 1e-6
     rng = make_rng(seed, 903)
     curve = call_payoff_curve(FIG7, CALL_100)
@@ -314,7 +313,8 @@ def lemma_reduction_equivalence(seed: int = 19, n_points: int = 50) -> tuple[boo
     for _ in range(n_points):
         t = float(rng.uniform(0.0, 0.98 * FIG7.T))
         u = float(CALL_100.strike + rng.uniform(-spread, spread))
-        nested_lam1, nested_Lam1 = nested_quadrature(FIG7, curve, t, u)
+        nested_lam0, nested_lam1, nested_Lam1 = nested_quadrature(FIG7, curve, t, u)
+        worst = max(worst, abs(float(lambda0(FIG7, curve, t, u)) - nested_lam0))
         worst = max(worst, abs(float(lambda1(FIG7, curve, t, u)) - nested_lam1))
         worst = max(worst, abs(float(Lambda1(FIG7, curve, t, u)) - nested_Lam1))
     return worst < tol, {"max_error": worst, "n": n_points}, f"max|reduced - nested| = {worst:.2e} (tol {tol:g})"

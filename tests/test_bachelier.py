@@ -98,11 +98,6 @@ class TestCallDelta:
 
 
 class TestLaw:
-    def test_density_normalizes(self, fig3):
-        law = AuxiliaryProcessLaw.from_params(fig3)
-        val, _ = quad(lambda z: law.density(z, 0.2, 0.9, 1.0), -12, 14)
-        assert val == pytest.approx(1.0, abs=1e-8)
-
     def test_ordering_rejected(self, fig3):
         law = AuxiliaryProcessLaw.from_params(fig3)
         with pytest.raises(ValueError):

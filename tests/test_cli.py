@@ -395,7 +395,9 @@ def test_sweep_theta_columns_leave_out_clamp_counts(tmp_path):
 def test_every_schema_strategy_tag_builds(tag):
     preset = "fig1_right" if tag == "linear-optimal" else "fig7"
     cfg = resolve_config({"preset": preset, "strategy": tag}, experiment="paths")
-    assert build_strategy(cfg).tag == tag
+    strategy = build_strategy(cfg)
+    assert strategy.tag == tag
+    assert strategy.coeffs is not None
 
 
 class TestDefaultPresets:

@@ -42,7 +42,6 @@ from crosshedge.expansion import (
 from crosshedge.oracles import (
     Lambda2_ode_system,
     f1_ode_system,
-    lambda0_monte_carlo,
     nested_quadrature,
     rk4_backward,
 )
@@ -50,6 +49,8 @@ from crosshedge.oracles import (
 # Oracle-computed reference values (frozen):
 #  - nested time x space quadrature of the Feynman-Kac expectations
 #  - Monte Carlo of lambda_0's expectation (1e6 paths, 400 steps, seed 101)
+#    by a path sampler no longer in the package; the live check is nested
+#    quadrature
 LAMBDA1_NESTED_FIG3 = -47.87234042553191   # t=0.5, u=K
 BIG_LAMBDA1_NESTED_FIG5 = -9.019230769230765  # t=0.3, u=K
 LAMBDA0_MC_MEAN = 27.17156979663215
@@ -104,7 +105,7 @@ class TestLambda1:
         assert float(lambda1(fig3, curve, 0.5, 1.0)) == pytest.approx(LAMBDA1_NESTED_FIG3, abs=1e-6)
         for params in (fig3, replace(fig3, mu=0.1, beta=0.05)):
             curve = call_payoff_curve(params, call100)
-            live, _ = nested_quadrature(params, curve, 0.5, 1.0)
+            _, live, _ = nested_quadrature(params, curve, 0.5, 1.0)
             assert float(lambda1(params, curve, 0.5, 1.0)) == pytest.approx(live, abs=1e-6)
 
     def test_bound(self, fig7, call100):
@@ -131,11 +132,11 @@ class TestNestedQuadrature:
     )
     def test_values_of_the_separate_oracles(self, request, call100, preset, drift, t, expected):
         params = replace(request.getfixturevalue(preset), **drift)
-        got = nested_quadrature(params, call_payoff_curve(params, call100), t, 1.0)
+        _, *got = nested_quadrature(params, call_payoff_curve(params, call100), t, 1.0)
         assert got == pytest.approx(expected, rel=1e-13, abs=0.0)
 
     def test_terminal(self, fig7, call100):
-        assert nested_quadrature(fig7, call_payoff_curve(fig7, call100), fig7.T, 1.0) == (0.0, 0.0)
+        assert nested_quadrature(fig7, call_payoff_curve(fig7, call100), fig7.T, 1.0) == (0.0, 0.0, 0.0)
 
 
 class TestLambda0Small:
@@ -153,11 +154,13 @@ class TestLambda0Small:
         closed = float(lambda0(mu_params, curve, 0.0, np.asarray(1.0)))
         assert abs(closed - LAMBDA0_MC_MEAN) < 3 * LAMBDA0_MC_SE
 
-    def test_monte_carlo_oracle_live(self, mu_params, call100):
-        curve = call_payoff_curve(mu_params, call100)
-        mean, se = lambda0_monte_carlo(mu_params, curve, 0.0, 1.0, n_paths=200_000, n_steps=400, seed=101)
-        closed = float(lambda0(mu_params, curve, 0.0, np.asarray(1.0)))
-        assert abs(closed - mean) < 3 * se
+    @pytest.mark.parametrize("mu, beta", [(0.1, 0.0), (0.1, 0.05), (-0.2, 0.3)])
+    def test_matches_nested_quadrature(self, call100, mu, beta):
+        params = params_with(mu=mu, beta=beta)
+        curve = call_payoff_curve(params, call100)
+        for t, u in [(0.0, 1.0), (0.3, 0.7), (0.6, 1.4), (0.9, 1.0)]:
+            live, _, _ = nested_quadrature(params, curve, t, u)
+            assert float(lambda0(params, curve, t, np.asarray(u))) == pytest.approx(live, rel=0.0, abs=1e-9)
 
 
 class TestBigLambda2:
@@ -193,7 +196,7 @@ class TestBigLambda1:
         assert float(Lambda1(fig5, curve, 0.3, 1.0)) == pytest.approx(BIG_LAMBDA1_NESTED_FIG5, abs=1e-6)
         for params in (fig5, replace(fig5, mu=0.1, beta=0.05)):
             curve = call_payoff_curve(params, call100)
-            _, live = nested_quadrature(params, curve, 0.3, 1.0)
+            _, _, live = nested_quadrature(params, curve, 0.3, 1.0)
             assert float(Lambda1(params, curve, 0.3, 1.0)) == pytest.approx(live, abs=1e-6)
 
     def test_negative_pull_when_long_delta(self, fig5, call100):
@@ -374,7 +377,7 @@ class TestNuHat:
         t, q, u = 0.0, 0.0, 1.0
         d = float(curve.delta(t, np.asarray(u)))
         nu0 = (float(_f1(fig7, t)) + (2 * float(_f2(fig7, t)) + fig7.b) * q) / (2 * fig7.k)
-        nested_lam1, nested_Lam1 = nested_quadrature(fig7, curve, t, u)
+        _, nested_lam1, nested_Lam1 = nested_quadrature(fig7, curve, t, u)
         assembled = (
             nu0
             + sc.effective_c * (d + nested_lam1) / (2 * fig7.k)

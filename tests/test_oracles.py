@@ -35,7 +35,6 @@ from crosshedge.oracles import (
     _mc_samples,
     _worker_count,
     f1_ode_system,
-    lambda0_monte_carlo,
     simulate_ensemble,
 )
 from crosshedge.verify import (
@@ -216,21 +215,19 @@ class TestMcPerformance:
         with pytest.raises(ValueError, match="underflowed to zero; use a smaller gamma"):
             mc_strategy_gap(fig1_left, LinearExposure(1.0), strat, constant_strategy(0.0), init, 2000, 50, seed=1)
 
-    def test_determinism_across_thread_counts(self, fig1, call100, monkeypatch):
-        # four chunks of 1000 paths, and lambda0's chunks of 100,000 and
-        # 50,000 paths, run by one worker and then by two
+    def test_determinism_across_thread_counts(self, fig1, monkeypatch):
+        # four chunks of 1000 paths, and three of 1000 with a short last one
+        # of 500, run by one worker and then by two
         strat = linear_optimal_strategy(fig1, 1.0)
         pert = Strategy(tag="perturbed", rule=lambda t, q, u: strat.rule(t, q, u) + 0.1)
         init = State(0, 0, 0, 10.0, 5.0)
-        drift = replace(fig1, mu=0.1)
-        curve = call_payoff_curve(drift, call100)
         results = []
         for threads in ("1", "2"):
             monkeypatch.setenv("HEDGE_THREADS", threads)
             perf = mc_performance(fig1, LinearExposure(1.0), strat, init, 4000, 50, seed=9, chunk_paths=1000)
             gap = mc_strategy_gap(fig1, LinearExposure(1.0), strat, pert, init, 4000, 50, seed=9, chunk_paths=1000)
-            lam0 = lambda0_monte_carlo(drift, curve, 0.0, 1.0, n_paths=150_000, n_steps=4, seed=9)
-            results.append((perf, gap, lam0))
+            uneven = mc_performance(fig1, LinearExposure(1.0), strat, init, 3500, 50, seed=9, chunk_paths=1000)
+            results.append((perf, gap, uneven))
         assert results[0] == results[1]
 
     def test_pairing_survives_uneven_chunks(self):
