@@ -80,4 +80,4 @@ from .oracles import (
     theta_sweep,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.4.1"

@@ -353,10 +353,10 @@ def simulate_path(
     |nu| <= DEFAULT_SPEED_CLAMP; clamp events are counted on the returned
     bundle.
     """
-    n_base, tables = _engine_inputs(params, [strategy], initial, n_steps, 1, antithetic, 1)
+    n_base, times, tables = _engine_inputs(params, [strategy], initial, n_steps, 1, antithetic, 1, RECORDABLE)
     (run,) = _euler_ensemble(
         params, exposure, [strategy], initial, n_steps, seed, stream, n_base, antithetic,
-        record=RECORDABLE, tables=tables,
+        times=times, tables=tables, record=RECORDABLE,
     )
     col = 1 if antithetic else 0
     return PathBundle(
@@ -423,11 +423,14 @@ def _engine_inputs(
     n_paths: int,
     antithetic: bool,
     chunk_paths: int,
-) -> tuple[int, list[list[Affine] | None]]:
+    record: Sequence[str],
+) -> tuple[int, list[float], list[list[Affine] | None]]:
     """Validated inputs shared by every front end of the Euler engine: the
-    number of base paths (an odd antithetic count rounds up to whole pairs)
-    and the coefficient tables on the engine's step times.  ``chunk_paths``
-    is the paths per engine call (n_paths for a front end that runs one)."""
+    number of base paths (an odd antithetic count rounds up to whole pairs),
+    the engine's step times and the coefficient tables on them.
+    ``chunk_paths`` is the paths per engine call (n_paths for a front end
+    that runs one); ``record`` is the sequence of RECORDABLE names the
+    engine will record."""
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     if not initial.t < params.T:
@@ -436,8 +439,14 @@ def _engine_inputs(
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     if chunk_paths < 1:
         raise ValueError(f"chunk_paths must be >= 1, got {chunk_paths}")
+    if isinstance(record, str):
+        raise ValueError(f"record must be a sequence of names from {RECORDABLE}, not the string {record!r}")
+    unknown = [name for name in record if name not in RECORDABLE]
+    if unknown:
+        raise ValueError(f"record names unknown series {unknown} (have {RECORDABLE})")
     n_base = (n_paths + 1) // 2 if antithetic else n_paths
-    return n_base, _coefficient_tables(strategies, _step_times(params, initial, n_steps))
+    times = _step_times(params, initial, n_steps)
+    return n_base, times, _coefficient_tables(strategies, times)
 
 
 def _euler_ensemble(
@@ -451,6 +460,7 @@ def _euler_ensemble(
     n_base: int,
     antithetic: bool,
     *,
+    times: Sequence[float],
     tables: Sequence[list[Affine] | None],
     record: Sequence[str] = (),
 ) -> list[dict]:
@@ -463,8 +473,9 @@ def _euler_ensemble(
     dZ = rho*dW + sqrt(1-rho^2)*dB, and cash pays the execution price at the
     left endpoint: x_{i+1} = x_i - (S_i + k*nu_i)*nu_i*dt.
 
-    An affine strategy's speed is (w*delta + a) + B*q from its row of
-    ``tables`` (from ``_engine_inputs``); an opaque one calls its rule.  A
+    ``times``, ``tables`` and ``record`` come from ``_engine_inputs``, which
+    validates them.  An affine strategy's speed is (w*delta + a) + B*q from
+    its row of ``tables``; an opaque one calls its rule.  A
     step allocates nothing beyond what a rule or delta call returns.
 
     An affine strategy with w == 0 on every row (the linear optimum, a
@@ -480,13 +491,7 @@ def _euler_ensemble(
     for each name in ``record`` (a sequence of RECORDABLE names) its
     (n_steps+1, n_paths) series (n_steps rows for "nu").
     """
-    if isinstance(record, str):
-        raise ValueError(f"record must be a sequence of names from {RECORDABLE}, not the string {record!r}")
-    unknown = [name for name in record if name not in RECORDABLE]
-    if unknown:
-        raise ValueError(f"record names unknown series {unknown} (have {RECORDABLE})")
     rng = make_rng(seed, stream)
-    times = _step_times(params, initial, n_steps)
     dt = (params.T - initial.t) / n_steps
     sq = math.sqrt(dt)
     rho_c = math.sqrt(1.0 - params.rho**2)

@@ -261,17 +261,6 @@ def _worker_count(n_tasks: int) -> int:
     return max(1, min(cap, n_tasks))
 
 
-def _run_chunks(task: Callable[[int, int], object], total: int, chunk: int) -> list:
-    """[task(i, size) for each chunk i of ``total`` paths], in chunk order:
-    chunks of ``chunk`` paths and a shorter last one, on _worker_count threads."""
-    sizes = [min(chunk, total - start) for start in range(0, total, chunk)]
-    workers = _worker_count(len(sizes))
-    if workers == 1:
-        return list(map(task, range(len(sizes)), sizes))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(task, range(len(sizes)), sizes))
-
-
 def simulate_ensemble(
     params: ModelParams,
     exposure: Exposure,
@@ -292,10 +281,10 @@ def simulate_ensemble(
     "u", "s", "x", "nu").  Independent paths by default (figure-style runs);
     with ``antithetic`` an odd n_paths rounds up to whole mirrored pairs.
     """
-    n_base, tables = _engine_inputs(params, [strategy], initial, n_steps, n_paths, antithetic, n_paths)
+    n_base, times, tables = _engine_inputs(params, [strategy], initial, n_steps, n_paths, antithetic, n_paths, record)
     (run,) = _euler_ensemble(
         params, exposure, [strategy], initial, n_steps, seed, 0, n_base, antithetic,
-        tables=tables, record=record,
+        times=times, tables=tables, record=record,
     )
     run["clamp_events"] = int(run["clamp_events"].sum())
     return run
@@ -315,21 +304,32 @@ def _mc_samples(
     """Terminal wealth per strategy under common random numbers, and the
     number of clamped speeds per strategy.
 
-    Chunk i of the paths runs on the make_rng substream (seed, i), so results
-    depend on ``chunk_paths`` but not on the number of worker threads.
+    The base paths split into chunks of ``chunk_paths`` simulated paths and a
+    shorter last one.  Chunk i runs on the make_rng substream (seed, i), and
+    the chunks run on _worker_count threads and are joined in chunk order, so
+    results depend on ``chunk_paths`` but not on the number of worker threads.
     Affine strategies are tabulated once here and shared by every chunk.
 
     Each wealth array is (members, samples): (2, pairs) with antithetic
     sampling, base paths over their mirrors, and (1, paths) without.
     """
-    unit, tables = _engine_inputs(params, strategies, initial, n_steps, n_paths, antithetic, chunk_paths)
+    unit, times, tables = _engine_inputs(params, strategies, initial, n_steps, n_paths, antithetic, chunk_paths, ())
     rows = 2 if antithetic else 1
 
     def task(idx, nb):
-        runs = _euler_ensemble(params, exposure, strategies, initial, n_steps, seed, idx, nb, antithetic, tables=tables)
+        runs = _euler_ensemble(
+            params, exposure, strategies, initial, n_steps, seed, idx, nb, antithetic, times=times, tables=tables
+        )
         return [(run["wealth"].reshape(rows, -1), int(run["clamp_events"].sum())) for run in runs]
 
-    results = _run_chunks(task, unit, max(1, chunk_paths // rows))
+    chunk = max(1, chunk_paths // rows)
+    sizes = [min(chunk, unit - start) for start in range(0, unit, chunk)]
+    workers = _worker_count(len(sizes))
+    if workers == 1:
+        results = list(map(task, range(len(sizes)), sizes))
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(task, range(len(sizes)), sizes))
     samples = [np.concatenate([res[r][0] for res in results], axis=1) for r in range(len(strategies))]
     clamps = [sum(res[r][1] for res in results) for r in range(len(strategies))]
     return samples, clamps

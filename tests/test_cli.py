@@ -335,6 +335,16 @@ class TestVerifyPlumbing:
         assert not corrupted
         assert measured["sup_error"] >= 1e-3
 
+    def test_fault_injection_in_h0_breaks_riccati_check(self, monkeypatch):
+        # RK4 integrates h0' from the coupled system, so a shift of the
+        # closed-form h0 alone must fail the check
+        import crosshedge.verify as verify_mod
+
+        monkeypatch.setattr(verify_mod, "h0", lambda p, n, t, _h0=verify_mod.h0: _h0(p, n, t) + 1e-6)
+        corrupted, measured, _ = riccati_vs_rk4(seed=0, n_random=2)
+        assert not corrupted
+        assert measured["sup_error"] > 0.99e-6
+
     def test_cli_verify_nonzero_exit_on_failure(self, tmp_path, monkeypatch):
         import crosshedge.cli as cli_mod
         from crosshedge.verify import CheckResult, VerifyReport
@@ -389,6 +399,27 @@ def test_sweep_theta_columns_leave_out_clamp_counts(tmp_path):
     assert main(["sweep-theta", "--set", "n_paths=4", "--set", "n_steps=10", "--out", str(tmp_path)]) == 0
     header = (tmp_path / "sweep_theta.csv").read_text().split("\n")[0]
     assert header == "theta,ce_nu_hat,ce_nu_prime,gap,gap_se,gap_over_theta2,noise_bounded,kind"
+
+
+@pytest.mark.parametrize(
+    "experiment, sets",
+    [
+        ("paths", ["n_paths=3", "n_steps=30"]),
+        ("stats", ["n_paths=1000", "n_steps=20"]),
+        ("distribution", ["n_paths=1000", "n_steps=20"]),
+        ("sweep-theta", ["n_paths=200", "n_steps=20"]),
+    ],
+)
+def test_monte_carlo_outputs_byte_identical_on_rerun(tmp_path, experiment, sets):
+    # the same config and seed run twice write every CSV byte for byte alike
+    argv = [experiment, "--seed", "11", *(arg for s in sets for arg in ("--set", s))]
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    assert main([*argv, "--out", str(out_a)]) == 0
+    assert main([*argv, "--out", str(out_b)]) == 0
+    names = sorted(p.name for p in out_a.glob("*.csv"))
+    assert names and names == sorted(p.name for p in out_b.glob("*.csv"))
+    for name in names:
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("tag", load_schema("config.schema.json")["properties"]["strategy"]["enum"])
