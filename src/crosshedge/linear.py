@@ -174,18 +174,16 @@ def h1(params: ModelParams, frak_n, t) -> np.ndarray | float:
     return out if np.ndim(out) else float(out)
 
 
-def h0(params: ModelParams, frak_n: float, t: float) -> float:
-    """Inventory-independent value component.
+def h0(params: ModelParams, frak_n: float, t) -> np.ndarray | float:
+    """Inventory-independent value component; broadcasts over t and
+    vanishes at the horizon.
 
     The time integral of (h1 + c*frak_n)^2 / (4k) is one fixed Gauss-Legendre
-    sum in log(2k + m*tau) (``_tau_integral``); the formula's linear part is
-    exact.
+    sum in log(2k + m*tau) (``_tau_integral``, zero at tau = 0); the
+    formula's linear part is exact.
     """
     t = _check_time(params, t)
-    tau = params.T - t
-    base = (params.beta * frak_n - 0.5 * params.gamma * params.eta**2 * frak_n**2) * tau
-    if tau == 0.0:
-        return 0.0
+    base = (params.beta * frak_n - 0.5 * params.gamma * params.eta**2 * frak_n**2) * (params.T - t)
     zeta = params.mu - params.gamma * params.rho * params.sigma * params.eta * frak_n
     if zeta == 0.0 and params.c * frak_n == 0.0:
         return base

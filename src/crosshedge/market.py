@@ -463,6 +463,7 @@ def _euler_ensemble(
     times: Sequence[float],
     tables: Sequence[list[Affine] | None],
     record: Sequence[str] = (),
+    conditional: bool = False,
 ) -> list[dict]:
     """Euler-Maruyama steps of (X, Q, S, U) for each strategy under shared shocks.
 
@@ -472,6 +473,15 @@ def _euler_ensemble(
     step (predictable control), the factor shock is
     dZ = rho*dW + sqrt(1-rho^2)*dB, and cash pays the execution price at the
     left endpoint: x_{i+1} = x_i - (S_i + k*nu_i)*nu_i*dt.
+
+    ``conditional=True`` is the estimators' mode.  No strategy reads S, so
+    given the factor path the price shock's part orthogonal to dZ,
+    sigma*sqrt(1-rho^2)*dW_perp, enters the wealth only through the
+    factor-measurable coefficients sigma*sqrt(1-rho^2)*sqrt(dt)*q_{j+1}.  The
+    price then steps with its factor-driven shock sigma*rho*dZ alone, so the
+    returned ``wealth`` is the conditional mean W0 of the realized wealth,
+    and each run also returns ``wealth_var``, the conditional variance
+    sigma^2*(1-rho^2)*dt*sum_j q_{j+1}^2.  Both normal rows are still drawn.
 
     ``times``, ``tables`` and ``record`` come from ``_engine_inputs``, which
     validates them.  An affine strategy's speed is (w*delta + a) + B*q from
@@ -487,9 +497,10 @@ def _euler_ensemble(
     and strategies with a nonzero delta weight keep per-path inventory.
 
     Returns one dict per strategy: the time grid ``times``, terminal arrays
-    q_T, u_T, s_T, x_T and ``wealth``, per-path ``clamp_events`` counts, and
-    for each name in ``record`` (a sequence of RECORDABLE names) its
-    (n_steps+1, n_paths) series (n_steps rows for "nu").
+    q_T, u_T, s_T, x_T and ``wealth`` (and ``wealth_var`` if conditional),
+    per-path ``clamp_events`` counts, and for each name in ``record`` (a
+    sequence of RECORDABLE names) its (n_steps+1, n_paths) series (n_steps
+    rows for "nu").
     """
     rng = make_rng(seed, stream)
     dt = (params.T - initial.t) / n_steps
@@ -517,31 +528,42 @@ def _euler_ensemble(
         rec = {name: np.empty((n_steps if name == "nu" else n_steps + 1, n)) for name in record}
         for name in tracked:
             rec[name][0] = state[name]
+        if conditional:
+            state["q_sq"] = np.zeros(lane[0].size)
         runs.append((state, rec, np.zeros(n, dtype=np.int64)))
 
-    # per shock: (buffer, drift, [(coefficient, normal row)]); the S and U
-    # shocks carry their drifts, dW and dZ are kept only when recorded
-    shocks = {
-        "s": (params.mu * dt, [(params.sigma * sq, 0)]),
-        "u": (params.beta * dt, [(params.eta * params.rho * sq, 0), (params.eta * rho_c * sq, 1)]),
-        "w": (0.0, [(sq, 0)]),
-        "z": (0.0, [(params.rho * sq, 0), (rho_c * sq, 1)]),
-    }
-    shocks = {
-        name: (np.empty(n), *spec) for name, spec in shocks.items() if name in ("s", "u") or name in record
-    }
+    # per shock: (buffer, drift, [(coefficient, source)]); the S and U shocks
+    # carry their drifts, dW and dZ are kept only when recorded.  A source is
+    # a normal row or, for the conditional S shock sigma*rho*dZ, the U shock
+    # eta*dZ before its drift, scaled by sigma*rho/eta (so U is filled
+    # first); with eta = 0 that shock is built from the rows.
     xi = np.empty((2, n_base))
     base, mirror = slice(0, n_base), slice(n_base, n)
+    bufs = {name: np.empty(n) for name in ("u", "s", "w", "z") if name in ("s", "u") or name in record}
+    if not conditional:
+        s_terms = [(params.sigma * sq, xi[0])]
+    elif params.eta > 0.0:
+        s_terms = [(params.sigma * params.rho / params.eta, bufs["u"][base])]
+    else:
+        s_dz = params.sigma * params.rho * sq
+        s_terms = [(s_dz * params.rho, xi[0]), (s_dz * rho_c, xi[1])]
+    spec = {
+        "u": (params.beta * dt, [(params.eta * params.rho * sq, xi[0]), (params.eta * rho_c * sq, xi[1])]),
+        "s": (params.mu * dt, s_terms),
+        "w": (0.0, [(sq, xi[0])]),
+        "z": (0.0, [(params.rho * sq, xi[0]), (rho_c * sq, xi[1])]),
+    }
+    shocks = {name: (buf, *spec[name]) for name, buf in bufs.items()}
 
     for i, t in enumerate(times):
         rng.standard_normal(out=xi)
-        for buf, drift, terms in shocks.values():
-            # filled on the base half and mirrored: drift - shock
-            (c0, row0), *rest = terms
-            np.multiply(xi[row0], c0, out=buf[base])
-            for c1, row1 in rest:
-                np.multiply(xi[row1], c1, out=tmp[base])
+        # every shock is filled on the base half, then mirrored: drift - shock
+        for buf, _, ((c0, src0), *rest) in shocks.values():
+            np.multiply(src0, c0, out=buf[base])
+            for c1, src1 in rest:
+                np.multiply(src1, c1, out=tmp[base])
                 buf[base] += tmp[base]
+        for buf, drift, _ in shocks.values():
             if antithetic:
                 np.subtract(drift, buf[base], out=buf[mirror])
             if drift:
@@ -584,6 +606,9 @@ def _euler_ensemble(
             for name in ("w", "z"):
                 if name in shocks:
                     st[name] += shocks[name][0]
+            if conditional:
+                np.multiply(q, q, out=kv)
+                st["q_sq"] += kv
             for name in tracked:
                 rec[name][i + 1] = st[name]
 
@@ -591,11 +616,13 @@ def _euler_ensemble(
         if st["q"].size < n:
             st["q"] = np.full(n, st["q"][0])
     grid = initial.t + dt * np.arange(n_steps + 1)
+    price_var = params.sigma**2 * (1.0 - params.rho**2) * dt
     return [
         {
             **{f"{name}_T": st[name] for name in ("q", "u", "s", "x")},
             "times": grid,
             "wealth": _wealth(params, exposure, st["x"], st["q"], st["s"], st["u"]),
+            **({"wealth_var": price_var * st["q_sq"]} if conditional else {}),
             "clamp_events": clamped,
             **rec,
         }

@@ -225,13 +225,19 @@ class McEstimate:
     """Monte Carlo estimate of the performance criterion.
 
     kind is "utility" (mean of -exp(-gamma*wealth)) for gamma > 0 and
-    "wealth" (mean terminal wealth, flagged) for gamma = 0.  With antithetic
-    pairing, std_error is the sample std of the n_samples independent pair
-    means divided by sqrt(n_samples).  ce is the certainty equivalent
-    -ln(-mean)/gamma (the mean itself in wealth mode).  n_paths is the
-    number of simulated paths: with antithetic pairing an odd request
-    rounds up to whole pairs.  clamp_events counts the path-steps whose
-    speed the engine clamped, summed over paths.
+    "wealth" (mean terminal wealth, flagged) for gamma = 0.  Each path
+    contributes its conditional expectation given the factor path (see
+    ``_mc_samples``): -exp(-gamma*(W0 - gamma/2*Var)) in utility mode and W0
+    in wealth mode, where W0 is the wealth with the price noise orthogonal
+    to the factor set to zero and Var = sigma^2*(1-rho^2)*dt*sum_j q_{j+1}^2
+    is that noise's variance.  Both means are those of the realized wealth;
+    only the noise is smaller.  With antithetic pairing, std_error is the
+    sample std of the n_samples independent pair means divided by
+    sqrt(n_samples).  ce is the certainty equivalent -ln(-mean)/gamma (the
+    mean itself in wealth mode).  n_paths is the number of simulated paths:
+    with antithetic pairing an odd request rounds up to whole pairs.
+    clamp_events counts the path-steps whose speed the engine clamped,
+    summed over paths.
     """
 
     mean: float
@@ -300,9 +306,19 @@ def _mc_samples(
     seed: int,
     antithetic: bool,
     chunk_paths: int,
+    gamma: float,
 ) -> tuple[list[np.ndarray], list[int]]:
-    """Terminal wealth per strategy under common random numbers, and the
-    number of clamped speeds per strategy.
+    """Conditional certainty equivalents per strategy under common random
+    numbers, and the number of clamped speeds per strategy.
+
+    No strategy reads the price, so given the factor path the terminal wealth
+    is Gaussian: W = W0 + sum_j sigma*sqrt(1-rho^2)*sqrt(dt)*q_{j+1}*xi_j
+    with xi_j the price noise orthogonal to the factor (conditional Monte
+    Carlo; Asmussen & Glynn, Stochastic Simulation, 2007, ch. V).  Each
+    path's sample is therefore
+    W0 - gamma/2*sigma^2*(1-rho^2)*dt*sum_j q_{j+1}^2, whose utility
+    -exp(-gamma*sample) is exactly E[-exp(-gamma*W) | factor path]; with
+    gamma = 0 it is W0, whose mean is the mean wealth.
 
     The base paths split into chunks of ``chunk_paths`` simulated paths and a
     shorter last one.  Chunk i runs on the make_rng substream (seed, i), and
@@ -310,7 +326,7 @@ def _mc_samples(
     results depend on ``chunk_paths`` but not on the number of worker threads.
     Affine strategies are tabulated once here and shared by every chunk.
 
-    Each wealth array is (members, samples): (2, pairs) with antithetic
+    Each sample array is (members, samples): (2, pairs) with antithetic
     sampling, base paths over their mirrors, and (1, paths) without.
     """
     unit, times, tables = _engine_inputs(params, strategies, initial, n_steps, n_paths, antithetic, chunk_paths, ())
@@ -318,9 +334,13 @@ def _mc_samples(
 
     def task(idx, nb):
         runs = _euler_ensemble(
-            params, exposure, strategies, initial, n_steps, seed, idx, nb, antithetic, times=times, tables=tables
+            params, exposure, strategies, initial, n_steps, seed, idx, nb, antithetic,
+            times=times, tables=tables, conditional=True,
         )
-        return [(run["wealth"].reshape(rows, -1), int(run["clamp_events"].sum())) for run in runs]
+        return [
+            ((run["wealth"] - 0.5 * gamma * run["wealth_var"]).reshape(rows, -1), int(run["clamp_events"].sum()))
+            for run in runs
+        ]
 
     chunk = max(1, chunk_paths // rows)
     sizes = [min(chunk, unit - start) for start in range(0, unit, chunk)]
@@ -341,12 +361,14 @@ def _mean_and_se(values: np.ndarray) -> tuple[float, float, int]:
 
     Antithetic members are dependent, so the SE treats each mirrored pair's
     average as one sample; the mean itself is unchanged by the pairing.
-    Fewer than two independent samples leave the SE undefined (NaN).
+    The spread is taken about the first sample, so identical samples give an
+    SE of exactly zero (a rounded mean would leave a few ulps).  Fewer than
+    two independent samples leave the SE undefined (NaN).
     """
     mean = float(np.mean(values))
     indep = values.mean(axis=0)
     n = indep.shape[0]
-    se = float(np.std(indep, ddof=1) / math.sqrt(n)) if n > 1 else math.nan
+    se = float(np.std(indep - indep[0], ddof=1) / math.sqrt(n)) if n > 1 else math.nan
     return mean, se, n
 
 
@@ -375,29 +397,35 @@ def mc_performance(
     Antithetic variates on (dW, dB) are applied by default; fixing the seed
     replays identical increments for any strategy, enabling common-random-
     number comparisons.  For gamma = 0 the estimate is mean terminal wealth,
-    flagged in ``kind``.
+    flagged in ``kind``.  The price noise orthogonal to the factor is
+    integrated out path by path (see ``McEstimate``).
 
     Each block of ``chunk_paths`` paths draws from its own make_rng substream,
     so the estimate depends on ``chunk_paths``; it is bit-identical for any
     number of worker threads (``HEDGE_THREADS``).
     """
     g = params.gamma if gamma is None else gamma
-    (wealth,), (clamped,) = _mc_samples(
-        params, exposure, [strategy], initial, n_paths, n_steps, seed, antithetic, chunk_paths
+    (samples,), (clamped,) = _mc_samples(
+        params, exposure, [strategy], initial, n_paths, n_steps, seed, antithetic, chunk_paths, g
     )
     if g > 0:
-        mean, se, n = _mean_and_se(utility_of(wealth, g))
+        mean, se, n = _mean_and_se(utility_of(samples, g))
         ce = _certainty_equivalent(mean, g)
-        return McEstimate(mean, se, wealth.size, seed, "utility", ce, se / (g * abs(mean)), n, clamped)
-    mean, se, n = _mean_and_se(wealth)
-    return McEstimate(mean, se, wealth.size, seed, "wealth", mean, se, n, clamped)
+        return McEstimate(mean, se, samples.size, seed, "utility", ce, se / (g * abs(mean)), n, clamped)
+    mean, se, n = _mean_and_se(samples)
+    return McEstimate(mean, se, samples.size, seed, "wealth", mean, se, n, clamped)
 
 
 @dataclass(frozen=True)
 class StrategyGap:
-    """Common-random-number comparison of two strategies on the CE scale;
-    n_paths is the number of simulated paths (as in ``McEstimate``) and
-    clamp_events_a/_b count each strategy's clamped speeds over all paths."""
+    """Common-random-number comparison of two strategies on the CE scale.
+
+    Both strategies' per-path samples are conditional expectations given the
+    shared factor path, as in ``McEstimate``, so the price noise that the
+    factor does not see is integrated out of each side before the
+    difference.  n_paths is the number of simulated paths (as in
+    ``McEstimate``) and clamp_events_a/_b count each strategy's clamped
+    speeds over all paths."""
 
     ce_a: float
     ce_b: float
@@ -431,20 +459,12 @@ def mc_strategy_gap(
     exact zero.
     """
     g = params.gamma if gamma is None else gamma
-    (wealth_a, wealth_b), clamps = _mc_samples(
-        params,
-        exposure,
-        [strategy_a, strategy_b],
-        initial,
-        n_paths,
-        n_steps,
-        seed,
-        antithetic,
-        chunk_paths,
+    (sample_a, sample_b), clamps = _mc_samples(
+        params, exposure, [strategy_a, strategy_b], initial, n_paths, n_steps, seed, antithetic, chunk_paths, g
     )
     if g > 0:
-        util_a = utility_of(wealth_a, g)
-        util_b = utility_of(wealth_b, g)
+        util_a = utility_of(sample_a, g)
+        util_b = utility_of(sample_b, g)
         mean_a = float(np.mean(util_a))
         mean_b = float(np.mean(util_b))
         mean_d, se_d, _ = _mean_and_se(util_a - util_b)
@@ -453,10 +473,10 @@ def mc_strategy_gap(
         ce_b = _certainty_equivalent(mean_b, g)
         gap = -math.log1p(mean_d / mean_b) / g
         gap_se = se_d / (g * abs(mean_b))
-        return StrategyGap(ce_a, ce_b, gap, gap_se, "utility", wealth_a.size, seed, *clamps)
-    mean_d, se_d, _ = _mean_and_se(wealth_a - wealth_b)
-    ce_a, ce_b = float(np.mean(wealth_a)), float(np.mean(wealth_b))
-    return StrategyGap(ce_a, ce_b, mean_d, se_d, "wealth", wealth_a.size, seed, *clamps)
+        return StrategyGap(ce_a, ce_b, gap, gap_se, "utility", sample_a.size, seed, *clamps)
+    mean_d, se_d, _ = _mean_and_se(sample_a - sample_b)
+    ce_a, ce_b = float(np.mean(sample_a)), float(np.mean(sample_b))
+    return StrategyGap(ce_a, ce_b, mean_d, se_d, "wealth", sample_a.size, seed, *clamps)
 
 
 # ---------------------------------------------------------------------------

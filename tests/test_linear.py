@@ -106,6 +106,17 @@ class TestH0:
     def test_terminal_condition(self, fig1):
         assert h0(fig1, 1.0, fig1.T) == 0.0
 
+    # the last case has zeta = c = 0, where h0 is its linear part alone
+    @pytest.mark.parametrize("overrides, frak_n", [({}, 1.0), ({"mu": 0.1, "beta": 0.05}, -1.5),
+                                                   ({"mu": 0.0, "c": 0.0, "rho": 0.0, "beta": 0.05}, 1.0)])
+    def test_array_times_match_scalar_calls(self, fig1, overrides, frak_n):
+        p = replace(fig1, **overrides)
+        ts = np.linspace(0.0, p.T, 7)
+        vals = h0(p, frak_n, ts)
+        assert vals.shape == ts.shape and vals[-1] == 0.0
+        for t, v in zip(ts.tolist(), vals.tolist()):
+            assert v == pytest.approx(h0(p, frak_n, t), rel=1e-14, abs=0.0)
+
     def test_zero_case(self):
         p = params_with(mu=0.0)
         assert h0(p, 0.0, 0.7) == 0.0

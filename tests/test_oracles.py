@@ -17,6 +17,8 @@ from crosshedge import (
     Strategy,
     call_payoff_curve,
     constant_strategy,
+    delta_substitution_strategy,
+    expansion_nu_hat_strategy,
     expansion_value,
     h2,
     hjb_residual_at,
@@ -29,10 +31,11 @@ from crosshedge import (
 )
 from crosshedge.config import PRESETS, _build_exposure
 from crosshedge.expansion import _f1, _f2
-from crosshedge.market import SimulationError
+from crosshedge.market import SimulationError, utility_of
 from crosshedge.oracles import (
     Lambda2_ode_system,
     _mc_samples,
+    _mean_and_se,
     _worker_count,
     f1_ode_system,
     simulate_ensemble,
@@ -235,7 +238,7 @@ class TestMcPerformance:
         # trading from S0 = U0 = 0, each mirror's wealth is its base's negative
         p = ModelParams(mu=0.0, sigma=1.0, beta=0.0, eta=1.0, rho=0.3, b=0.0, c=0.0, k=1e-2, gamma=1.0, alpha=0.05, T=1.0)
         (wealth,), _ = _mc_samples(p, LinearExposure(2.0), [constant_strategy(0.0)], State(0, 0, 0, 0.0, 0.0),
-                                   301, 20, 5, True, 100)
+                                   301, 20, 5, True, 100, p.gamma)
         assert wealth.shape == (2, 151)
         assert np.array_equal(wealth[1], -wealth[0]) and np.all(wealth[0] != 0.0)
 
@@ -289,6 +292,107 @@ class TestMcPerformance:
         strat = linear_optimal_strategy(fig1, 1.0)
         res = mc_strategy_gap(fig1, LinearExposure(1.0), strat, strat, State(0, 0, 0, 10.0, 5.0), 1000, 50, seed=4)
         assert res.gap == 0.0 and res.gap_se == 0.0
+
+
+class TestConditionalEstimator:
+    """Each path contributes W0 - gamma/2*sigma^2*(1-rho^2)*dt*sum q^2, its
+    certainty equivalent given the factor path."""
+
+    @staticmethod
+    def _hand_ce(p, frak_n, speed, init, n_steps):
+        """W_det - gamma/2*sigma^2*dt*sum q^2: the exact Euler CE of a constant
+        speed when the wealth's only noise is the price's (eta = 0 or
+        frak_n = 0), written out step by step."""
+        dt = p.T / n_steps
+        x, q, s, u, q_sq = init.x, init.q, init.s, init.u, 0.0
+        for _ in range(n_steps):
+            x -= (s + p.k * speed) * speed * dt
+            q += speed * dt
+            s += (p.mu + p.b * speed) * dt
+            u += (p.beta + p.c * speed) * dt
+            q_sq += q * q
+        return x + q * (s - p.alpha * q) + frak_n * u - p.gamma / 2 * p.sigma**2 * dt * q_sq
+
+    def test_zero_variance_case_matches_hand_loop(self):
+        # rho = eta = 0 and a constant speed: the factor path, the inventory
+        # and W0 are deterministic, and all the price noise integrates out
+        p = ModelParams(mu=0.05, sigma=0.8, beta=0.1, eta=0.0, rho=0.0, b=1e-2, c=1e-3, k=1e-2, gamma=2.0,
+                        alpha=0.05, T=1.0)
+        init = State(0.0, 0.2, 0.4, 10.0, 1.0)
+        est = mc_performance(p, LinearExposure(1.5), constant_strategy(0.3), init, 128, 40, seed=7)
+        assert est.std_error == 0.0
+        assert est.ce == pytest.approx(self._hand_ce(p, 1.5, 0.3, init, 40), rel=1e-12)
+
+    @pytest.mark.parametrize("eta", [0.0, 0.7])
+    def test_correlated_price_noise_splits_exactly(self, eta):
+        # rho = 0.6 and no factor exposure: W0 carries the price noise
+        # sigma*rho*dZ, the variance term the sigma^2*(1-rho^2) rest, and the
+        # estimate matches the exact Gaussian CE of the whole price noise
+        p = ModelParams(mu=0.05, sigma=0.8, beta=0.1, eta=eta, rho=0.6, b=1e-2, c=1e-3, k=1e-2, gamma=2.0,
+                        alpha=0.05, T=1.0)
+        init = State(0.0, 0.2, 0.4, 10.0, 1.0)
+        est = mc_performance(p, LinearExposure(0.0), constant_strategy(0.3), init, 4000, 40, seed=7)
+        assert abs(est.ce - self._hand_ce(p, 0.0, 0.3, init, 40)) <= 4.0 * est.ce_std_error
+
+    def test_silent_factor_matches_a_nearly_silent_one(self, fig1):
+        # with eta = 0 the price shock sigma*rho*dZ is built from the normal
+        # rows, with eta > 0 from the factor shock scaled by sigma*rho/eta;
+        # the two agree as eta -> 0
+        init = State(0, 0, 0.4, 10.0, 1.0)
+        ests = [
+            mc_performance(replace(fig1, eta=eta, rho=0.6), LinearExposure(1.0), constant_strategy(0.3), init,
+                           2000, 50, seed=5)
+            for eta in (0.0, 1e-9)
+        ]
+        assert ests[0].std_error > 0.0
+        assert ests[0].ce == pytest.approx(ests[1].ce, rel=1e-7)
+        assert ests[0].std_error == pytest.approx(ests[1].std_error, rel=1e-6)
+
+    def test_same_normals_as_realized_wealth_with_less_noise(self, fig7, call100):
+        # one chunk keys the estimator to substream (seed, 0), the stream of
+        # simulate_ensemble, so the realized and conditional gaps share every
+        # normal and differ only by the price noise the factor never sees
+        curve = call_payoff_curve(fig7, call100)
+        sc = ExpansionScale.from_params(fig7, 0.2)
+        a, b = expansion_nu_hat_strategy(fig7, curve, sc), delta_substitution_strategy(fig7, curve, sc)
+        init = State(0.0, 0.0, 0.0, 10.0, call100.strike)
+        g, n_paths, n_steps, seed = sc.effective_gamma, 4000, 100, 3
+
+        def gap_and_se(util_a, util_b):
+            mean_d, se_d, _ = _mean_and_se(util_a - util_b)
+            mean_b = float(np.mean(util_b))
+            return -math.log1p(mean_d / mean_b) / g, se_d / (g * abs(mean_b))
+
+        realized = [
+            utility_of(simulate_ensemble(fig7, call100, s, init, n_paths, n_steps, seed, antithetic=True)["wealth"], g)
+            .reshape(2, -1)
+            for s in (a, b)
+        ]
+        samples, _ = _mc_samples(fig7, call100, [a, b], init, n_paths, n_steps, seed, True, n_paths, g)
+        cond = [utility_of(x, g) for x in samples]
+        res = mc_strategy_gap(fig7, call100, a, b, init, n_paths, n_steps, seed, gamma=g, chunk_paths=n_paths)
+        assert (res.gap, res.gap_se) == gap_and_se(*cond)
+        gap_r, se_r = gap_and_se(*realized)
+        se_paired = _mean_and_se((realized[0] - realized[1]) - (cond[0] - cond[1]))[1] / (g * abs(np.mean(realized[1])))
+        assert abs(res.gap - gap_r) <= 3.0 * se_paired
+        assert res.gap_se <= 0.7 * se_r
+
+
+class TestStrategyGapOrder:
+    def test_measured_outcome_carries_ratio_and_upper_bound(self, monkeypatch):
+        # two resolved gaps with ratio 3.5 < 4: the 3-sigma upper ratio
+        # (1.05e-5 + 3e-6) / (3e-6 - 6e-7) = 5.625 decides the outcome
+        import crosshedge.verify as verify_mod
+
+        rows = [{"theta": th, "gap": gap, "gap_se": se, "noise_bounded": False,
+                 "clamp_events_nu_hat": 0, "clamp_events_nu_prime": 0}
+                for th, gap, se in ((0.2, -1.05e-5, 1e-6), (0.1, -3e-6, 2e-7))]
+        monkeypatch.setattr(verify_mod, "theta_sweep", lambda *args, **kwargs: rows)
+        ok, measured, detail = strategy_gap_order()
+        assert ok and measured["outcome"] == "measured"
+        assert measured["ratio"] == pytest.approx(3.5, rel=1e-12)
+        assert measured["ratio_upper"] == pytest.approx(5.625, rel=1e-12)
+        assert "3-sigma upper 5.62" in detail
 
 
 class TestHjbResidual:
