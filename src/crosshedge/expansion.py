@@ -42,7 +42,7 @@ import numpy as np
 from .bachelier import AuxiliaryProcessLaw, PayoffCurve, _hermite_expectation
 from .linear import _cross_gain_limit, _drift_gain_limit, _gauss_legendre, _h2_limit
 from .linear import _optimal_speed_coeffs, _tau_integral
-from .market import Affine, ModelParams, Strategy, _affine_speed, _check_finite, _check_time
+from .market import Affine, ModelParams, Strategy, _affine_speed, _check_finite, _check_scalar_time, _check_time
 
 __all__ = [
     "ExpansionScale",
@@ -104,7 +104,7 @@ def f_coefficients(params: ModelParams, t: float) -> tuple[float, float, float]:
     with the fixed log(2k + m*tau) Gauss-Legendre rule and short-circuits
     to 0 when mu = 0.
     """
-    return _f_coefficients(params, _check_time(params, t))
+    return _f_coefficients(params, _check_scalar_time(params, t))
 
 
 def _f_coefficients(params: ModelParams, t: float) -> tuple[float, float, float]:
@@ -117,13 +117,13 @@ def _f_coefficients(params: ModelParams, t: float) -> tuple[float, float, float]
     return f0, f1, f2
 
 
-def lambda1(params: ModelParams, payoff: PayoffCurve, t, u) -> np.ndarray | float:
+def lambda1(params: ModelParams, payoff: PayoffCurve, t: float, u) -> np.ndarray | float:
     """Cross-impact coefficient on q: -m*(T-t)/(2k + m*(T-t)) * delta(t,u).
 
     The defining expectation of the running future delta collapses through
     the delta-martingale property; no sampling is involved.
     """
-    t = _check_time(params, t)
+    t = _check_scalar_time(params, t)
     return _affine_speed((0.0, _cross_gain_limit(params, params.T - t), 0.0), payoff.delta, t, 0.0, u)
 
 
@@ -139,7 +139,7 @@ def lambda0(params: ModelParams, payoff: PayoffCurve, t: float, u) -> np.ndarray
 
     Vanishes when mu = 0 (no drift-induced trading to interact with).
     """
-    t = _check_time(params, t)
+    t = _check_scalar_time(params, t)
     return _affine_speed((0.0, _lambda0_weight(params, t), 0.0), payoff.delta, t, 0.0, u)
 
 
@@ -181,7 +181,7 @@ def _pull_weight(params: ModelParams, t: float) -> float:
     return -params.rho * params.sigma * params.eta * float(_lemma_weight(params, t))
 
 
-def Lambda1(params: ModelParams, payoff: PayoffCurve, t, u) -> np.ndarray | float:
+def Lambda1(params: ModelParams, payoff: PayoffCurve, t: float, u) -> np.ndarray | float:
     """Risk-aversion coefficient on q: drift-risk integral minus the hedging pull.
 
     The delta-dependent part reduces through the martingale property to
@@ -189,7 +189,7 @@ def Lambda1(params: ModelParams, payoff: PayoffCurve, t, u) -> np.ndarray | floa
     deterministic time integral (zero when mu = 0).  Sign is indeterminate
     in general.
     """
-    t = _check_time(params, t)
+    t = _check_scalar_time(params, t)
     coeffs = (_drift_risk_integral(params, t), _pull_weight(params, t), 0.0)
     return _affine_speed(coeffs, payoff.delta, t, 0.0, u)
 
@@ -246,7 +246,7 @@ def Lambda0(params: ModelParams, payoff: PayoffCurve, t: float, u) -> np.ndarray
     The drift part is a time weight times delta(t,u); the squared-delta
     variance cost needs genuine quadrature over the factor transition.
     """
-    t = _check_time(params, t)
+    t = _check_scalar_time(params, t)
     u = np.asarray(u, dtype=float)
     out = _Lambda0_variance(params, payoff, t, u)
     if params.mu != 0.0:
@@ -308,13 +308,13 @@ def nu_hat_components(
     pushes the factor in the option's favor net of round-trip costs; the
     gamma-term combines the hedging pull with inventory-risk decay.
     """
-    t = _check_time(params, t)
+    t = _check_scalar_time(params, t)
     return tuple(_affine_speed(coeffs, payoff.delta, t, q, u) for coeffs in _nu_hat_terms(params, scale, t))
 
 
 def nu_hat(params: ModelParams, payoff: PayoffCurve, scale: ExpansionScale, t: float, q, u):
     """Expansion trading speed nu_0 + theta*(c*nu_1 + gamma*nu_2); affine in q."""
-    t = _check_time(params, t)
+    t = _check_scalar_time(params, t)
     return _affine_speed(_nu_hat_coeffs(params, scale, t), payoff.delta, t, q, u)
 
 
@@ -324,7 +324,7 @@ def nu_prime(params: ModelParams, payoff: PayoffCurve, scale: ExpansionScale, t:
 
     Exact when the payoff is linear; within o(theta) of ``nu_hat`` otherwise.
     """
-    t = _check_time(params, t)
+    t = _check_scalar_time(params, t)
     return _affine_speed(_optimal_speed_coeffs(_effective_params(params, scale), t), payoff.delta, t, q, u)
 
 
@@ -334,7 +334,7 @@ def risk_neutral_cross_impact_speed(params: ModelParams, payoff: PayoffCurve, t:
     Drives inventory toward (c/m)*delta(t,u) with a gain that stiffens as
     the horizon approaches; equals ``nu_hat`` at gamma=0, theta=1.
     """
-    t = _check_time(params, t)
+    t = _check_scalar_time(params, t)
     return _affine_speed(_risk_neutral_coeffs(params, t), payoff.delta, t, q, u)
 
 
@@ -345,15 +345,13 @@ def expansion_value(
     t: float,
     q,
     u,
-    return_components: bool = False,
 ):
     """First-order value approximation h0 + theta*(c*h1 + gamma*h2).
 
     Second-order terms have no explicit solution and are not computed; the
-    truncation error is o(theta^2) in the defining PDE.  With
-    ``return_components`` the pieces (h0, h1, h2) are returned alongside.
+    truncation error is o(theta^2) in the defining PDE.
     """
-    t = _check_time(params, t)
+    t = _check_scalar_time(params, t)
     q = np.asarray(q, dtype=float)
     u = np.asarray(u, dtype=float)
     f0, f1, f2 = _f_coefficients(params, t)
@@ -369,10 +367,7 @@ def expansion_value(
         + _Lambda2_at(params, params.T - t) * q * q
     )
     total = h0_val + scale.effective_c * h1_val + scale.effective_gamma * h2_val
-    total = total if np.ndim(total) else float(total)
-    if return_components:
-        return total, {"h0": h0_val, "h1": h1_val, "h2": h2_val}
-    return total
+    return total if np.ndim(total) else float(total)
 
 
 def _strategy(tag: str, params: ModelParams, payoff: PayoffCurve, coeffs_at) -> Strategy:

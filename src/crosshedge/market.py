@@ -156,6 +156,14 @@ def _check_time(params: ModelParams, t) -> float | np.ndarray:
     return min(max(t, 0.0), params.T)
 
 
+def _check_scalar_time(params: ModelParams, t) -> float:
+    """``_check_time`` for entries that evaluate one time per call: an array
+    t raises instead of failing deep inside them."""
+    if not isinstance(t, float) and np.ndim(t):
+        raise ValueError(f"t must be a scalar time (one time per call), got an array of shape {np.shape(t)}")
+    return _check_time(params, t)
+
+
 @dataclass(frozen=True)
 class LinearExposure:
     """Terminal exposure psi(U) = frak_n * U (frak_n frozen units of the factor)."""

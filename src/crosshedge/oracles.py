@@ -645,14 +645,6 @@ def theta_sweep(
 # ---------------------------------------------------------------------------
 
 
-def _expected_deltas(params: ModelParams, payoff: PayoffCurve, t: float, u: float):
-    """Gauss-Legendre rule (s_nodes, s_w) on [t, T] and E[delta(s, U~_s) | U~_t = u]
-    at each node, by adaptive quadrature (one scalar integral per node)."""
-    law = AuxiliaryProcessLaw.from_params(params)
-    s_nodes, s_w = _gauss_legendre(t, params.T, _NESTED_TIME_NODES)
-    return s_nodes, s_w, np.array([expected_delta(law, payoff, t, s, u) for s in s_nodes.tolist()])
-
-
 def nested_quadrature(params: ModelParams, payoff: PayoffCurve, t: float, u: float) -> tuple[float, float, float]:
     """(lambda_0, lambda_1, Lambda_1) via their defining expectations: an outer
     time rule over one set of inner adaptive quadratures of the future delta,
@@ -663,7 +655,9 @@ def nested_quadrature(params: ModelParams, payoff: PayoffCurve, t: float, u: flo
     if tau <= 0:
         return 0.0, 0.0, 0.0
     k, m = params.k, params.m
-    s_nodes, s_w, e_delta = _expected_deltas(params, payoff, t, u)
+    law = AuxiliaryProcessLaw.from_params(params)
+    s_nodes, s_w = _gauss_legendre(t, params.T, _NESTED_TIME_NODES)
+    e_delta = np.array([expected_delta(law, payoff, t, s, u) for s in s_nodes.tolist()])
     f1 = _f1(params, s_nodes)
     gain = 2.0 * k + m * (params.T - s_nodes)
     lam0 = float(np.sum(s_w * f1 / gain * e_delta))

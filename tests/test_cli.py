@@ -326,12 +326,13 @@ class TestManifest:
 
 
 class TestVerifyPlumbing:
-    def test_fault_injection_breaks_riccati_check(self):
+    def test_fault_injection_breaks_riccati_check(self, monkeypatch):
+        import crosshedge.verify as verify_mod
+
         ok, measured, _ = riccati_vs_rk4(seed=0, n_random=2)
         assert ok
-        corrupted, measured, _ = riccati_vs_rk4(
-            seed=0, n_random=2, h2_fn=lambda p, t, _h2=__import__("crosshedge").h2: _h2(p, t) + 1e-3
-        )
+        monkeypatch.setattr(verify_mod, "h2", lambda p, t, _h2=verify_mod.h2: _h2(p, t) + 1e-3)
+        corrupted, measured, _ = riccati_vs_rk4(seed=0, n_random=2)
         assert not corrupted
         assert measured["sup_error"] >= 1e-3
 

@@ -571,12 +571,56 @@ class TestExpansionValue:
         )
         assert fd == pytest.approx(expansion_first_order, abs=1e-6)
 
-    def test_components_retrievable(self, fig7, call100):
+    @pytest.mark.parametrize("drift", [{}, {"mu": 0.1, "beta": 0.05}])
+    def test_equals_sum_of_public_coefficients(self, fig7, call100, drift):
+        # g + f0 + f1*q + f2*q^2 + theta*c*(lambda_0 + lambda_1*q)
+        # + theta*gamma*(Lambda_0 + Lambda_1*q + Lambda_2*q^2), each term from its public entry
+        params = replace(fig7, **drift)
+        curve = call_payoff_curve(params, call100)
+        sc = ExpansionScale.from_params(params, 0.5)
+        for t, q, u in [(0.0, 0.0, 1.0), (0.4, 0.5, 1.1), (0.8, -1.5, 0.4)]:
+            f0, f1, f2 = f_coefficients(params, t)
+            assembled = (
+                float(curve.g(t, np.asarray(u)))
+                + f0
+                + f1 * q
+                + f2 * q * q
+                + sc.effective_c * (lambda0(params, curve, t, u) + lambda1(params, curve, t, u) * q)
+                + sc.effective_gamma
+                * (Lambda0(params, curve, t, u) + Lambda1(params, curve, t, u) * q + Lambda2(params, t) * q * q)
+            )
+            assert expansion_value(params, curve, sc, t, q, u) == pytest.approx(float(assembled), rel=1e-12)
+
+
+class TestScalarTimeEntries:
+    """Entries that evaluate one time per call reject an array time by name."""
+
+    ENTRIES = {
+        "f_coefficients": lambda p, c, sc, t: f_coefficients(p, t),
+        "lambda0": lambda p, c, sc, t: lambda0(p, c, t, 1.0),
+        "lambda1": lambda p, c, sc, t: lambda1(p, c, t, 1.0),
+        "Lambda0": lambda p, c, sc, t: Lambda0(p, c, t, 1.0),
+        "Lambda1": lambda p, c, sc, t: Lambda1(p, c, t, 1.0),
+        "nu_hat": lambda p, c, sc, t: nu_hat(p, c, sc, t, 0.0, 1.0),
+        "nu_hat_components": lambda p, c, sc, t: nu_hat_components(p, c, sc, t, 0.0, 1.0),
+        "nu_prime": lambda p, c, sc, t: nu_prime(p, c, sc, t, 0.0, 1.0),
+        "risk_neutral_cross_impact_speed": lambda p, c, sc, t: risk_neutral_cross_impact_speed(p, c, t, 0.0, 1.0),
+        "expansion_value": lambda p, c, sc, t: expansion_value(p, c, sc, t, 0.0, 1.0),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    def test_array_time_rejected(self, fig7, call100, entry):
         curve = call_payoff_curve(fig7, call100)
-        sc = ExpansionScale.from_params(fig7, 1.0)
-        total, parts = expansion_value(fig7, curve, sc, 0.4, 0.5, 1.1, return_components=True)
-        rebuilt = parts["h0"] + sc.effective_c * parts["h1"] + sc.effective_gamma * parts["h2"]
-        assert total == pytest.approx(float(rebuilt), rel=1e-14)
+        sc = ExpansionScale.from_params(fig7, 0.5)
+        with pytest.raises(ValueError, match=r"t must be a scalar time .* shape \(2,\)"):
+            self.ENTRIES[entry](fig7, curve, sc, np.array([0.1, 0.2]))
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    def test_numpy_scalar_time_accepted(self, fig7, call100, entry):
+        curve = call_payoff_curve(fig7, call100)
+        sc = ExpansionScale.from_params(fig7, 0.5)
+        evaluate = self.ENTRIES[entry]
+        assert np.array_equal(evaluate(fig7, curve, sc, np.float64(0.3)), evaluate(fig7, curve, sc, 0.3))
 
 
 class TestScale:

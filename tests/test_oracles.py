@@ -41,6 +41,8 @@ from crosshedge.oracles import (
     simulate_ensemble,
 )
 from crosshedge.verify import (
+    FIG7,
+    lemma_reduction_equivalence,
     mc_se_scaling,
     rk4_convergence_order,
     strategy_gap_order,
@@ -393,6 +395,42 @@ class TestStrategyGapOrder:
         assert measured["ratio"] == pytest.approx(3.5, rel=1e-12)
         assert measured["ratio_upper"] == pytest.approx(5.625, rel=1e-12)
         assert "3-sigma upper 5.62" in detail
+
+    def test_gap_inside_three_se_gets_no_pass(self, monkeypatch):
+        # gap(0.2) = 2e-6 +- 1e-6 is inside 3 SE, gap(0.1) = -3e-6 +- 2e-7 is
+        # resolved: the ratio rule judges, and (2e-6 + 3e-6) / (3e-6 - 6e-7) = 2.08 < 4
+        import crosshedge.verify as verify_mod
+
+        rows = [{"theta": th, "gap": gap, "gap_se": se, "noise_bounded": noise_bounded,
+                 "clamp_events_nu_hat": 0, "clamp_events_nu_prime": 0}
+                for th, gap, se, noise_bounded in ((0.2, 2e-6, 1e-6, True), (0.1, -3e-6, 2e-7, False))]
+        monkeypatch.setattr(verify_mod, "theta_sweep", lambda *args, **kwargs: rows)
+        ok, measured, _ = strategy_gap_order()
+        assert not ok and measured["outcome"] == "measured"
+        assert measured["ratio_upper"] == pytest.approx(5e-6 / 2.4e-6, rel=1e-12)
+
+
+class TestLemmaReductionEquivalence:
+    def test_both_markets_agree(self):
+        ok, measured, detail = lemma_reduction_equivalence(seed=5, n_points=3)
+        assert ok and measured["n"] == 3
+        assert max(measured["max_error"], measured["drift_max_error"]) < 1e-9
+        assert "fig7 mu=0.1 beta=0.05" in detail
+
+    def test_shift_of_the_affine_in_s_residual_fails(self, monkeypatch):
+        # eps*(s - (t+T)/2) integrates to zero over [t, T], so it moves only the
+        # lemma's f = s residual, which Lambda_1's weight 2k + m(T-s) pins
+        import crosshedge.oracles as oracles_mod
+
+        exact = oracles_mod.expected_delta
+        monkeypatch.setattr(
+            oracles_mod,
+            "expected_delta",
+            lambda law, payoff, t, s, u: exact(law, payoff, t, s, u) + 1e-4 * (s - 0.5 * (t + FIG7.T)),
+        )
+        ok, measured, _ = lemma_reduction_equivalence(seed=5, n_points=3)
+        assert not ok
+        assert measured["max_error"] > 1e-6
 
 
 class TestHjbResidual:
