@@ -80,4 +80,4 @@ from .oracles import (
     theta_sweep,
 )
 
-__version__ = "0.5.1"
+__version__ = "0.5.2"

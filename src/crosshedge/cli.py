@@ -177,13 +177,16 @@ def run_sweep_theta(cfg: ExperimentConfig, outdir: Path) -> list[str]:
             "" if r["gap_over_theta2"] is None else _fmt(r["gap_over_theta2"]),
             str(bool(r["noise_bounded"])).lower(),
             r["kind"],
+            r["clamp_events_nu_hat"],
+            r["clamp_events_nu_prime"],
         )
         for r in rows
     ]
     out = outdir / "sweep_theta.csv"
     _write_csv(
         out,
-        ["theta", "ce_nu_hat", "ce_nu_prime", "gap", "gap_se", "gap_over_theta2", "noise_bounded", "kind"],
+        ["theta", "ce_nu_hat", "ce_nu_prime", "gap", "gap_se", "gap_over_theta2", "noise_bounded", "kind",
+         "clamp_events_nu_hat", "clamp_events_nu_prime"],
         table,
     )
     return [out.name]
@@ -236,7 +239,8 @@ def main(argv: list[str] | None = None) -> int:
                        help="dot-path config override, e.g. --set model.gamma=0.001")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", type=str, default=None, help="output directory")
-        p.add_argument("--gnuplot", action="store_true", help="also emit a gnuplot script")
+        if name in _GNUPLOT_SNIPPETS:
+            p.add_argument("--gnuplot", action="store_true", help="also emit a gnuplot script")
         if name == "verify":
             p.add_argument("--full", action="store_true", help="acceptance-scale path counts")
 
@@ -279,7 +283,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {err}", file=sys.stderr)
         return 2
 
-    if args.gnuplot and cfg.experiment in _GNUPLOT_SNIPPETS:
+    if getattr(args, "gnuplot", False):
         gp = outdir / "plot.gp"
         gp.write_text(_GNUPLOT_SNIPPETS[cfg.experiment].format(last_path=cfg.n_paths - 1))
         outputs.append(gp.name)

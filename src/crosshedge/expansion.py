@@ -15,11 +15,12 @@ are deterministic time weights times delta(t,U).  The single non-reducible
 term (the squared delta inside Lambda_0) is integrated with Gauss-Hermite
 nodes under an outer Gauss-Legendre time rule.
 
-The drift (mu != 0) time integrals -- f0, the lambda_0 weight, the
-drift-risk integral D(t) inside Lambda_1 and nu_hat, and the drift part of
-Lambda_0 -- have integrands rational in time-to-go tau with poles only at
-A = 2k + m*tau = 0.  In log A they are entire, so each is one fixed
-Gauss-Legendre sum in log A (``linear._tau_integral``), vectorised over t.
+The drift (mu != 0) time integrals -- f0, the lambda_0 weight and the
+drift-risk integral D(t) inside Lambda_1 and nu_hat -- have integrands
+rational in time-to-go tau with poles only at A = 2k + m*tau = 0.  In log A
+they are entire, so each is one fixed Gauss-Legendre sum in log A
+(``linear._tau_integral``), vectorised over t.  The drift part of Lambda_0
+sums the TIME_NODES-point Gauss-Legendre rule in s over D(s).
 
 Every strategy shipped here is affine in the payoff delta and in inventory,
 

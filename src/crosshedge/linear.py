@@ -196,17 +196,24 @@ def h0(params: ModelParams, frak_n: float, t) -> np.ndarray | float:
     return base + _tau_integral(params, squared_forcing, t) / (4.0 * params.k)
 
 
+def _optimal_speed_coeffs(params: ModelParams, t) -> Affine:
+    """(a, w, B) with the optimal speed a + w*frak_n + B*q, the HJB
+    Hamiltonian's maximiser (h_q + c*h_u + b*q)/(2k) at h_q = h1 + 2*h2*q and
+    h_u = frak_n; at an already validated time, broadcasting over an array t."""
+    two_k = 2.0 * params.k
+    drift, per_unit = _h1_parts(params, t)
+    return drift / two_k, (params.c + per_unit) / two_k, (2.0 * _h2(params, t) + params.b) / two_k
+
+
 def optimal_speed_linear(params: ModelParams, frak_n, t, q) -> np.ndarray | float:
-    """Optimal trading speed (c*frak_n + h1(t) + (2*h2(t) + b)*q) / (2k).
+    """Optimal trading speed a + w*frak_n + B*q of ``_optimal_speed_coeffs``,
+    i.e. (c*frak_n + h1(t) + (2*h2(t) + b)*q) / (2k).
 
     Affine in inventory with strictly negative slope; broadcasts over
-    array-valued frak_n and q.
+    array-valued frak_n, t and q.
     """
-    out = (
-        params.c * np.asarray(frak_n, dtype=float)
-        + h1(params, frak_n, t)
-        + (2.0 * h2(params, t) + params.b) * np.asarray(q, dtype=float)
-    ) / (2.0 * params.k)
+    a, w, b = _optimal_speed_coeffs(params, _check_time(params, t))
+    out = a + w * np.asarray(frak_n, dtype=float) + b * np.asarray(q, dtype=float)
     return out if np.ndim(out) else float(out)
 
 
@@ -265,18 +272,6 @@ def linear_value_function(params: ModelParams, frak_n: float, state: State) -> f
         + h2(params, t) * state.q**2
     )
     return -math.exp(-params.gamma * (state.x + state.q * state.s + frak_n * state.u + h_val))
-
-
-def _optimal_speed_coeffs(params: ModelParams, t: float) -> Affine:
-    """(a, w, B) with the optimal speed (c*frak_n + h1 + (2*h2 + b)*q)/(2k)
-    equal to a + w*frak_n + B*q, at an already validated float t."""
-    two_k = 2.0 * params.k
-    drift, per_unit = _h1_parts(params, t)
-    return (
-        float(drift) / two_k,
-        (params.c + float(per_unit)) / two_k,
-        (2.0 * float(_h2(params, t)) + params.b) / two_k,
-    )
 
 
 def linear_optimal_strategy(params: ModelParams, frak_n: float) -> Strategy:

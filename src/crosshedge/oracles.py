@@ -28,7 +28,7 @@ from .expansion import (
     expansion_nu_hat_strategy,
     expansion_value,
 )
-from .linear import _gauss_legendre, h1, h2, optimal_speed_linear
+from .linear import _gauss_legendre
 from .market import (
     Exposure,
     ModelParams,
@@ -59,14 +59,10 @@ __all__ = [
     "default_probe_grid",
     "theta_sweep",
     "nested_quadrature",
-    "speed_argmax_on_grid",
 ]
 
 # Paths per RNG substream (one engine call) of the Monte Carlo estimators.
 DEFAULT_CHUNK_PATHS = 20_000
-# Speed interval searched by speed_argmax_on_grid, and its grid step.
-_SPEED_GRID_LO, _SPEED_GRID_HI = -10.0, 10.0
-_SPEED_GRID_STEP = 1e-4
 # Outer Gauss-Legendre time nodes of the nested-quadrature oracles.
 _NESTED_TIME_NODES = 48
 
@@ -327,8 +323,11 @@ def _mc_samples(
     Affine strategies are tabulated once here and shared by every chunk.
 
     Each sample array is (members, samples): (2, pairs) with antithetic
-    sampling, base paths over their mirrors, and (1, paths) without.
+    sampling, base paths over their mirrors, and (1, paths) without.  A
+    negative or non-finite gamma raises ValueError.
     """
+    if not (math.isfinite(gamma) and gamma >= 0.0):
+        raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
     unit, times, tables = _engine_inputs(params, strategies, initial, n_steps, n_paths, antithetic, chunk_paths, ())
     rows = 2 if antithetic else 1
 
@@ -509,6 +508,13 @@ def hjb_residual_at(
     magnitude (relative steps 1e-5 in t, 1e-4 in u and q); an exact solution
     leaves only finite-difference noise.
     """
+    return _hjb_residual_and_drive(params, h_fn, effective_c, effective_gamma, t, q, u)[0]
+
+
+def _hjb_residual_and_drive(params, h_fn, effective_c, effective_gamma, t, q, u):
+    """(residual, drive) at (t, q, u): ``hjb_residual_at`` and, from the same
+    central differences, drive = h_q + c*h_u + b*q.  drive/(2k) is the speed
+    that maximises the Hamiltonian nu*drive - k*nu^2."""
     dt = 1e-5 * max(1.0, params.T)
     du = 1e-4 * np.maximum(np.abs(u), max(1.0, params.eta * math.sqrt(params.T)))
     dq = 1e-4 * np.maximum(1.0, np.abs(q))
@@ -522,7 +528,7 @@ def hjb_residual_at(
     h_q = (h_fn(t, q + dq, u) - h_fn(t, q - dq, u)) / (2 * dq)
 
     drive = h_q + effective_c * h_u + params.b * q
-    return (
+    residual = (
         h_t
         + params.mu * q
         - 0.5 * effective_gamma * params.sigma**2 * q * q
@@ -531,6 +537,7 @@ def hjb_residual_at(
         - 0.5 * effective_gamma * params.eta**2 * h_u * h_u
         + drive * drive / (4.0 * params.k)
     )
+    return residual, drive
 
 
 def default_probe_grid(params: ModelParams, center_u: float) -> list[tuple[float, float, float]]:
@@ -666,24 +673,3 @@ def nested_quadrature(params: ModelParams, payoff: PayoffCurve, t: float, u: flo
     inner = f1 * Lambda2(params, s_nodes) - k * params.rho * params.sigma * params.eta * e_delta
     # the builtin sum adds the nodes in order; np.sum's pairwise order moves the last bits
     return lam0, lam1, float(sum(s_w * weight * inner)) / k
-
-
-def speed_argmax_on_grid(
-    params: ModelParams,
-    frak_n: float,
-    t: float,
-    q: float,
-) -> tuple[float, float]:
-    """Grid-search argmax of the HJB speed objective vs the analytic optimum.
-
-    The grid spans [_SPEED_GRID_LO, _SPEED_GRID_HI] at spacing _SPEED_GRID_STEP.
-
-    The objective is the nu-dependent part of the optimized Hamiltonian:
-    nu*(h1 + 2*h2*q) + b*q*nu + c*frak_n*nu - k*nu^2.
-    Returns (grid winner, analytic optimum).
-    """
-    grid = np.arange(_SPEED_GRID_LO, _SPEED_GRID_HI + _SPEED_GRID_STEP, _SPEED_GRID_STEP)
-    slope_term = h1(params, frak_n, t) + 2.0 * h2(params, t) * q
-    objective = grid * (slope_term + params.b * q + params.c * frak_n) - params.k * grid * grid
-    winner = float(grid[int(np.argmax(objective))])
-    return winner, float(optimal_speed_linear(params, frak_n, t, q))

@@ -16,7 +16,14 @@ from typing import Callable
 import numpy as np
 
 from . import __version__ as ARTIFACT_VERSION
-from .bachelier import AuxiliaryProcessLaw, call_delta, call_payoff_curve, call_value, delta_martingale_check
+from .bachelier import (
+    AuxiliaryProcessLaw,
+    call_delta,
+    call_payoff_curve,
+    call_value,
+    delta_martingale_check,
+    linear_payoff_curve,
+)
 from .config import DEFAULT_SEED, PRESETS, _build_exposure, _validate_document
 from .expansion import (
     ExpansionScale,
@@ -28,6 +35,7 @@ from .expansion import (
     lambda0,
     lambda1,
     nu_hat_components,
+    nu_prime,
     risk_neutral_cross_impact_strategy,
 )
 from .linear import h0, h1, h2, linear_optimal_strategy, optimal_inventory_linear, optimal_speed_linear
@@ -44,13 +52,10 @@ from .market import (
 )
 from .oracles import (
     DenseOdeSolution,
-    _SPEED_GRID_HI,
-    _SPEED_GRID_LO,
-    _SPEED_GRID_STEP,
+    _hjb_residual_and_drive,
     _mc_samples,
     _mean_and_se,
     default_probe_grid,
-    hjb_residual_at,
     mc_performance,
     mc_strategy_gap,
     nested_quadrature,
@@ -58,7 +63,6 @@ from .oracles import (
     riccati_h_system,
     rk4_backward,
     simulate_ensemble,
-    speed_argmax_on_grid,
     theta_sweep,
 )
 
@@ -71,6 +75,9 @@ CALL_100 = _build_exposure(PRESETS["fig7"]["exposure"])
 # (measured-key prefix, label, params): FIG7 and FIG7 with drift, the markets
 # of the checks that must also exercise the mu != 0 and beta != 0 branches
 _FIG7_MARKETS = (("", "fig7", FIG7), ("drift_", "fig7 mu=0.1 beta=0.05", replace(FIG7, mu=0.1, beta=0.05)))
+# (measured-key prefix, label, params, probe times) of the linear-exposure
+# HJB check; FIG3 has gamma = 0, so it runs the omega -> 0 limits
+_LINEAR_MARKETS = (("", "fig1", FIG1, (0.3, 1.5, 2.7)), ("fig3_", "fig3", FIG3, (0.1, 0.5, 0.9)))
 
 
 @dataclass(frozen=True)
@@ -325,17 +332,33 @@ def terminal_conditions() -> tuple[bool, dict, str]:
 
 
 def pde_residual_linear_exact() -> tuple[bool, dict, str]:
-    """The exact linear-case value solves the HJB: residual is FD noise only."""
+    """The exact linear-case value h0 + h1*q + h2*q^2 + frak_n*u solves the
+    HJB (its residual is FD noise only), and every linear optimal speed is
+    the Hamiltonian's maximiser (h_q + c*h_u + b*q)/(2k) of that value, with
+    h_q and h_u from the same central differences, on FIG1 and on FIG3
+    (gamma = 0).  The speeds are optimal_speed_linear, the linear-optimal
+    strategy's rule (the coefficients the engine tabulates) and nu_prime on
+    the linear payoff at theta = 1."""
     frak_n, tol = 1.0, 1e-6
-
-    def h_exact(t, q, u):
-        return h0(FIG1, frak_n, t) + h1(FIG1, frak_n, t) * q + h2(FIG1, t) * q * q + frak_n * u
-
     q, u = np.meshgrid([-1.0, 0.0, 0.7], [4.0, 5.0, 6.0], indexing="ij")
-    worst = max(
-        float(np.max(np.abs(hjb_residual_at(FIG1, h_exact, FIG1.c, FIG1.gamma, t, q, u)))) for t in (0.3, 1.5, 2.7)
-    )
-    return worst < tol, {"sup_residual": worst}, f"sup|residual| = {worst:.2e} (tol {tol:g})"
+    measured, details = {}, []
+    for prefix, label, params, times in _LINEAR_MARKETS:
+
+        def h_exact(t, q, u):
+            return h0(params, frak_n, t) + h1(params, frak_n, t) * q + h2(params, t) * q * q + frak_n * u
+
+        rule = linear_optimal_strategy(params, frak_n).rule
+        curve, unit = linear_payoff_curve(params, frak_n), ExpansionScale.from_params(params, 1.0)
+        residual = speed_error = 0.0
+        for t in times:
+            res, drive = _hjb_residual_and_drive(params, h_exact, params.c, params.gamma, t, q, u)
+            speeds = (optimal_speed_linear(params, frak_n, t, q), rule(t, q, u), nu_prime(params, curve, unit, t, q, u))
+            residual = max(residual, float(np.max(np.abs(res))))
+            speed_error = max(speed_error, float(np.max(np.abs(np.array(speeds) - drive / (2.0 * params.k)))))
+        measured[prefix + "sup_residual"] = residual
+        measured[prefix + "speed_error"] = speed_error
+        details.append(f"{label}: sup|residual| = {residual:.2e}, speed error = {speed_error:.2e}")
+    return max(measured.values()) < tol, measured, f"{'; '.join(details)} (tol {tol:g})"
 
 
 def pde_residual_order(
@@ -483,23 +506,6 @@ def crn_self_gap(seed: int = 37) -> tuple[bool, dict, str]:
     return ok, {"gap": res.gap}, f"self gap = {res.gap} (exact zero required)"
 
 
-def hjb_argmax_grid(seed: int = 41) -> tuple[bool, dict, str]:
-    """Grid search over speeds recovers the analytic feedback optimum to
-    within the oracle's grid step."""
-    resolution = _SPEED_GRID_STEP
-    rng = make_rng(seed, 904)
-    worst = 0.0
-    for _ in range(100):
-        t = float(rng.uniform(0.0, FIG1.T))
-        q = float(rng.uniform(-0.75, 0.75))
-        winner, analytic = speed_argmax_on_grid(FIG1, 1.0, t, q)
-        if not _SPEED_GRID_LO < analytic < _SPEED_GRID_HI:
-            continue
-        worst = max(worst, abs(winner - analytic))
-    ok = worst <= resolution
-    return ok, {"max_gap": worst, "resolution": resolution}, f"max|grid - analytic| = {worst:.2e} (res {resolution:g})"
-
-
 def seed_determinism(seed: int = 43) -> tuple[bool, dict, str]:
     """Identical inputs reproduce bit-identical paths; streams differ."""
     strat = linear_optimal_strategy(FIG1, 1.0)
@@ -568,7 +574,9 @@ def market_conservation(seed: int = 53) -> tuple[bool, dict, str]:
 
 def run_verification(seed: int = DEFAULT_SEED, scale: str = "fast") -> VerifyReport:
     """Run every check; scales: "fast" (default, suite < 5 min) or "full"
-    (acceptance-stated path counts)."""
+    (acceptance-stated path counts); any other scale raises ValueError."""
+    if scale not in ("fast", "full"):
+        raise ValueError(f"scale must be 'fast' or 'full', got {scale!r}")
     full = scale == "full"
     mc_paths = 100_000 if full else 30_000
     mc_steps = 3000 if full else 1000
@@ -594,7 +602,6 @@ def run_verification(seed: int = DEFAULT_SEED, scale: str = "fast") -> VerifyRep
         _timed("rk4-convergence-order", rk4_convergence_order),
         _timed("mc-se-scaling", lambda: mc_se_scaling(seed)),
         _timed("crn-self-gap", lambda: crn_self_gap(seed)),
-        _timed("hjb-argmax-grid", lambda: hjb_argmax_grid(seed)),
         _timed("seed-determinism", lambda: seed_determinism(seed)),
         _timed("antithetic-symmetry", lambda: antithetic_symmetry(seed)),
         _timed("market-conservation", lambda: market_conservation(seed)),

@@ -383,6 +383,12 @@ class TestVerifyPlumbing:
         cfg = write_config(tmp_path, {"preset": "fig3", "model": {"b": 0.2}})
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 2
 
+    def test_unknown_scale_raises(self):
+        from crosshedge.verify import run_verification
+
+        with pytest.raises(ValueError, match="scale must be 'fast' or 'full', got 'medium'"):
+            run_verification(scale="medium")
+
 
 def test_sweep_theta_of_one_pair_reports_undefined_se(tmp_path):
     # one antithetic pair gives no standard error, so no theta reads as resolved
@@ -395,11 +401,23 @@ def test_sweep_theta_of_one_pair_reports_undefined_se(tmp_path):
     )
 
 
-def test_sweep_theta_columns_leave_out_clamp_counts(tmp_path):
-    # theta_sweep rows carry clamp counts; the CSV keeps its columns
+def test_sweep_theta_columns_carry_clamp_counts(tmp_path):
+    # the clamp counts of the theta_sweep rows follow the existing columns
     assert main(["sweep-theta", "--set", "n_paths=4", "--set", "n_steps=10", "--out", str(tmp_path)]) == 0
-    header = (tmp_path / "sweep_theta.csv").read_text().split("\n")[0]
-    assert header == "theta,ce_nu_hat,ce_nu_prime,gap,gap_se,gap_over_theta2,noise_bounded,kind"
+    header, *rows = (tmp_path / "sweep_theta.csv").read_text().strip().split("\n")
+    assert header == (
+        "theta,ce_nu_hat,ce_nu_prime,gap,gap_se,gap_over_theta2,noise_bounded,kind,"
+        "clamp_events_nu_hat,clamp_events_nu_prime"
+    )
+    assert rows and all(r.split(",")[-2:] == ["0", "0"] for r in rows)
+
+
+@pytest.mark.parametrize("experiment", ["verify", "sweep-theta"])
+def test_gnuplot_flag_only_where_a_script_exists(tmp_path, experiment):
+    # no gnuplot snippet for these outputs, so argparse rejects the flag
+    with pytest.raises(SystemExit) as exc:
+        main([experiment, "--gnuplot", "--out", str(tmp_path)])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize(

@@ -20,8 +20,7 @@ from crosshedge import (
 )
 from crosshedge.config import PRESETS
 from crosshedge.market import derived_constants
-from crosshedge.oracles import speed_argmax_on_grid
-from crosshedge.verify import random_well_posed_params
+from crosshedge.verify import pde_residual_linear_exact, random_well_posed_params
 
 # Oracle-computed reference values (frozen):
 #  - RK4 backward integration of the (h0, h1, h2) terminal-value system,
@@ -229,13 +228,31 @@ class TestOptimalSpeed:
         ) / (2 * eps)
         assert optimal_speed_linear(fig1, 1.0, t, q_t) == pytest.approx(deriv, abs=1e-6)
 
-    def test_argmax_matches_grid_search(self, fig1):
-        rng = np.random.default_rng(5)
-        for _ in range(25):
-            t = float(rng.uniform(0, fig1.T))
-            q = float(rng.uniform(-0.75, 0.75))
-            winner, analytic = speed_argmax_on_grid(fig1, 1.0, t, q)
-            assert abs(winner - analytic) <= 1e-4
+    def test_every_speed_is_the_hjb_maximiser(self):
+        # optimal_speed_linear, the strategy's rule and nu_prime against
+        # (h_q + c*h_u + b*q)/(2k) of the exact value, on FIG1 and FIG3 (gamma = 0)
+        ok, measured, detail = pde_residual_linear_exact()
+        assert ok, detail
+        assert measured["speed_error"] < 1e-6 and measured["fig3_speed_error"] < 1e-6
+
+    def test_speed_shift_below_a_grid_step_fails_the_hjb_check(self, monkeypatch):
+        # a 1e-5 shift of a, finer than a 1e-4 speed grid resolves, reaches
+        # all three evaluators through the one coefficient formula
+        import crosshedge.expansion as expansion_mod
+        import crosshedge.linear as linear_mod
+
+        exact = linear_mod._optimal_speed_coeffs
+
+        def shifted(params, t):
+            a, w, b = exact(params, t)
+            return a + 1e-5, w, b
+
+        for mod in (linear_mod, expansion_mod):
+            monkeypatch.setattr(mod, "_optimal_speed_coeffs", shifted)
+        ok, measured, _ = pde_residual_linear_exact()
+        assert not ok
+        assert measured["speed_error"] > 0.99e-5 and measured["fig3_speed_error"] > 0.99e-5
+        assert measured["sup_residual"] < 1e-6 and measured["fig3_sup_residual"] < 1e-6
 
 
 class TestOptimalInventory:

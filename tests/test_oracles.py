@@ -202,6 +202,16 @@ class TestMcPerformance:
         assert res.gap > 3.0 * res.gap_se
         assert res.gap == pytest.approx(fig1.k * eps**2 * fig1.T, rel=0.5)
 
+    @pytest.mark.parametrize("gamma", [-1.0, math.nan, math.inf])
+    def test_bad_gamma_raises(self, fig1, gamma):
+        # unchecked, a negative gamma would take the wealth branch and a NaN one give a NaN CE
+        strat = linear_optimal_strategy(fig1, 1.0)
+        init = State(0, 0.0, 0, 10.0, 5.0)
+        with pytest.raises(ValueError, match="gamma must be finite and >= 0"):
+            mc_performance(fig1, LinearExposure(1.0), strat, init, 200, 10, seed=1, gamma=gamma)
+        with pytest.raises(ValueError, match="gamma must be finite and >= 0"):
+            mc_strategy_gap(fig1, LinearExposure(1.0), strat, strat, init, 200, 10, seed=1, gamma=gamma)
+
     def test_overflow_raises(self):
         p = ModelParams(mu=0.0, sigma=0.0, beta=0.0, eta=0.0, rho=0.0, b=0.0, c=0.0, k=1e-2, gamma=1.0, alpha=0.05, T=1.0)
         with pytest.raises(ValueError, match="smaller gamma"):
