@@ -490,6 +490,10 @@ def _euler_ensemble(
     returned ``wealth`` is the conditional mean W0 of the realized wealth,
     and each run also returns ``wealth_var``, the conditional variance
     sigma^2*(1-rho^2)*dt*sum_j q_{j+1}^2.  Both normal rows are still drawn.
+    Each step also adds its normal block into a running sum, from which each
+    run returns ``z_std``, the base paths' standardized factor endpoint
+    (rho*sum xi0 + sqrt(1-rho^2)*sum xi1)/sqrt(n_steps) = Z_T/sqrt(T - t0),
+    exactly N(0,1); a mirror path's is its negative.
 
     ``times``, ``tables`` and ``record`` come from ``_engine_inputs``, which
     validates them.  An affine strategy's speed is (w*delta + a) + B*q from
@@ -504,8 +508,9 @@ def _euler_ensemble(
     order, e.g. ((S + k*nu)*nu)*dt, and IEEE addition commutes.  Opaque rules
     and strategies with a nonzero delta weight keep per-path inventory.
 
-    Returns one dict per strategy: the time grid ``times``, terminal arrays
-    q_T, u_T, s_T, x_T and ``wealth`` (and ``wealth_var`` if conditional),
+    Returns one dict per strategy: the time grid ``times`` (the step times,
+    then T), terminal arrays q_T, u_T, s_T, x_T and ``wealth`` (and
+    ``wealth_var`` and ``z_std`` if conditional),
     per-path ``clamp_events`` counts, and for each name in ``record`` (a
     sequence of RECORDABLE names) its (n_steps+1, n_paths) series (n_steps
     rows for "nu").
@@ -546,6 +551,7 @@ def _euler_ensemble(
     # eta*dZ before its drift, scaled by sigma*rho/eta (so U is filled
     # first); with eta = 0 that shock is built from the rows.
     xi = np.empty((2, n_base))
+    xi_sum = np.zeros((2, n_base)) if conditional else None
     base, mirror = slice(0, n_base), slice(n_base, n)
     bufs = {name: np.empty(n) for name in ("u", "s", "w", "z") if name in ("s", "u") or name in record}
     if not conditional:
@@ -565,6 +571,8 @@ def _euler_ensemble(
 
     for i, t in enumerate(times):
         rng.standard_normal(out=xi)
+        if conditional:
+            xi_sum += xi
         # every shock is filled on the base half, then mirrored: drift - shock
         for buf, _, ((c0, src0), *rest) in shocks.values():
             np.multiply(src0, c0, out=buf[base])
@@ -623,14 +631,16 @@ def _euler_ensemble(
     for st, _, _ in runs:
         if st["q"].size < n:
             st["q"] = np.full(n, st["q"][0])
-    grid = initial.t + dt * np.arange(n_steps + 1)
-    price_var = params.sigma**2 * (1.0 - params.rho**2) * dt
+    grid = np.array([*times, params.T])
+    if conditional:
+        z_std = (params.rho * xi_sum[0] + rho_c * xi_sum[1]) / math.sqrt(n_steps)
+        price_var = params.sigma**2 * (1.0 - params.rho**2) * dt
     return [
         {
             **{f"{name}_T": st[name] for name in ("q", "u", "s", "x")},
             "times": grid,
             "wealth": _wealth(params, exposure, st["x"], st["q"], st["s"], st["u"]),
-            **({"wealth_var": price_var * st["q_sq"]} if conditional else {}),
+            **({"wealth_var": price_var * st["q_sq"], "z_std": z_std} if conditional else {}),
             "clamp_events": clamped,
             **rec,
         }

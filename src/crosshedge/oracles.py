@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bachelier import AuxiliaryProcessLaw, PayoffCurve, expected_delta, payoff_curve_for
+from .bachelier import AuxiliaryProcessLaw, PayoffCurve, call_value, expected_delta, payoff_curve_for
 from .expansion import (
     ExpansionScale,
     Lambda2,
@@ -30,6 +30,7 @@ from .expansion import (
 )
 from .linear import _gauss_legendre
 from .market import (
+    BachelierCallExposure,
     Exposure,
     ModelParams,
     SimulationError,
@@ -227,13 +228,21 @@ class McEstimate:
     in wealth mode, where W0 is the wealth with the price noise orthogonal
     to the factor set to zero and Var = sigma^2*(1-rho^2)*dt*sum_j q_{j+1}^2
     is that noise's variance.  Both means are those of the realized wealth;
-    only the noise is smaller.  With antithetic pairing, std_error is the
-    sample std of the n_samples independent pair means divided by
-    sqrt(n_samples).  ce is the certainty equivalent -ln(-mean)/gamma (the
-    mean itself in wealth mode).  n_paths is the number of simulated paths:
-    with antithetic pairing an odd request rounds up to whole pairs.
-    clamp_events counts the path-steps whose speed the engine clamped,
-    summed over paths.
+    only the noise is smaller.
+
+    mean and std_error come from the control-variate regression of
+    ``_controlled_mean_and_se`` on the factor path's Brownian endpoint (the
+    controls are listed at ``_mc_samples``): each control's mean is known
+    exactly, so the regression moves no mean and removes the part of the
+    noise that the endpoint explains.  std_error_plain is the SE without
+    controls: the sample std of the n_samples independent samples (pair
+    means under antithetic pairing) divided by sqrt(n_samples), so
+    (std_error_plain/std_error)^2 is the variance factor of the controls.
+    ce is the certainty equivalent -ln(-mean)/gamma (the mean itself in
+    wealth mode) and ce_std_error is std_error on that scale.  n_paths is
+    the number of simulated paths: with antithetic pairing an odd request
+    rounds up to whole pairs.  clamp_events counts the path-steps whose
+    speed the engine clamped, summed over paths.
     """
 
     mean: float
@@ -245,6 +254,7 @@ class McEstimate:
     ce_std_error: float
     n_samples: int
     clamp_events: int
+    std_error_plain: float
 
 
 def _worker_count(n_tasks: int) -> int:
@@ -303,9 +313,10 @@ def _mc_samples(
     antithetic: bool,
     chunk_paths: int,
     gamma: float,
-) -> tuple[list[np.ndarray], list[int]]:
+) -> tuple[list[np.ndarray], list[int], Callable[[int, int], np.ndarray]]:
     """Conditional certainty equivalents per strategy under common random
-    numbers, and the number of clamped speeds per strategy.
+    numbers, the number of clamped speeds per strategy, and the control
+    columns of the samples.
 
     No strategy reads the price, so given the factor path the terminal wealth
     is Gaussian: W = W0 + sum_j sigma*sqrt(1-rho^2)*sqrt(dt)*q_{j+1}*xi_j
@@ -315,6 +326,22 @@ def _mc_samples(
     W0 - gamma/2*sigma^2*(1-rho^2)*dt*sum_j q_{j+1}^2, whose utility
     -exp(-gamma*sample) is exactly E[-exp(-gamma*W) | factor path]; with
     gamma = 0 it is W0, whose mean is the mean wealth.
+
+    Every sample is thus a function of the factor path, whose Brownian
+    endpoint x = Z_T/sqrt(T - t0) the engine returns; under the Euler scheme
+    x is exactly N(0,1).  ``controls(lo, hi)`` gives the (k, hi - lo)
+    control columns of samples lo..hi-1, each with mean exactly zero
+    (Glasserman, Monte Carlo Methods in Financial Engineering, 2003, 4.1):
+
+    - the Hermite polynomials He2, He4 and He6 of x, and He1, He3 and He5
+      too without antithetic pairing (E[He_n(x)] = 0 for n >= 1; a pair's
+      mean of an odd one is exactly zero, so pairing drops them);
+    - for a BachelierCallExposure with eta > 0, the call price at the
+      uncontrolled factor, g(T, U0 + beta*tau + eta*sqrt(tau)*x) - g(t0, U0)
+      with tau = T - t0 (paired: the mean over x and -x), from the call
+      curve's closed form; its mean is zero because g(t, U~_t) is a
+      martingale along the uncontrolled factor U~ (Henderson & Glynn,
+      Math. Oper. Res. 27(2), 2002).
 
     The base paths split into chunks of ``chunk_paths`` simulated paths and a
     shorter last one.  Chunk i runs on the make_rng substream (seed, i), and
@@ -336,10 +363,11 @@ def _mc_samples(
             params, exposure, strategies, initial, n_steps, seed, idx, nb, antithetic,
             times=times, tables=tables, conditional=True,
         )
-        return [
+        samples = [
             ((run["wealth"] - 0.5 * gamma * run["wealth_var"]).reshape(rows, -1), int(run["clamp_events"].sum()))
             for run in runs
         ]
+        return samples, runs[0]["z_std"]
 
     chunk = max(1, chunk_paths // rows)
     sizes = [min(chunk, unit - start) for start in range(0, unit, chunk)]
@@ -349,9 +377,42 @@ def _mc_samples(
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(task, range(len(sizes)), sizes))
-    samples = [np.concatenate([res[r][0] for res in results], axis=1) for r in range(len(strategies))]
-    clamps = [sum(res[r][1] for res in results) for r in range(len(strategies))]
-    return samples, clamps
+    samples = [np.concatenate([res[r][0] for res, _ in results], axis=1) for r in range(len(strategies))]
+    clamps = [sum(res[r][1] for res, _ in results) for r in range(len(strategies))]
+    x = np.concatenate([z for _, z in results])
+    return samples, clamps, _control_columns(params, exposure, initial, x, antithetic)
+
+
+def _control_columns(
+    params: ModelParams, exposure: Exposure, initial: State, x: np.ndarray, antithetic: bool
+) -> Callable[[int, int], np.ndarray]:
+    """``columns(lo, hi)``: the (k, hi - lo) known-mean-zero controls of
+    samples lo..hi-1 listed at ``_mc_samples``, built from the standardized
+    factor endpoints x of their base paths."""
+    degrees = (2, 4, 6) if antithetic else (1, 2, 3, 4, 5, 6)
+    call = isinstance(exposure, BachelierCallExposure) and params.eta > 0.0
+    tau = params.T - initial.t
+    if call:
+        u_mean, u_sd = initial.u + params.beta * tau, params.eta * math.sqrt(tau)
+        g0 = call_value(params, exposure, initial.t, initial.u)
+
+    def columns(lo: int, hi: int) -> np.ndarray:
+        xb = x[lo:hi]
+        out = np.empty((len(degrees) + int(call), xb.size))
+        he_prev, he = np.ones_like(xb), xb
+        for n in range(1, degrees[-1] + 1):
+            if n in degrees:
+                out[degrees.index(n)] = he
+            # He_{n+1} = x*He_n - n*He_{n-1}
+            he_prev, he = he, xb * he - n * he_prev
+        if call:
+            g = call_value(params, exposure, params.T, u_mean + u_sd * xb)
+            if antithetic:
+                g = 0.5 * (g + call_value(params, exposure, params.T, u_mean - u_sd * xb))
+            out[-1] = g - g0
+        return out
+
+    return columns
 
 
 def _mean_and_se(values: np.ndarray) -> tuple[float, float, int]:
@@ -369,6 +430,52 @@ def _mean_and_se(values: np.ndarray) -> tuple[float, float, int]:
     n = indep.shape[0]
     se = float(np.std(indep - indep[0], ddof=1) / math.sqrt(n)) if n > 1 else math.nan
     return mean, se, n
+
+
+# Samples per block of control columns in _controlled_mean_and_se
+_CONTROL_BLOCK = 8192
+
+
+def _controlled_mean_and_se(
+    values: np.ndarray, controls: Callable[[int, int], np.ndarray]
+) -> tuple[float, float, int]:
+    """``_mean_and_se`` with control variates of known mean zero: the
+    regression estimator ybar - b.cbar, with b the least-squares fit of the
+    independent samples y (pair means) on the k control columns c
+    (Glasserman, 2003, 4.1.2).
+
+    Each control's mean is exactly zero, so the estimator moves no mean,
+    up to the O(1/n) of fitting b on the same samples.  The SE is the
+    residual std with ddof = 1 + k over sqrt(n).  y and c are taken about
+    their first sample, so identical samples give b = 0 and an SE of exactly
+    zero, and a constant control is an exact zero column that the fit
+    leaves out (k counts the controls fitted).  The k x k normal equations
+    are summed over blocks of samples, without a samples x k matrix, and by
+    numpy's own reductions, not a threaded BLAS, so a rerun gives the same
+    bits.  With k + 1 samples or fewer there is no residual freedom, and the
+    plain estimate is returned.
+    """
+    mean, se, n = _mean_and_se(values)
+    c0 = controls(0, 1)[:, 0]
+    k = c0.size
+    if n <= k + 1:
+        return mean, se, n
+    indep = values.mean(axis=0)
+    y = indep - indep[0]
+    sum_c, sum_cc, sum_cy = np.zeros(k), np.zeros((k, k)), np.zeros(k)
+    for lo in range(0, n, _CONTROL_BLOCK):
+        hi = min(n, lo + _CONTROL_BLOCK)
+        c = controls(lo, hi) - c0[:, None]
+        sum_c += c.sum(axis=1)
+        sum_cc += np.einsum("ai,bi->ab", c, c)
+        sum_cy += np.einsum("ai,i->a", c, y[lo:hi])
+    c_bar, y_bar = sum_c / n, float(np.mean(y))
+    s_cc = sum_cc - n * np.outer(c_bar, c_bar)
+    s_cy = sum_cy - n * c_bar * y_bar
+    b, _, k_fit, _ = np.linalg.lstsq(s_cc, s_cy, rcond=None)
+    resid = max(float(np.sum((y - y_bar) ** 2)) - float(np.sum(b * s_cy)), 0.0)
+    # the controls' sample mean is c_bar + c0 and their exact mean is zero
+    return mean - float(np.sum(b * (c_bar + c0))), math.sqrt(resid / (n - 1 - k_fit) / n), n
 
 
 def _certainty_equivalent(mean_utility: float, gamma: float) -> float:
@@ -402,17 +509,22 @@ def mc_performance(
     Each block of ``chunk_paths`` paths draws from its own make_rng substream,
     so the estimate depends on ``chunk_paths``; it is bit-identical for any
     number of worker threads (``HEDGE_THREADS``).
+
+    The mean and SE are those of the control-variate regression on the
+    factor's Brownian endpoint (``_controlled_mean_and_se``); the plain SE
+    is kept as ``std_error_plain``.
     """
     g = params.gamma if gamma is None else gamma
-    (samples,), (clamped,) = _mc_samples(
+    (samples,), (clamped,), controls = _mc_samples(
         params, exposure, [strategy], initial, n_paths, n_steps, seed, antithetic, chunk_paths, g
     )
+    values = utility_of(samples, g) if g > 0 else samples
+    mean, se, n = _controlled_mean_and_se(values, controls)
+    se_plain = _mean_and_se(values)[1]
     if g > 0:
-        mean, se, n = _mean_and_se(utility_of(samples, g))
         ce = _certainty_equivalent(mean, g)
-        return McEstimate(mean, se, samples.size, seed, "utility", ce, se / (g * abs(mean)), n, clamped)
-    mean, se, n = _mean_and_se(samples)
-    return McEstimate(mean, se, samples.size, seed, "wealth", mean, se, n, clamped)
+        return McEstimate(mean, se, samples.size, seed, "utility", ce, se / (g * abs(mean)), n, clamped, se_plain)
+    return McEstimate(mean, se, samples.size, seed, "wealth", mean, se, n, clamped, se_plain)
 
 
 @dataclass(frozen=True)
@@ -458,7 +570,7 @@ def mc_strategy_gap(
     exact zero.
     """
     g = params.gamma if gamma is None else gamma
-    (sample_a, sample_b), clamps = _mc_samples(
+    (sample_a, sample_b), clamps, _ = _mc_samples(
         params, exposure, [strategy_a, strategy_b], initial, n_paths, n_steps, seed, antithetic, chunk_paths, g
     )
     if g > 0:

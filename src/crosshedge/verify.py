@@ -225,16 +225,22 @@ def euler_vs_closed_inventory(seed: int = 7) -> tuple[bool, dict, str]:
 
 def value_function_mc(seed: int = 11, n_paths: int = 30_000, n_steps: int = 1000) -> tuple[bool, dict, str]:
     """Monte Carlo certainty equivalent of the optimal strategy vs the closed
-    form x + q*S + frak_n*U + h(0, q)."""
+    form x + q*S + frak_n*U + h(0, q).  The SE is the control-variate one;
+    se_plain (on the same CE scale) and the variance factor of the controls
+    are reported next to it."""
     initial = State(t=0.0, x=0.0, q=0.0, s=10.0, u=5.0)
     strat = linear_optimal_strategy(FIG1, 1.0)
     est = mc_performance(FIG1, LinearExposure(1.0), strat, initial, n_paths, n_steps, seed)
     closed = initial.x + initial.q * initial.s + 1.0 * initial.u + h0(FIG1, 1.0, 0.0)
     z = (est.ce - closed) / est.ce_std_error
+    se_plain = est.std_error_plain / (FIG1.gamma * abs(est.mean))
+    factor = (est.std_error_plain / est.std_error) ** 2
     return (
         abs(z) < 3.0,
-        {"ce_mc": est.ce, "ce_closed": closed, "z": z, "se": est.ce_std_error, "clamp_events": est.clamp_events},
-        f"CE_mc = {est.ce:.5f}, closed = {closed:.5f}, z = {z:+.2f}",
+        {"ce_mc": est.ce, "ce_closed": closed, "z": z, "se": est.ce_std_error, "se_plain": se_plain,
+         "variance_factor": factor, "clamp_events": est.clamp_events},
+        f"CE_mc = {est.ce:.5f}, closed = {closed:.5f}, z = {z:+.2f}, "
+        f"SE {est.ce_std_error:.2e} (plain {se_plain:.2e}, variance factor {factor:.0f})",
     )
 
 
@@ -487,7 +493,7 @@ def mc_se_scaling(seed: int = 31) -> tuple[bool, dict, str]:
     initial = State(t=0.0, x=0.0, q=0.0, s=10.0, u=1.0)
     ratios = []
     for rep in range(reps):
-        (samples,), _ = _mc_samples(
+        (samples,), _, _ = _mc_samples(
             FIG3, LinearExposure(1.0), [strat], initial, 2 * n_paths, 50, seed + 1000 * rep, False, n_paths, 1.0
         )
         util = utility_of(samples, 1.0)

@@ -115,6 +115,16 @@ class TestTabulationCount:
             expected.append(expected[-1] + dt)
         assert calls_a == expected
 
+    def test_recorded_times_are_the_step_times(self, fig1):
+        # at 3,000 steps initial.t + i*dt differs from the accumulated step
+        # time at 2,988 steps, by up to 2.2e-13; the record holds the latter
+        init = State(0.0, 0.0, 0.0, 10.0, 5.0)
+        strat = linear_optimal_strategy(fig1, 1.0)
+        times = simulate_ensemble(fig1, LinearExposure(1.0), strat, init, 2, 3000, 1)["times"]
+        assert times.tolist() == [*_step_times(fig1, init, 3000), fig1.T]
+        path = simulate_path(fig1, LinearExposure(1.0), strat, init, 3000, 1)
+        assert np.array_equal(path.times, times)
+
     def test_delta_weight_without_delta_rejected(self, fig7):
         bad = Strategy(tag="no-delta", coeffs=lambda t: (0.0, 1.0, 0.0))
         with pytest.raises(ValueError, match="no-delta"):
