@@ -551,6 +551,13 @@ def _euler_ensemble(
     # eta*dZ before its drift, scaled by sigma*rho/eta (so U is filled
     # first); with eta = 0 that shock is built from the rows.
     xi = np.empty((2, n_base))
+    # The factor's endpoint is summed from the normals themselves, one add per
+    # step, so x is N(0,1) up to the rounding of this sum whatever eta, rho,
+    # U0 and the strategy's impact on U.  Recovering it from U_T instead
+    # would divide U's accumulated rounding by eta (by sigma*rho from S_T
+    # when eta = 0), an error that grows as eta shrinks.  The add moved the
+    # mc-linear-value wall time by +2.4, -0.3 and +3.0 % on three seeds,
+    # inside the run-to-run spread (BENCH_26.json).
     xi_sum = np.zeros((2, n_base)) if conditional else None
     base, mirror = slice(0, n_base), slice(n_base, n)
     bufs = {name: np.empty(n) for name in ("u", "s", "w", "z") if name in ("s", "u") or name in record}

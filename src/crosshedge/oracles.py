@@ -234,7 +234,10 @@ class McEstimate:
     ``_controlled_mean_and_se`` on the factor path's Brownian endpoint (the
     controls are listed at ``_mc_samples``): each control's mean is known
     exactly, so the regression moves no mean and removes the part of the
-    noise that the endpoint explains.  std_error_plain is the SE without
+    noise that the endpoint explains.  In utility mode the regression is
+    used only while the log-utility spread gamma*sd(sample) is at most
+    ``_CONTROL_MAX_LOG_SPREAD``; beyond it mean and std_error are the plain
+    ones (see ``mc_performance``).  std_error_plain is the SE without
     controls: the sample std of the n_samples independent samples (pair
     means under antithetic pairing) divided by sqrt(n_samples), so
     (std_error_plain/std_error)^2 is the variance factor of the controls.
@@ -435,14 +438,27 @@ def _mean_and_se(values: np.ndarray) -> tuple[float, float, int]:
 # Samples per block of control columns in _controlled_mean_and_se
 _CONTROL_BLOCK = 8192
 
+# The largest log-utility spread gamma*sd(sample) at which mc_performance
+# regresses on the endpoint controls.  The utility -exp(-gamma*sample) is
+# exponential in x; with a wider spread the part the Hermite polynomials
+# leave is carried by x far out in the tail, which a sample rarely reaches,
+# so the residual SE misses it.  Over 40 seeds at 4,000 and 40,000 paths,
+# the controlled CE's z against the exact discrete CE of constant-speed and
+# linear-optimal strategies was as well calibrated as the plain one up to a
+# spread of 1.0 (|mean| <= 0.36, SD <= 1.21, max |z| 3.9), drifted from
+# 1.15 (mean up to +0.59, SD up to 1.35, max |z| 4.3) and failed at 1.5
+# (mean up to +0.85, max |z| 5.5) and 2.6 (mean +5, max |z| 23).
+_CONTROL_MAX_LOG_SPREAD = 1.0
+
 
 def _controlled_mean_and_se(
-    values: np.ndarray, controls: Callable[[int, int], np.ndarray]
-) -> tuple[float, float, int]:
+    values: np.ndarray, controls: Callable[[int, int], np.ndarray] | None
+) -> tuple[float, float, int, float]:
     """``_mean_and_se`` with control variates of known mean zero: the
     regression estimator ybar - b.cbar, with b the least-squares fit of the
     independent samples y (pair means) on the k control columns c
-    (Glasserman, 2003, 4.1.2).
+    (Glasserman, 2003, 4.1.2).  Returns the mean, its SE, the number of
+    independent samples and the plain SE of ``_mean_and_se``.
 
     Each control's mean is exactly zero, so the estimator moves no mean,
     up to the O(1/n) of fitting b on the same samples.  The SE is the
@@ -452,14 +468,16 @@ def _controlled_mean_and_se(
     leaves out (k counts the controls fitted).  The k x k normal equations
     are summed over blocks of samples, without a samples x k matrix, and by
     numpy's own reductions, not a threaded BLAS, so a rerun gives the same
-    bits.  With k + 1 samples or fewer there is no residual freedom, and the
-    plain estimate is returned.
+    bits.  With no controls (None), or k + 1 samples or fewer and so no
+    residual freedom, the plain estimate is returned.
     """
     mean, se, n = _mean_and_se(values)
+    if controls is None:
+        return mean, se, n, se
     c0 = controls(0, 1)[:, 0]
     k = c0.size
     if n <= k + 1:
-        return mean, se, n
+        return mean, se, n, se
     indep = values.mean(axis=0)
     y = indep - indep[0]
     sum_c, sum_cc, sum_cy = np.zeros(k), np.zeros((k, k)), np.zeros(k)
@@ -475,7 +493,7 @@ def _controlled_mean_and_se(
     b, _, k_fit, _ = np.linalg.lstsq(s_cc, s_cy, rcond=None)
     resid = max(float(np.sum((y - y_bar) ** 2)) - float(np.sum(b * s_cy)), 0.0)
     # the controls' sample mean is c_bar + c0 and their exact mean is zero
-    return mean - float(np.sum(b * (c_bar + c0))), math.sqrt(resid / (n - 1 - k_fit) / n), n
+    return mean - float(np.sum(b * (c_bar + c0))), math.sqrt(resid / (n - 1 - k_fit) / n), n, se
 
 
 def _certainty_equivalent(mean_utility: float, gamma: float) -> float:
@@ -512,15 +530,20 @@ def mc_performance(
 
     The mean and SE are those of the control-variate regression on the
     factor's Brownian endpoint (``_controlled_mean_and_se``); the plain SE
-    is kept as ``std_error_plain``.
+    is kept as ``std_error_plain``.  In utility mode the regression is used
+    only while gamma*sd(sample) is at most ``_CONTROL_MAX_LOG_SPREAD``
+    (1.0); a wider spread gives the plain mean and SE, because there the
+    residual SE of the Hermite fit understates the error (the criterion-3
+    set-up on ``fig1_right``, at 1.3, is one such case).  Wealth mode has no
+    exponential and always uses the controls.
     """
     g = params.gamma if gamma is None else gamma
     (samples,), (clamped,), controls = _mc_samples(
         params, exposure, [strategy], initial, n_paths, n_steps, seed, antithetic, chunk_paths, g
     )
     values = utility_of(samples, g) if g > 0 else samples
-    mean, se, n = _controlled_mean_and_se(values, controls)
-    se_plain = _mean_and_se(values)[1]
+    usable = g * float(np.std(samples)) <= _CONTROL_MAX_LOG_SPREAD
+    mean, se, n, se_plain = _controlled_mean_and_se(values, controls if usable else None)
     if g > 0:
         ce = _certainty_equivalent(mean, g)
         return McEstimate(mean, se, samples.size, seed, "utility", ce, se / (g * abs(mean)), n, clamped, se_plain)
