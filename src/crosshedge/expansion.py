@@ -36,7 +36,7 @@ linear-exposure optimal speed, whose h1 is affine in that count.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -95,7 +95,7 @@ def _f1(params: ModelParams, t):
 
 def _f2(params: ModelParams, t):
     """f2, the gamma = 0 limit of the linear h2."""
-    return _h2_limit(params, params.T - (t if isinstance(t, float) else np.asarray(t, dtype=float)))
+    return _h2_limit(params)(params.T - (t if isinstance(t, float) else np.asarray(t, dtype=float)))
 
 
 def f_coefficients(params: ModelParams, t: float) -> tuple[float, float, float]:
@@ -291,7 +291,10 @@ def _risk_neutral_coeffs(params: ModelParams, t: float) -> Affine:
     return _sum(_nu0(params, t), _cross_pull(params, params.c, t))
 
 
+@lru_cache(maxsize=32)
 def _effective_params(params: ModelParams, scale: ExpansionScale) -> ModelParams:
+    """params at the theta-scaled (c, gamma), built (and validated) once per
+    pair; both are frozen, so the pair is its own cache key."""
     return replace(params, c=scale.effective_c, gamma=scale.effective_gamma)
 
 
@@ -350,9 +353,17 @@ def expansion_value(
     """First-order value approximation h0 + theta*(c*h1 + gamma*h2).
 
     Second-order terms have no explicit solution and are not computed; the
-    truncation error is o(theta^2) in the defining PDE.
+    truncation error is o(theta^2) in the defining PDE.  The value is
+    ``_value_at_scale`` of the theta-free parts ``_value_parts``, the one
+    formula that ``oracles.pde_residual`` also combines, once per theta.
     """
-    t = _check_scalar_time(params, t)
+    parts = _value_parts(params, payoff, _check_scalar_time(params, t), q, u)
+    total = _value_at_scale(parts, scale)
+    return total if np.ndim(total) else float(total)
+
+
+def _value_parts(params: ModelParams, payoff: PayoffCurve, t: float, q, u) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(h0, h1, h2) at a validated scalar time, elementwise over q and u."""
     q = np.asarray(q, dtype=float)
     u = np.asarray(u, dtype=float)
     f0, f1, f2 = _f_coefficients(params, t)
@@ -367,8 +378,13 @@ def expansion_value(
         + (_drift_risk_integral(params, t) + _pull_weight(params, t) * delta) * q
         + _Lambda2_at(params, params.T - t) * q * q
     )
-    total = h0_val + scale.effective_c * h1_val + scale.effective_gamma * h2_val
-    return total if np.ndim(total) else float(total)
+    return h0_val, h1_val, h2_val
+
+
+def _value_at_scale(parts: tuple[np.ndarray, np.ndarray, np.ndarray], scale: ExpansionScale) -> np.ndarray:
+    """h0 + theta*c*h1 + theta*gamma*h2 of the parts ``_value_parts`` returns."""
+    h0_val, h1_val, h2_val = parts
+    return h0_val + scale.effective_c * h1_val + scale.effective_gamma * h2_val
 
 
 def _strategy(tag: str, params: ModelParams, payoff: PayoffCurve, coeffs_at) -> Strategy:

@@ -93,10 +93,12 @@ def _tau_integral(params: ModelParams, g, t):
     return out if out.ndim else float(out)
 
 
-def _h2_limit(params: ModelParams, tau):
-    """h2 at gamma = 0, -k*m/(2k + m*tau) - b/2; the expansion's f2."""
-    k, m = params.k, params.m
-    return -k * m / (2.0 * k + m * tau) - params.b / 2.0
+def _h2_limit(params: ModelParams):
+    """h2 at gamma = 0 as a function of time-to-go tau, -k*m/(2k + m*tau) - b/2;
+    the expansion's f2.  The constants are bound once, so a caller that
+    evaluates it at many tau (the RK4 drift oracles) pays only the rational."""
+    neg_km, two_k, m, half_b = -params.k * params.m, 2.0 * params.k, params.m, params.b / 2.0
+    return lambda tau: neg_km / (two_k + m * tau) - half_b
 
 
 def _drift_gain_limit(params: ModelParams, zeta, tau):
@@ -127,7 +129,7 @@ def _h2(params: ModelParams, t):
     """h2 at an already validated time (float or array)."""
     tau = params.T - t
     if uses_zero_gamma_branch(params):
-        return _h2_limit(params, tau)
+        return _h2_limit(params)(tau)
     d = derived_constants(params)
     e = np.exp(-d.omega * tau / params.k)
     e2 = e * e

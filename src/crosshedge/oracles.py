@@ -13,7 +13,6 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -23,12 +22,12 @@ from .expansion import (
     ExpansionScale,
     Lambda2,
     _f1,
-    _f2,
+    _value_at_scale,
+    _value_parts,
     delta_substitution_strategy,
     expansion_nu_hat_strategy,
-    expansion_value,
 )
-from .linear import _gauss_legendre
+from .linear import _gauss_legendre, _h2_limit
 from .market import (
     BachelierCallExposure,
     Exposure,
@@ -36,6 +35,7 @@ from .market import (
     SimulationError,
     State,
     Strategy,
+    _check_time,
     _engine_inputs,
     _euler_ensemble,
     make_rng,  # not called here; the benchmark harness tests read oracles.make_rng
@@ -88,7 +88,12 @@ class OdeSystemSpec:
 
 class DenseOdeSolution:
     """Grid solution with cubic-Hermite dense output (O(h^4) between nodes); a
-    time outside the grid, beyond rounding of 1e-12 relative to its end, raises."""
+    time outside the grid, beyond rounding of 1e-12 relative to its end, raises.
+
+    A float time is evaluated on Python floats (one ``searchsorted``, then the
+    Hermite expression of the array path in the same order) and gives the
+    same (dim,) array as the array call at that time, at a fraction of its
+    overhead."""
 
     def __init__(self, t_grid: np.ndarray, values: np.ndarray, derivs: np.ndarray):
         self.t_grid = t_grid
@@ -101,6 +106,8 @@ class DenseOdeSolution:
                 f"a batch solution (t_grid of shape {self.t_grid.shape}) has no dense output; "
                 "call DenseOdeSolution(t_grid[:, j], values[..., j], derivs[..., j]) for member j"
             )
+        if isinstance(t, float):
+            return self._at_float(float(t))
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
         tq = np.atleast_1d(t)
@@ -123,6 +130,26 @@ class DenseOdeSolution:
         )
         return out[0] if scalar else out
 
+    def _at_float(self, t: float) -> np.ndarray:
+        """``__call__`` at one float time, with the same bits."""
+        grid = self.t_grid
+        lo, hi = float(grid[0]), float(grid[-1])
+        if not (lo - 1e-12 * abs(hi) <= t <= hi + 1e-12 * abs(hi)):
+            raise ValueError(f"time {t} outside the solution interval [{lo}, {hi}]")
+        i = min(max(int(np.searchsorted(grid, t, side="right")) - 1, 0), len(grid) - 2)
+        t0 = float(grid[i])
+        h = float(grid[i + 1]) - t0
+        s = (t - t0) / h
+        # s**2 of an array is np.square, s*s exactly; s**3 goes through numpy's
+        # power loop, whose SIMD pow can differ from the libm pow of a float
+        s2, s3 = s * s, float(np.power(s, 3))
+        return (
+            (2 * s3 - 3 * s2 + 1) * self.values[i]
+            + (s3 - 2 * s2 + s) * h * self.derivs[i]
+            + (-2 * s3 + 3 * s2) * self.values[i + 1]
+            + (s3 - s2) * h * self.derivs[i + 1]
+        )
+
 
 def rk4_backward(spec: OdeSystemSpec) -> DenseOdeSolution:
     """Classical RK4 from t_end back to 0 on a uniform grid.
@@ -131,8 +158,10 @@ def rk4_backward(spec: OdeSystemSpec) -> DenseOdeSolution:
     (n + 1, *batch), values/derivs (n + 1, dim, *batch), and a member's dense
     output is the DenseOdeSolution of its slices.  A one-equation system
     steps its state on Python floats (rhs gets and returns a float) and stores
-    it as (n + 1, 1), like any other.  Finiteness is checked once, after the
-    sweep; the error names the first non-finite grid time.
+    it as (n + 1, 1), like any other.  The sweep appends each state and
+    derivative to a Python list and converts the lists to arrays once, after
+    it.  Finiteness is checked once, after the sweep; the error names the
+    first non-finite grid time.
     """
     n = spec.step_count
     if n < 1:
@@ -146,12 +175,11 @@ def rk4_backward(spec: OdeSystemSpec) -> DenseOdeSolution:
     tl = ts.tolist() if ts.ndim == 1 else ts  # one system steps on Python floats
     rhs = spec.rhs
     y = np.array(spec.terminal_value, dtype=float)
-    ys = np.empty((n + 1, *y.shape))
-    fs = np.empty_like(ys)
-    if y.shape == (1,) and ts.ndim == 1:
+    shape = y.shape
+    if shape == (1,) and ts.ndim == 1:
         y = float(y[0])
-    ys[0] = y
-    f = fs[0] = rhs(tl[0], y)
+    f = rhs(tl[0], y)
+    ys, fs = [y], [f]
     for i in range(n):
         t = tl[i]
         k1 = f
@@ -159,8 +187,11 @@ def rk4_backward(spec: OdeSystemSpec) -> DenseOdeSolution:
         k3 = rhs(t + half, y + half * k2)
         k4 = rhs(t + h, y + h * k3)
         y = y + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
-        ys[i + 1] = y
-        f = fs[i + 1] = rhs(tl[i + 1], y)
+        f = rhs(tl[i + 1], y)
+        ys.append(y)
+        fs.append(f)
+    ys = np.array(ys, dtype=float).reshape(n + 1, *shape)
+    fs = np.array(fs, dtype=float).reshape(n + 1, *shape)
     bad = np.argwhere(~np.isfinite(ys).all(axis=1))
     if bad.size:
         raise SimulationError(f"ODE state became non-finite near t={ts[tuple(bad[0])]:.6g}")
@@ -196,9 +227,10 @@ def riccati_h_system(
 
 def _drift_gain_system(params: ModelParams, forcing: float, gain: float, step_count: int) -> OdeSystemSpec:
     """y' = forcing - (2*f2(t) + b)*y/gain, y(T) = 0: the f1 and Lambda2 systems."""
+    f2_at_tau, T, b = _h2_limit(params), params.T, params.b
     return OdeSystemSpec(
-        rhs=lambda t, y: forcing - (2.0 * _f2(params, t) + params.b) * y / gain,
-        terminal_value=np.array([0.0]), step_count=step_count, t_end=params.T,
+        rhs=lambda t, y: forcing - (2.0 * f2_at_tau(T - t) + b) * y / gain,
+        terminal_value=np.array([0.0]), step_count=step_count, t_end=T,
     )
 
 
@@ -246,6 +278,14 @@ class McEstimate:
     the number of simulated paths: with antithetic pairing an odd request
     rounds up to whole pairs.  clamp_events counts the path-steps whose
     speed the engine clamped, summed over paths.
+
+    log_spread is the log-utility spread gamma*sd(sample) over all simulated
+    paths' conditional CE samples, the number the control gate reads (0.0
+    in wealth mode).  It says how far either SE can be trusted: beyond a
+    spread of about 2 neither is reliable, because the sample misses the
+    exponential utility's tail (on a constant-speed market at spread 2.6 the
+    plain paired CE's z against the exact discrete CE reached 5.6 over 40
+    seeds, and the regressed one 23).
     """
 
     mean: float
@@ -258,6 +298,7 @@ class McEstimate:
     n_samples: int
     clamp_events: int
     std_error_plain: float
+    log_spread: float
 
 
 def _worker_count(n_tasks: int) -> int:
@@ -542,12 +583,13 @@ def mc_performance(
         params, exposure, [strategy], initial, n_paths, n_steps, seed, antithetic, chunk_paths, g
     )
     values = utility_of(samples, g) if g > 0 else samples
-    usable = g * float(np.std(samples)) <= _CONTROL_MAX_LOG_SPREAD
-    mean, se, n, se_plain = _controlled_mean_and_se(values, controls if usable else None)
+    spread = g * float(np.std(samples))
+    mean, se, n, se_plain = _controlled_mean_and_se(values, controls if spread <= _CONTROL_MAX_LOG_SPREAD else None)
     if g > 0:
         ce = _certainty_equivalent(mean, g)
-        return McEstimate(mean, se, samples.size, seed, "utility", ce, se / (g * abs(mean)), n, clamped, se_plain)
-    return McEstimate(mean, se, samples.size, seed, "wealth", mean, se, n, clamped, se_plain)
+        ce_se = se / (g * abs(mean))
+        return McEstimate(mean, se, samples.size, seed, "utility", ce, ce_se, n, clamped, se_plain, spread)
+    return McEstimate(mean, se, samples.size, seed, "wealth", mean, se, n, clamped, se_plain, spread)
 
 
 @dataclass(frozen=True)
@@ -641,26 +683,40 @@ def hjb_residual_at(
 
     Derivatives are central differences with steps scaled by the variable's
     magnitude (relative steps 1e-5 in t, 1e-4 in u and q); an exact solution
-    leaves only finite-difference noise.
+    leaves only finite-difference noise.  h_fn is called once per stencil
+    point, at the (q, u) it was given.
     """
     return _hjb_residual_and_drive(params, h_fn, effective_c, effective_gamma, t, q, u)[0]
+
+
+def _stencil_steps(params: ModelParams, q, u):
+    """Central-difference steps (dt, du, dq) of the HJB stencil at (q, u)."""
+    dt = 1e-5 * max(1.0, params.T)
+    du = 1e-4 * np.maximum(np.abs(u), max(1.0, params.eta * math.sqrt(params.T)))
+    dq = 1e-4 * np.maximum(1.0, np.abs(q))
+    return dt, du, dq
 
 
 def _hjb_residual_and_drive(params, h_fn, effective_c, effective_gamma, t, q, u):
     """(residual, drive) at (t, q, u): ``hjb_residual_at`` and, from the same
     central differences, drive = h_q + c*h_u + b*q.  drive/(2k) is the speed
     that maximises the Hamiltonian nu*drive - k*nu^2."""
-    dt = 1e-5 * max(1.0, params.T)
-    du = 1e-4 * np.maximum(np.abs(u), max(1.0, params.eta * math.sqrt(params.T)))
-    dq = 1e-4 * np.maximum(1.0, np.abs(q))
+    steps = dt, du, dq = _stencil_steps(params, q, u)
+    return _hjb_from_stencil(
+        params, effective_c, effective_gamma, q, steps,
+        h_fn(t, q, u), h_fn(t + dt, q, u), h_fn(t - dt, q, u),
+        h_fn(t, q, u + du), h_fn(t, q, u - du), h_fn(t, q + dq, u), h_fn(t, q - dq, u),
+    )
 
-    h_0 = h_fn(t, q, u)
-    h_t = (h_fn(t + dt, q, u) - h_fn(t - dt, q, u)) / (2 * dt)
-    h_up = h_fn(t, q, u + du)
-    h_um = h_fn(t, q, u - du)
+
+def _hjb_from_stencil(params, effective_c, effective_gamma, q, steps, h_0, h_tp, h_tm, h_up, h_um, h_qp, h_qm):
+    """(residual, drive) from h at the seven stencil points: the centre, t +- dt,
+    u +- du and q +- dq, with steps = (dt, du, dq) of ``_stencil_steps``."""
+    dt, du, dq = steps
+    h_t = (h_tp - h_tm) / (2 * dt)
     h_u = (h_up - h_um) / (2 * du)
     h_uu = (h_up - 2 * h_0 + h_um) / (du * du)
-    h_q = (h_fn(t, q + dq, u) - h_fn(t, q - dq, u)) / (2 * dq)
+    h_q = (h_qp - h_qm) / (2 * dq)
 
     drive = h_q + effective_c * h_u + params.b * q
     residual = (
@@ -696,6 +752,13 @@ def pde_residual(
     ``scale`` fixes the base (c, gamma); residuals are evaluated at each
     theta in ``thetas`` (default: theta and theta/2).  Probe points must be
     interior: t in [0.05*T, 0.95*T].
+
+    The stencil of ``hjb_residual_at`` does not depend on theta, and the
+    value is h0 + theta*(c*h1 + gamma*h2).  So at each probe time the
+    theta-free parts (h0, h1, h2) are evaluated once: at the five same-time
+    stencil points as one stacked array, and at t + dt and t - dt.  Each
+    theta then only combines them.  The norms are those of
+    ``hjb_residual_at`` with ``expansion_value`` at each theta, bit for bit.
     """
     t_probe, q_probe, u_probe = np.asarray(probe_grid, dtype=float).reshape(-1, 3).T
     outside = (t_probe < 0.05 * params.T) | (t_probe > 0.95 * params.T)
@@ -708,14 +771,27 @@ def pde_residual(
     if thetas is None:
         thetas = [scale.theta, scale.theta / 2.0]
 
-    # the probes of each distinct time, evaluated as one array
-    probe_sets = [(t, q_probe[t_probe == t], u_probe[t_probe == t]) for t in np.unique(t_probe).tolist()]
-    norms = []
-    for theta in thetas:
-        sc = ExpansionScale(theta=theta, effective_c=theta * base_c, effective_gamma=theta * base_gamma)
-        h_fn = partial(expansion_value, params, payoff, sc)
-        residuals = [hjb_residual_at(params, h_fn, sc.effective_c, sc.effective_gamma, *probes) for probes in probe_sets]
-        norms.append(max((float(np.max(np.abs(r))) for r in residuals), default=0.0))
+    scales = [ExpansionScale(theta=th, effective_c=th * base_c, effective_gamma=th * base_gamma) for th in thetas]
+    # per theta, the largest |residual| at each distinct probe time
+    per_time = [[] for _ in scales]
+    for t in np.unique(t_probe).tolist():
+        q, u = q_probe[t_probe == t], u_probe[t_probe == t]
+        steps = dt, du, dq = _stencil_steps(params, q, u)
+        # theta-free value parts: the five same-time points (centre, u +- du,
+        # q +- dq) stacked into one evaluation, and t + dt and t - dt
+        same_time = _value_parts(
+            params, payoff, t, np.stack([q, q, q, q + dq, q - dq]), np.stack([u, u + du, u - du, u, u])
+        )
+        later = _value_parts(params, payoff, _check_time(params, t + dt), q, u)
+        earlier = _value_parts(params, payoff, _check_time(params, t - dt), q, u)
+        for sc, worst in zip(scales, per_time):
+            h_0, h_up, h_um, h_qp, h_qm = _value_at_scale(same_time, sc)
+            residual, _ = _hjb_from_stencil(
+                params, sc.effective_c, sc.effective_gamma, q, steps,
+                h_0, _value_at_scale(later, sc), _value_at_scale(earlier, sc), h_up, h_um, h_qp, h_qm,
+            )
+            worst.append(float(np.max(np.abs(residual))))
+    norms = [max(worst, default=0.0) for worst in per_time]
     ratios = [norms[i] / norms[i + 1] if norms[i + 1] != 0 else math.inf for i in range(len(norms) - 1)]
     return ResidualReport(theta_values=list(map(float, thetas)), residual_norms=norms, ratios=ratios)
 

@@ -229,7 +229,8 @@ def value_function_mc(seed: int = 11, n_paths: int = 30_000, n_steps: int = 1000
     se_plain (on the same CE scale) and the variance factor of the controls
     are reported next to it.  FIG1's log-utility spread gamma*sd(sample) is
     about 1.3, beyond the 1.0 up to which mc_performance uses the controls,
-    so here the two SEs agree and the factor is 1."""
+    so here the two SEs agree and the factor is 1.  The spread itself is
+    reported as log_spread."""
     initial = State(t=0.0, x=0.0, q=0.0, s=10.0, u=5.0)
     strat = linear_optimal_strategy(FIG1, 1.0)
     est = mc_performance(FIG1, LinearExposure(1.0), strat, initial, n_paths, n_steps, seed)
@@ -240,7 +241,7 @@ def value_function_mc(seed: int = 11, n_paths: int = 30_000, n_steps: int = 1000
     return (
         abs(z) < 3.0,
         {"ce_mc": est.ce, "ce_closed": closed, "z": z, "se": est.ce_std_error, "se_plain": se_plain,
-         "variance_factor": factor, "clamp_events": est.clamp_events},
+         "variance_factor": factor, "log_spread": est.log_spread, "clamp_events": est.clamp_events},
         f"CE_mc = {est.ce:.5f}, closed = {closed:.5f}, z = {z:+.2f}, "
         f"SE {est.ce_std_error:.2e} (plain {se_plain:.2e}, variance factor {factor:.0f})",
     )

@@ -17,6 +17,7 @@ from crosshedge import (
     Strategy,
     call_payoff_curve,
     constant_strategy,
+    default_probe_grid,
     delta_substitution_strategy,
     expansion_nu_hat_strategy,
     expansion_value,
@@ -25,6 +26,7 @@ from crosshedge import (
     linear_optimal_strategy,
     mc_performance,
     mc_strategy_gap,
+    pde_residual,
     rk4_backward,
     riccati_h_system,
     theta_sweep,
@@ -128,6 +130,87 @@ class TestRk4:
         assert np.array_equal(sol.t_grid, batch.t_grid[:, 0])
         assert np.array_equal(sol.values, batch.values[..., 0])
         assert np.array_equal(sol.derivs, batch.derivs[..., 0])
+
+    @staticmethod
+    def _array_item_sweep(spec, rhs):
+        """Reference one-equation RK4 that writes each state and derivative
+        into preallocated arrays, item by item, in ascending time."""
+        n = spec.step_count
+        h = -spec.t_end / n
+        half, sixth = h / 2, h / 6
+        ts = spec.t_end + np.multiply.outer(np.arange(n + 1), h)
+        tl = ts.tolist()
+        ys, fs = np.empty((n + 1, 1)), np.empty((n + 1, 1))
+        y = float(spec.terminal_value[0])
+        ys[0] = y
+        f = fs[0] = rhs(tl[0], y)
+        for i in range(n):
+            t = tl[i]
+            k1 = f
+            k2 = rhs(t + half, y + half * k1)
+            k3 = rhs(t + half, y + half * k2)
+            k4 = rhs(t + h, y + h * k3)
+            y = y + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+            ys[i + 1] = y
+            f = fs[i + 1] = rhs(tl[i + 1], y)
+        return ts[::-1], ys[::-1], fs[::-1]
+
+    @pytest.mark.parametrize("make, forcing, gain", [
+        (f1_ode_system, lambda p: -p.mu, lambda p: 2.0 * p.k),
+        (Lambda2_ode_system, lambda p: 0.5 * p.sigma**2, lambda p: p.k),
+    ], ids=["f1", "Lambda2"])
+    def test_drift_gain_sweep_equals_array_item_loop(self, fig7, make, forcing, gain):
+        # the list-stepped sweep and its bound f2 give the bits of an
+        # array-item loop over the rhs with f2 written out
+        params = replace(fig7, mu=0.1, beta=0.05)
+        fc, gc, k, m, b = forcing(params), gain(params), params.k, params.m, params.b
+        spec = make(params, 2_500)
+
+        def rhs(t, y):
+            f2 = -k * m / (2.0 * k + m * (params.T - t)) - b / 2.0
+            return fc - (2.0 * f2 + b) * y / gc
+
+        ts, values, derivs = self._array_item_sweep(spec, rhs)
+        sol = rk4_backward(spec)
+        assert np.array_equal(sol.t_grid, ts)
+        assert np.array_equal(sol.values, values)
+        assert np.array_equal(sol.derivs, derivs)
+
+    def test_nan_rhs_names_first_non_finite_time(self):
+        # the rhs is NaN below t = 0.42, so the sweep from t = 1 in steps of
+        # 0.1 first holds a NaN state at the grid time 0.4
+        spec = OdeSystemSpec(rhs=lambda t, y: math.nan if t < 0.42 else -y, terminal_value=np.array([1.0]),
+                             step_count=10, t_end=1.0)
+        with pytest.raises(SimulationError, match=r"^ODE state became non-finite near t=0\.4$"):
+            rk4_backward(spec)
+
+    @pytest.mark.parametrize("system", ["f1", "riccati"])
+    def test_float_dense_output_equals_array_call(self, fig7, fig1, system):
+        # a float time is evaluated on Python floats; it must give the array
+        # call's bits at nodes, between them, at both ends and inside the
+        # 1e-12 rounding margin, and still raise beyond it
+        if system == "f1":
+            params = replace(fig7, mu=0.1, beta=0.05)
+            sol = rk4_backward(f1_ode_system(params, 2_500))
+        else:
+            params = fig1
+            sol = rk4_backward(riccati_h_system(fig1, 1.0, 2_000))
+        grid, end = sol.t_grid, params.T
+        margin = 1e-12 * end
+        mids = 0.5 * (grid[:-1] + grid[1:])
+        rng = np.random.default_rng(3)
+        times = [*grid[::41].tolist(), *mids[::37].tolist(), *rng.uniform(0.0, end, 300).tolist(),
+                 0.0, end, -0.5 * margin, end + 0.5 * margin]
+        for t in times:
+            got = sol(t)
+            assert got.shape == (sol.values.shape[1],)
+            assert np.array_equal(got, sol(np.array([t]))[0]), t
+            assert np.array_equal(got, sol(np.array(t))), t
+            assert np.array_equal(sol(np.float64(t)), got), t
+        assert np.array_equal(np.array([sol(t) for t in times]), sol(np.array(times)))
+        for t in (-2.0 * margin, end + 2.0 * margin):
+            with pytest.raises(ValueError, match="outside the solution interval"):
+                sol(t)
 
     def test_one_equation_rhs_gets_float(self):
         seen = set()
@@ -468,6 +551,20 @@ class TestControlVariates:
         assert abs(est.ce - exact) <= 4.0 * est.ce_std_error
         assert est.std_error == est.std_error_plain
 
+    def test_log_spread_is_the_gate_input(self):
+        # log_spread = gamma*sd(sample), the number the control gate reads:
+        # at most 1 where the controls are used, above it where they are not
+        # (about 2.6 on the heavy-tailed market), and 0 in wealth mode
+        p, init = self.PARAMS, self.INIT
+        light = mc_performance(p, LinearExposure(1.0), constant_strategy(0.3), init, 4000, 40, 1)
+        heavy = mc_performance(replace(p, gamma=2.0), LinearExposure(1.5), constant_strategy(0.3), init, 4000, 40, 1)
+        wealth = mc_performance(p, LinearExposure(1.0), constant_strategy(0.3), init, 4000, 40, 1, gamma=0.0)
+        assert 0.0 < light.log_spread <= 1.0 and light.std_error < light.std_error_plain
+        assert 2.0 < heavy.log_spread < 3.0 and heavy.std_error == heavy.std_error_plain
+        assert wealth.log_spread == 0.0
+        _, measured, _ = value_function_mc(seed=11, n_paths=4000, n_steps=100)
+        assert 1.0 < measured["log_spread"] < 2.0
+
     @pytest.mark.parametrize("seed", [1, 2])
     def test_constant_speed_wealth_mode_matches_exact_mean(self, seed):
         # unpaired: a mirrored pair's mean of this wealth, affine in the
@@ -659,6 +756,29 @@ class TestHjbResidual:
                 for qi, ui in zip(q.ravel(), u.ravel())
             ]
             assert got.shape == q.shape and np.array_equal(got.ravel(), loop)
+
+    @pytest.mark.parametrize("drift", [{}, {"mu": 0.1, "beta": 0.05}])
+    def test_pde_residual_equals_per_theta_residuals(self, fig7, call100, drift):
+        # pde_residual evaluates the theta-free value parts once per probe time
+        # and combines them per theta; its norms are those of hjb_residual_at
+        # with expansion_value at each theta, bit for bit
+        params = replace(fig7, **drift)
+        curve = call_payoff_curve(params, call100)
+        grid = default_probe_grid(params, call100.strike)
+        base = ExpansionScale.from_params(params, 0.2)
+        thetas = [0.2, 0.1, 0.05]
+        rep = pde_residual(params, curve, base, grid, thetas=thetas)
+        t_probe, q_probe, u_probe = np.array(grid).T
+        expected = []
+        for theta in thetas:
+            sc = ExpansionScale(theta, theta * (base.effective_c / 0.2), theta * (base.effective_gamma / 0.2))
+            h_fn = partial(expansion_value, params, curve, sc)
+            expected.append(max(
+                float(np.max(np.abs(hjb_residual_at(params, h_fn, sc.effective_c, sc.effective_gamma, t,
+                                                    q_probe[t_probe == t], u_probe[t_probe == t]))))
+                for t in np.unique(t_probe).tolist()
+            ))
+        assert rep.residual_norms == expected
 
     def test_boundary_probe_rejected(self, fig7, call100):
         from crosshedge import ExpansionScale, pde_residual
