@@ -80,4 +80,4 @@ from .oracles import (
     theta_sweep,
 )
 
-__version__ = "0.6.1"
+__version__ = "0.6.2"

@@ -15,12 +15,22 @@ are deterministic time weights times delta(t,U).  The single non-reducible
 term (the squared delta inside Lambda_0) is integrated with Gauss-Hermite
 nodes under an outer Gauss-Legendre time rule.
 
-The drift (mu != 0) time integrals -- f0, the lambda_0 weight and the
-drift-risk integral D(t) inside Lambda_1 and nu_hat -- have integrands
-rational in time-to-go tau with poles only at A = 2k + m*tau = 0.  In log A
-they are entire, so each is one fixed Gauss-Legendre sum in log A
-(``linear._tau_integral``), vectorised over t.  The drift part of Lambda_0
-sums the TIME_NODES-point Gauss-Legendre rule in s over D(s).
+The drift (mu != 0) time integrals -- f0, the lambda_0 weight, the
+drift-risk integral D(t) inside Lambda_1 and nu_hat, and the drift part of
+Lambda_0 -- integrate f1 = mu*tau*(4k + m*tau)/(2A) times rationals in
+time-to-go tau, with A = 2k + m*tau.  In A each integrand is a polynomial
+plus a 1/A^2 term, with no 1/A term, so no logarithm appears and each
+integral is an exact rational in tau whose terms share one sign for
+tau >= 0 (nothing cancels near the horizon):
+
+    f0               = mu^2*tau^3*(A + 6k) / (48k*A)
+    lambda_0 weight  = mu*tau^2 / (2A)
+    D(t)             = -mu*sigma^2*tau^3*(A^2 + 6kA + 16k^2) / (48k*A^2)
+    int f1*D ds      = -mu^2*sigma^2*tau^5*(64k^2 + 14km*tau + m^2*tau^2) / (480k*A^2)
+    int f1*lemma ds  = mu*tau^3*(A + 6k) / (12A)
+
+where lemma = (2k*tau + m*tau^2/2)/A is the time weight of the hedging
+pull (``_lemma_weight``).
 
 Every strategy shipped here is affine in the payoff delta and in inventory,
 
@@ -41,8 +51,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .bachelier import AuxiliaryProcessLaw, PayoffCurve, _hermite_expectation
-from .linear import _cross_gain_limit, _drift_gain_limit, _gauss_legendre, _h2_limit
-from .linear import _optimal_speed_coeffs, _tau_integral
+from .linear import _cross_gain_limit, _drift_gain_limit, _gauss_legendre, _h2_limit, _optimal_speed_coeffs
 from .market import Affine, ModelParams, Strategy, _affine_speed, _check_finite, _check_scalar_time, _check_time
 
 __all__ = [
@@ -101,9 +110,9 @@ def _f2(params: ModelParams, t):
 def f_coefficients(params: ModelParams, t: float) -> tuple[float, float, float]:
     """Zero-order value coefficients (f0, f1, f2) at time t.
 
-    f1 and f2 are explicit rationals in time-to-go; f0 integrates f1^2/(4k)
-    with the fixed log(2k + m*tau) Gauss-Legendre rule and short-circuits
-    to 0 when mu = 0.
+    All three are explicit rationals in time-to-go tau; f0, the integral of
+    f1^2/(4k), is mu^2*tau^3*(A + 6k)/(48k*A) with A = 2k + m*tau, and 0
+    when mu = 0.
     """
     return _f_coefficients(params, _check_scalar_time(params, t))
 
@@ -114,7 +123,9 @@ def _f_coefficients(params: ModelParams, t: float) -> tuple[float, float, float]
     if params.mu == 0.0 or t == params.T:
         f0 = 0.0
     else:
-        f0 = _tau_integral(params, lambda x, a: _drift_gain_limit(params, params.mu, x) ** 2, t) / (4.0 * params.k)
+        k, tau = params.k, params.T - t
+        a = 2.0 * k + params.m * tau
+        f0 = params.mu**2 * tau**3 * (a + 6.0 * k) / (48.0 * k * a)
     return f0, f1, f2
 
 
@@ -129,10 +140,11 @@ def lambda1(params: ModelParams, payoff: PayoffCurve, t: float, u) -> np.ndarray
 
 
 def _lambda0_weight(params: ModelParams, t: float) -> float:
-    """integral_t^T f1(s) / (2k + m(T-s)) ds; zero when mu = 0."""
+    """integral_t^T f1(s) / (2k + m(T-s)) ds = mu*tau^2/(2A); zero when mu = 0."""
     if params.mu == 0.0 or t == params.T:
         return 0.0
-    return _tau_integral(params, lambda x, a: _drift_gain_limit(params, params.mu, x) / a, t)
+    tau = params.T - t
+    return params.mu * tau * tau / (2.0 * (2.0 * params.k + params.m * tau))
 
 
 def lambda0(params: ModelParams, payoff: PayoffCurve, t: float, u) -> np.ndarray | float:
@@ -162,12 +174,14 @@ def Lambda2(params: ModelParams, t) -> np.ndarray | float:
 
 
 def _drift_risk_integral(params: ModelParams, t):
-    """D(t) = [integral_t^T (2k+m(T-s)) f1(s) Lambda2(s) ds] / (k*(2k+m(T-t))),
-    vectorised over t."""
+    """D(t) = [integral_t^T (2k+m(T-s)) f1(s) Lambda2(s) ds] / (k*(2k+m(T-t)))
+    = -mu*sigma^2*tau^3*(A^2 + 6kA + 16k^2)/(48k*A^2), vectorised over t."""
     if params.mu == 0.0:
         return 0.0
-    num = _tau_integral(params, lambda x, a: a * _drift_gain_limit(params, params.mu, x) * _Lambda2_at(params, x), t)
-    return num / (params.k * (2.0 * params.k + params.m * (params.T - t)))
+    k = params.k
+    tau = params.T - (t if isinstance(t, float) else np.asarray(t, dtype=float))
+    a = 2.0 * k + params.m * tau
+    return -params.mu * params.sigma**2 * tau**3 * (a * a + 6.0 * k * a + 16.0 * k * k) / (48.0 * k * a * a)
 
 
 def _lemma_weight(params: ModelParams, t) -> np.ndarray:
@@ -221,15 +235,18 @@ def _expected_delta_sq(params: ModelParams, payoff: PayoffCurve, t: float, s: np
 def _Lambda0_drift_weights(params: ModelParams, t: float) -> tuple[float, float]:
     """(a, w) with the drift part of Lambda_0 equal to a + w*delta(t,u).
 
-    The drift part reduces through the martingale property; zero when mu = 0.
+    The drift part reduces through the martingale property to
+    integral_t^T f1(s) * (D(s) + pull(s)) ds / (2k), whose two parts are
+    exact rationals in tau; zero when mu = 0.
     """
     if params.mu == 0.0 or t == params.T:
         return 0.0, 0.0
-    s_nodes, s_w = _gauss_legendre(t, params.T, TIME_NODES)
-    f1s = _f1(params, s_nodes)
-    det = float(np.sum(s_w * f1s * _drift_risk_integral(params, s_nodes)))
-    red = float(np.sum(s_w * f1s * _lemma_weight(params, s_nodes))) * params.rho * params.sigma * params.eta
-    two_k = 2.0 * params.k
+    k, m, tau = params.k, params.m, params.T - t
+    a = 2.0 * k + m * tau
+    poly = 64.0 * k * k + 14.0 * k * m * tau + m * m * tau * tau
+    det = -((params.mu * params.sigma) ** 2) * tau**5 * poly / (480.0 * k * a * a)
+    red = params.mu * tau**3 * (a + 6.0 * k) / (12.0 * a) * params.rho * params.sigma * params.eta
+    two_k = 2.0 * k
     return det / two_k, -red / two_k
 
 

@@ -16,8 +16,10 @@ limits are rationals in time-to-go tau and are the zero-order expansion
 coefficients: the h2 limit is f2, the h1 drift gain at forcing mu is f1,
 and the cross-impact gain is the lambda_1 weight.  They are defined here
 once (``_h2_limit``, ``_drift_gain_limit``, ``_cross_gain_limit``) and
-``expansion`` evaluates f1, f2 and lambda_1 through them; so are the
-Gauss-Legendre rules h0, ``expansion`` and ``oracles`` share.
+``expansion`` evaluates f1, f2 and lambda_1 through them, and its drift
+time integrals are exact rationals built on f1.  The Gauss-Legendre rule
+``expansion`` and ``oracles`` share is defined here too, and so is the
+fixed rule in log(2k + m*tau) behind h0's time integral.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ __all__ = [
 # Relative omega size below which the analytic gamma=0 limit is used.
 OMEGA_SWITCH = 1e-8
 
-# Gauss-Legendre nodes in log(2k + m*tau) for the deterministic time integrals
+# Gauss-Legendre nodes in log(2k + m*tau) for h0's time integral
 _LOG_A_NODES = 32
 
 
@@ -74,13 +76,14 @@ def _gauss_legendre(t0: float, t1: float, n: int):
 
 
 def _tau_integral(params: ModelParams, g, t):
-    """integral_0^{T-t} g(x, A) dx with A = 2k + m*x, vectorised over t.
+    """integral_0^{T-t} g(x, A) dx with A = 2k + m*x, vectorised over t;
+    the time integral of h0.
 
     With v = log(A/2k) the span is log1p(m*tau/2k), x = 2k*expm1(v)/m and
-    dx = A dv/m (m > 0 is enforced by ModelParams).  The drift integrands
-    are rational in x with poles only at A = 0, hence entire in v, and a
-    fixed Gauss-Legendre rule in v converges geometrically.  At gamma > 0
-    the h0 integrand's poles (phi_- e^2 + phi_+ = 0) lie off the interval.
+    dx = A dv/m (m > 0 is enforced by ModelParams).  At gamma = 0 the h0
+    integrand is rational in x with poles only at A = 0, hence entire in v,
+    and a fixed Gauss-Legendre rule in v converges geometrically.  At
+    gamma > 0 its poles (phi_- e^2 + phi_+ = 0) lie off the interval.
     """
     tau = params.T - np.asarray(t, dtype=float)
     two_k, m = 2.0 * params.k, params.m

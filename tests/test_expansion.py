@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from crosshedge import (
@@ -31,14 +33,20 @@ from crosshedge import (
 from crosshedge.bachelier import AuxiliaryProcessLaw, _hermite_expectation, custom_payoff_curve
 from crosshedge.config import PRESETS
 from crosshedge.expansion import (
+    _drift_risk_integral,
     _expected_delta_sq,
     _f1,
     _f2,
+    _f_coefficients,
     _gauss_legendre,
+    _lambda0_weight,
+    _Lambda0_drift_weights,
+    _Lambda2_at,
     delta_substitution_strategy,
     expansion_nu_hat_strategy,
     risk_neutral_cross_impact_strategy,
 )
+from crosshedge.linear import _drift_gain_limit, _tau_integral
 from crosshedge.oracles import (
     Lambda2_ode_system,
     f1_ode_system,
@@ -346,6 +354,91 @@ class TestDriftIntegrals:
             ref = _ref_integral(p, lambda s: float(_f1(p, s)) * (_ref_D(p, s) + _ref_pull(p, s)), t) / (2.0 * p.k)
             got = float(Lambda0(p, curve, t, 1.0)) - float(Lambda0(driftless, curve, t, 1.0))
             assert got == pytest.approx(ref, **self.tol)
+
+
+@st.composite
+def drift_params(draw):
+    """A well-posed parameter set with mu != 0, k in [1e-5, 1] and b < 2*alpha."""
+    alpha = draw(st.floats(0.01, 1.0))
+    return ModelParams(
+        mu=draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1e-3, 1.0)),
+        sigma=draw(st.floats(0.1, 2.0)),
+        beta=0.05,
+        eta=draw(st.floats(0.1, 2.0)),
+        rho=draw(st.floats(-0.95, 0.95)),
+        b=draw(st.floats(0.0, 0.99)) * 2.0 * alpha,
+        c=1e-3,
+        k=10.0 ** draw(st.floats(-5.0, 0.0)),
+        gamma=0.0,
+        alpha=alpha,
+        T=draw(st.floats(0.1, 5.0)),
+    )
+
+
+class TestDriftClosedForms:
+    """The exact drift time integrals: against adaptive quadrature of their
+    definitions over random well-posed sets, against the retired fixed rule
+    in log(2k + m*tau), and at their edges (array t, mu = 0, t = T)."""
+
+    tol = TestDriftIntegrals.tol
+
+    @given(p=drift_params())
+    @settings(max_examples=50, deadline=None)
+    def test_matches_adaptive_references(self, p):
+        two_k = 2.0 * p.k
+        f1 = lambda s: float(_f1(p, s))  # noqa: E731
+        for t in [0.0, 0.3 * p.T, 0.9 * p.T, p.T - 1e-6]:
+            assert _f_coefficients(p, t)[0] == pytest.approx(
+                _ref_integral(p, lambda s: f1(s) ** 2, t) / (4.0 * p.k), **self.tol
+            )
+            assert _lambda0_weight(p, t) == pytest.approx(
+                _ref_integral(p, lambda s: f1(s) / (two_k + p.m * (p.T - s)), t), **self.tol
+            )
+            assert _drift_risk_integral(p, t) == pytest.approx(_ref_D(p, t), **self.tol)
+            # D is checked against _ref_D above; the integral of f1*D is checked
+            # against adaptive quadrature of f1 times that D, not a nested one.
+            a, w = _Lambda0_drift_weights(p, t)
+            ref_a = _ref_integral(p, lambda s: f1(s) * _drift_risk_integral(p, s), t) / two_k
+            assert a == pytest.approx(ref_a, **self.tol)
+            assert w == pytest.approx(_ref_integral(p, lambda s: f1(s) * _ref_pull(p, s), t) / two_k, **self.tol)
+
+    def test_matches_retired_log_rule(self, drift_preset):
+        p = drift_preset
+        gain = lambda x: _drift_gain_limit(p, p.mu, x)  # noqa: E731
+        for t in [0.0, 0.3 * p.T, 0.9 * p.T, p.T - 1e-4]:
+            f0 = _tau_integral(p, lambda x, a: gain(x) ** 2, t) / (4.0 * p.k)
+            weight = _tau_integral(p, lambda x, a: gain(x) / a, t)
+            num = _tau_integral(p, lambda x, a: a * gain(x) * _Lambda2_at(p, x), t)
+            d = num / (p.k * (2.0 * p.k + p.m * (p.T - t)))
+            assert _f_coefficients(p, t)[0] == pytest.approx(f0, rel=1e-13, abs=0.0)
+            assert _lambda0_weight(p, t) == pytest.approx(weight, rel=1e-13, abs=0.0)
+            assert _drift_risk_integral(p, t) == pytest.approx(d, rel=1e-13, abs=0.0)
+
+    def test_drift_risk_integral_broadcasts(self, drift_preset):
+        p = drift_preset
+        t = np.linspace(0.0, p.T, 12).reshape(3, 4)
+        got = _drift_risk_integral(p, t)
+        assert got.shape == t.shape
+        expected = [[_drift_risk_integral(p, float(ti)) for ti in row] for row in t]
+        np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0.0)
+
+    def test_zero_drift_and_horizon_give_positive_zero(self, drift_preset):
+        p = drift_preset
+        driftless = replace(p, mu=0.0)
+        values = [
+            _f_coefficients(p, p.T)[0],
+            _lambda0_weight(p, p.T),
+            *_Lambda0_drift_weights(p, p.T),
+        ]
+        for t in (0.0, 0.3 * p.T, p.T):
+            values += [
+                _f_coefficients(driftless, t)[0],
+                _lambda0_weight(driftless, t),
+                _drift_risk_integral(driftless, t),
+                *_Lambda0_drift_weights(driftless, t),
+            ]
+        for v in values:
+            assert v == 0.0 and math.copysign(1.0, v) == 1.0
 
 
 class TestNuHat:
