@@ -175,9 +175,10 @@ def Lambda2(params: ModelParams, t) -> np.ndarray | float:
 
 def _drift_risk_integral(params: ModelParams, t):
     """D(t) = [integral_t^T (2k+m(T-s)) f1(s) Lambda2(s) ds] / (k*(2k+m(T-t)))
-    = -mu*sigma^2*tau^3*(A^2 + 6kA + 16k^2)/(48k*A^2), vectorised over t."""
+    = -mu*sigma^2*tau^3*(A^2 + 6kA + 16k^2)/(48k*A^2), vectorised over t
+    (zeros in t's shape when mu = 0; +0.0 for a float t)."""
     if params.mu == 0.0:
-        return 0.0
+        return 0.0 if isinstance(t, float) else np.zeros(np.shape(t))
     k = params.k
     tau = params.T - (t if isinstance(t, float) else np.asarray(t, dtype=float))
     a = 2.0 * k + params.m * tau

@@ -264,12 +264,12 @@ class McEstimate:
 
     mean and std_error come from the control-variate regression of
     ``_controlled_mean_and_se`` on the factor path's Brownian endpoint (the
-    controls are listed at ``_mc_samples``): each control's mean is known
-    exactly, so the regression moves no mean and removes the part of the
-    noise that the endpoint explains.  In utility mode the regression is
-    used only while the log-utility spread gamma*sd(sample) is at most
-    ``_CONTROL_MAX_LOG_SPREAD``; beyond it mean and std_error are the plain
-    ones (see ``mc_performance``).  std_error_plain is the SE without
+    controls are listed at ``_control_columns``): each control's mean is
+    known exactly, so the regression moves no mean and removes the part of
+    the noise that the endpoint explains.  In utility mode the controls are
+    built and used only while the log-utility spread gamma*sd(sample) is at
+    most ``_CONTROL_MAX_LOG_SPREAD``; beyond it mean and std_error are the
+    plain ones (see ``mc_performance``).  std_error_plain is the SE without
     controls: the sample std of the n_samples independent samples (pair
     means under antithetic pairing) divided by sqrt(n_samples), so
     (std_error_plain/std_error)^2 is the variance factor of the controls.
@@ -357,10 +357,10 @@ def _mc_samples(
     antithetic: bool,
     chunk_paths: int,
     gamma: float,
-) -> tuple[list[np.ndarray], list[int], Callable[[int, int], np.ndarray]]:
+) -> tuple[list[np.ndarray], list[int], np.ndarray]:
     """Conditional certainty equivalents per strategy under common random
-    numbers, the number of clamped speeds per strategy, and the control
-    columns of the samples.
+    numbers, the number of clamped speeds per strategy, and the standardized
+    factor endpoint x of each base path.
 
     No strategy reads the price, so given the factor path the terminal wealth
     is Gaussian: W = W0 + sum_j sigma*sqrt(1-rho^2)*sqrt(dt)*q_{j+1}*xi_j
@@ -372,20 +372,10 @@ def _mc_samples(
     gamma = 0 it is W0, whose mean is the mean wealth.
 
     Every sample is thus a function of the factor path, whose Brownian
-    endpoint x = Z_T/sqrt(T - t0) the engine returns; under the Euler scheme
-    x is exactly N(0,1).  ``controls(lo, hi)`` gives the (k, hi - lo)
-    control columns of samples lo..hi-1, each with mean exactly zero
-    (Glasserman, Monte Carlo Methods in Financial Engineering, 2003, 4.1):
-
-    - the Hermite polynomials He2, He4 and He6 of x, and He1, He3 and He5
-      too without antithetic pairing (E[He_n(x)] = 0 for n >= 1; a pair's
-      mean of an odd one is exactly zero, so pairing drops them);
-    - for a BachelierCallExposure with eta > 0, the call price at the
-      uncontrolled factor, g(T, U0 + beta*tau + eta*sqrt(tau)*x) - g(t0, U0)
-      with tau = T - t0 (paired: the mean over x and -x), from the call
-      curve's closed form; its mean is zero because g(t, U~_t) is a
-      martingale along the uncontrolled factor U~ (Henderson & Glynn,
-      Math. Oper. Res. 27(2), 2002).
+    endpoint x = Z_T/sqrt(T - t0) the engine returns (a mirror path has -x);
+    under the Euler scheme x is exactly N(0,1).  ``mc_performance`` builds
+    its control variates from x (``_control_columns``); the other callers
+    discard it.
 
     The base paths split into chunks of ``chunk_paths`` simulated paths and a
     shorter last one.  Chunk i runs on the make_rng substream (seed, i), and
@@ -394,8 +384,8 @@ def _mc_samples(
     Affine strategies are tabulated once here and shared by every chunk.
 
     Each sample array is (members, samples): (2, pairs) with antithetic
-    sampling, base paths over their mirrors, and (1, paths) without.  A
-    negative or non-finite gamma raises ValueError.
+    sampling, base paths over their mirrors, and (1, paths) without; x is
+    (samples,).  A negative or non-finite gamma raises ValueError.
     """
     if not (math.isfinite(gamma) and gamma >= 0.0):
         raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
@@ -423,40 +413,43 @@ def _mc_samples(
             results = list(pool.map(task, range(len(sizes)), sizes))
     samples = [np.concatenate([res[r][0] for res, _ in results], axis=1) for r in range(len(strategies))]
     clamps = [sum(res[r][1] for res, _ in results) for r in range(len(strategies))]
-    x = np.concatenate([z for _, z in results])
-    return samples, clamps, _control_columns(params, exposure, initial, x, antithetic)
+    return samples, clamps, np.concatenate([z for _, z in results])
 
 
 def _control_columns(
     params: ModelParams, exposure: Exposure, initial: State, x: np.ndarray, antithetic: bool
-) -> Callable[[int, int], np.ndarray]:
-    """``columns(lo, hi)``: the (k, hi - lo) known-mean-zero controls of
-    samples lo..hi-1 listed at ``_mc_samples``, built from the standardized
-    factor endpoints x of their base paths."""
+) -> np.ndarray:
+    """The (k, samples) control columns of the samples whose base paths have
+    the standardized factor endpoints x, each with mean exactly zero
+    (Glasserman, Monte Carlo Methods in Financial Engineering, 2003, 4.1):
+
+    - the Hermite polynomials He2, He4 and He6 of x, and He1, He3 and He5
+      too without antithetic pairing (E[He_n(x)] = 0 for n >= 1; a pair's
+      mean of an odd one is exactly zero, so pairing drops them);
+    - for a BachelierCallExposure with eta > 0, the call price at the
+      uncontrolled factor, g(T, U0 + beta*tau + eta*sqrt(tau)*x) - g(t0, U0)
+      with tau = T - t0 (paired: the mean over x and -x), from the call
+      curve's closed form; its mean is zero because g(t, U~_t) is a
+      martingale along the uncontrolled factor U~ (Henderson & Glynn,
+      Math. Oper. Res. 27(2), 2002).
+    """
     degrees = (2, 4, 6) if antithetic else (1, 2, 3, 4, 5, 6)
     call = isinstance(exposure, BachelierCallExposure) and params.eta > 0.0
-    tau = params.T - initial.t
+    out = np.empty((len(degrees) + int(call), x.size))
+    he_prev, he = np.ones_like(x), x
+    for n in range(1, degrees[-1] + 1):
+        if n in degrees:
+            out[degrees.index(n)] = he
+        # He_{n+1} = x*He_n - n*He_{n-1}
+        he_prev, he = he, x * he - n * he_prev
     if call:
+        tau = params.T - initial.t
         u_mean, u_sd = initial.u + params.beta * tau, params.eta * math.sqrt(tau)
-        g0 = call_value(params, exposure, initial.t, initial.u)
-
-    def columns(lo: int, hi: int) -> np.ndarray:
-        xb = x[lo:hi]
-        out = np.empty((len(degrees) + int(call), xb.size))
-        he_prev, he = np.ones_like(xb), xb
-        for n in range(1, degrees[-1] + 1):
-            if n in degrees:
-                out[degrees.index(n)] = he
-            # He_{n+1} = x*He_n - n*He_{n-1}
-            he_prev, he = he, xb * he - n * he_prev
-        if call:
-            g = call_value(params, exposure, params.T, u_mean + u_sd * xb)
-            if antithetic:
-                g = 0.5 * (g + call_value(params, exposure, params.T, u_mean - u_sd * xb))
-            out[-1] = g - g0
-        return out
-
-    return columns
+        g = call_value(params, exposure, params.T, u_mean + u_sd * x)
+        if antithetic:
+            g = 0.5 * (g + call_value(params, exposure, params.T, u_mean - u_sd * x))
+        out[-1] = g - call_value(params, exposure, initial.t, initial.u)
+    return out
 
 
 def _mean_and_se(values: np.ndarray) -> tuple[float, float, int]:
@@ -476,9 +469,6 @@ def _mean_and_se(values: np.ndarray) -> tuple[float, float, int]:
     return mean, se, n
 
 
-# Samples per block of control columns in _controlled_mean_and_se
-_CONTROL_BLOCK = 8192
-
 # The largest log-utility spread gamma*sd(sample) at which mc_performance
 # regresses on the endpoint controls.  The utility -exp(-gamma*sample) is
 # exponential in x; with a wider spread the part the Hermite polynomials
@@ -492,45 +482,33 @@ _CONTROL_BLOCK = 8192
 _CONTROL_MAX_LOG_SPREAD = 1.0
 
 
-def _controlled_mean_and_se(
-    values: np.ndarray, controls: Callable[[int, int], np.ndarray] | None
-) -> tuple[float, float, int, float]:
+def _controlled_mean_and_se(values: np.ndarray, controls: np.ndarray | None) -> tuple[float, float, int, float]:
     """``_mean_and_se`` with control variates of known mean zero: the
     regression estimator ybar - b.cbar, with b the least-squares fit of the
-    independent samples y (pair means) on the k control columns c
+    independent samples y (pair means) on the (k, samples) control columns c
     (Glasserman, 2003, 4.1.2).  Returns the mean, its SE, the number of
     independent samples and the plain SE of ``_mean_and_se``.
 
     Each control's mean is exactly zero, so the estimator moves no mean,
     up to the O(1/n) of fitting b on the same samples.  The SE is the
-    residual std with ddof = 1 + k over sqrt(n).  y and c are taken about
-    their first sample, so identical samples give b = 0 and an SE of exactly
-    zero, and a constant control is an exact zero column that the fit
-    leaves out (k counts the controls fitted).  The k x k normal equations
-    are summed over blocks of samples, without a samples x k matrix, and by
-    numpy's own reductions, not a threaded BLAS, so a rerun gives the same
-    bits.  With no controls (None), or k + 1 samples or fewer and so no
-    residual freedom, the plain estimate is returned.
+    residual std with ddof = 1 + k over sqrt(n).  y and a copy of c are
+    taken about their first sample, so identical samples give b = 0 and an
+    SE of exactly zero, and a constant control is an exact zero column that
+    the fit leaves out (k counts the controls fitted).  The k x k normal
+    equations are formed by numpy's own reductions, not a threaded BLAS, so
+    a rerun gives the same bits.  With no controls (None), or k + 1 samples
+    or fewer and so no residual freedom, the plain estimate is returned.
     """
     mean, se, n = _mean_and_se(values)
-    if controls is None:
+    if controls is None or n <= controls.shape[0] + 1:
         return mean, se, n, se
-    c0 = controls(0, 1)[:, 0]
-    k = c0.size
-    if n <= k + 1:
-        return mean, se, n, se
+    c0 = controls[:, 0]
+    c = controls - c0[:, None]
     indep = values.mean(axis=0)
     y = indep - indep[0]
-    sum_c, sum_cc, sum_cy = np.zeros(k), np.zeros((k, k)), np.zeros(k)
-    for lo in range(0, n, _CONTROL_BLOCK):
-        hi = min(n, lo + _CONTROL_BLOCK)
-        c = controls(lo, hi) - c0[:, None]
-        sum_c += c.sum(axis=1)
-        sum_cc += np.einsum("ai,bi->ab", c, c)
-        sum_cy += np.einsum("ai,i->a", c, y[lo:hi])
-    c_bar, y_bar = sum_c / n, float(np.mean(y))
-    s_cc = sum_cc - n * np.outer(c_bar, c_bar)
-    s_cy = sum_cy - n * c_bar * y_bar
+    c_bar, y_bar = c.mean(axis=1), float(np.mean(y))
+    s_cc = np.einsum("ai,bi->ab", c, c) - n * np.outer(c_bar, c_bar)
+    s_cy = np.einsum("ai,i->a", c, y) - n * c_bar * y_bar
     b, _, k_fit, _ = np.linalg.lstsq(s_cc, s_cy, rcond=None)
     resid = max(float(np.sum((y - y_bar) ** 2)) - float(np.sum(b * s_cy)), 0.0)
     # the controls' sample mean is c_bar + c0 and their exact mean is zero
@@ -569,22 +547,24 @@ def mc_performance(
     so the estimate depends on ``chunk_paths``; it is bit-identical for any
     number of worker threads (``HEDGE_THREADS``).
 
-    The mean and SE are those of the control-variate regression on the
-    factor's Brownian endpoint (``_controlled_mean_and_se``); the plain SE
-    is kept as ``std_error_plain``.  In utility mode the regression is used
-    only while gamma*sd(sample) is at most ``_CONTROL_MAX_LOG_SPREAD``
-    (1.0); a wider spread gives the plain mean and SE, because there the
-    residual SE of the Hermite fit understates the error (the criterion-3
-    set-up on ``fig1_right``, at 1.3, is one such case).  Wealth mode has no
-    exponential and always uses the controls.
+    The mean and SE are those of the control-variate regression
+    (``_controlled_mean_and_se``) on the (k, samples) array of controls that
+    ``_control_columns`` builds from the factor's Brownian endpoint; the
+    plain SE is kept as ``std_error_plain``.  In utility mode the controls
+    are built and used only while gamma*sd(sample) is at most
+    ``_CONTROL_MAX_LOG_SPREAD`` (1.0); a wider spread gives the plain mean
+    and SE, because there the residual SE of the Hermite fit understates the
+    error (the criterion-3 set-up on ``fig1_right``, at 1.3, is one such
+    case).  Wealth mode has no exponential and always uses the controls.
     """
     g = params.gamma if gamma is None else gamma
-    (samples,), (clamped,), controls = _mc_samples(
+    (samples,), (clamped,), x = _mc_samples(
         params, exposure, [strategy], initial, n_paths, n_steps, seed, antithetic, chunk_paths, g
     )
     values = utility_of(samples, g) if g > 0 else samples
     spread = g * float(np.std(samples))
-    mean, se, n, se_plain = _controlled_mean_and_se(values, controls if spread <= _CONTROL_MAX_LOG_SPREAD else None)
+    controls = _control_columns(params, exposure, initial, x, antithetic) if spread <= _CONTROL_MAX_LOG_SPREAD else None
+    mean, se, n, se_plain = _controlled_mean_and_se(values, controls)
     if g > 0:
         ce = _certainty_equivalent(mean, g)
         ce_se = se / (g * abs(mean))

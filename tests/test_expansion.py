@@ -414,8 +414,9 @@ class TestDriftClosedForms:
             assert _lambda0_weight(p, t) == pytest.approx(weight, rel=1e-13, abs=0.0)
             assert _drift_risk_integral(p, t) == pytest.approx(d, rel=1e-13, abs=0.0)
 
-    def test_drift_risk_integral_broadcasts(self, drift_preset):
-        p = drift_preset
+    @pytest.mark.parametrize("driftless", [False, True])
+    def test_drift_risk_integral_broadcasts(self, drift_preset, driftless):
+        p = replace(drift_preset, mu=0.0) if driftless else drift_preset
         t = np.linspace(0.0, p.T, 12).reshape(3, 4)
         got = _drift_risk_integral(p, t)
         assert got.shape == t.shape

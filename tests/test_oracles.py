@@ -35,8 +35,8 @@ from crosshedge.config import PRESETS, _build_exposure
 from crosshedge.expansion import _f1, _f2
 from crosshedge.market import SimulationError, utility_of
 from crosshedge.oracles import (
-    _CONTROL_BLOCK,
     Lambda2_ode_system,
+    _control_columns,
     _controlled_mean_and_se,
     _mc_samples,
     _mean_and_se,
@@ -497,11 +497,11 @@ class TestControlVariates:
         strat = constant_strategy(0.3)
         init = State(0.2, 0.0, 0.0, 10.0, 1.0)
         n_paths, n_steps, seed = 400, 30, 4
-        _, _, controls = _mc_samples(fig7, call100, [strat], init, n_paths, n_steps, seed, antithetic, n_paths, 1.0)
+        _, _, x_mc = _mc_samples(fig7, call100, [strat], init, n_paths, n_steps, seed, antithetic, n_paths, 1.0)
         z = simulate_ensemble(fig7, call100, strat, init, n_paths, n_steps, seed, record=("z",),
                               antithetic=antithetic)["z"][-1]
         x = z[: n_paths // 2 if antithetic else n_paths] / math.sqrt(fig7.T - init.t)
-        cols = controls(0, x.size)
+        cols = _control_columns(fig7, call100, init, x_mc, antithetic)
         degrees = (2, 4, 6) if antithetic else (1, 2, 3, 4, 5, 6)
         assert cols.shape == (len(degrees) + 1, x.size)
         for row, n in enumerate(degrees):
@@ -517,8 +517,8 @@ class TestControlVariates:
         n_paths = 200_000
         p = replace(fig7, rho=-0.4, beta=0.05)
         init = State(0.1, 0.0, 0.0, 10.0, call100.strike)
-        _, _, controls = _mc_samples(p, call100, [constant_strategy(0.0)], init, n_paths, 6, 8, False, 50_000, 1.0)
-        cols = controls(0, n_paths)
+        _, _, x = _mc_samples(p, call100, [constant_strategy(0.0)], init, n_paths, 6, 8, False, 50_000, 1.0)
+        cols = _control_columns(p, call100, init, x, False)
         assert cols.shape == (7, n_paths)
         assert abs(cols[0].var() - 1.0) < 4.0 * math.sqrt(2.0 / n_paths)
         for n in range(1, 7):
@@ -565,6 +565,27 @@ class TestControlVariates:
         _, measured, _ = value_function_mc(seed=11, n_paths=4000, n_steps=100)
         assert 1.0 < measured["log_spread"] < 2.0
 
+    def test_controls_are_built_only_where_used(self, fig7, call100, monkeypatch):
+        # the gap never regresses, and mc_performance builds no controls past
+        # the spread gate; on the light market the patched builder is reached
+        import crosshedge.oracles as oracles_mod
+
+        def refuse(*args):
+            raise AssertionError("control columns built")
+
+        monkeypatch.setattr(oracles_mod, "_control_columns", refuse)
+        curve = call_payoff_curve(fig7, call100)
+        sc = ExpansionScale.from_params(fig7, 0.2)
+        a, b = expansion_nu_hat_strategy(fig7, curve, sc), delta_substitution_strategy(fig7, curve, sc)
+        init = State(0.0, 0.0, 0.0, 10.0, call100.strike)
+        gap = mc_strategy_gap(fig7, call100, a, b, init, 200, 20, 3, gamma=sc.effective_gamma)
+        assert gap.gap_se > 0.0
+        p, init = self.PARAMS, self.INIT
+        heavy = mc_performance(replace(p, gamma=2.0), LinearExposure(1.5), constant_strategy(0.3), init, 4000, 40, 1)
+        assert heavy.log_spread > 1.0 and heavy.std_error == heavy.std_error_plain
+        with pytest.raises(AssertionError, match="control columns built"):
+            mc_performance(p, LinearExposure(1.0), constant_strategy(0.3), init, 4000, 40, 1)
+
     @pytest.mark.parametrize("seed", [1, 2])
     def test_constant_speed_wealth_mode_matches_exact_mean(self, seed):
         # unpaired: a mirrored pair's mean of this wealth, affine in the
@@ -607,7 +628,7 @@ class TestControlVariates:
         rng = np.random.default_rng(0)
         cols = rng.standard_normal((4, 50))
         values = np.full((2, 50), -0.37)
-        got = _controlled_mean_and_se(values, lambda lo, hi: cols[:, lo:hi])
+        got = _controlled_mean_and_se(values, cols)
         assert got == (_mean_and_se(values)[0], 0.0, 50, 0.0)
 
     @pytest.mark.parametrize("n", [1, 2, 5])
@@ -615,20 +636,22 @@ class TestControlVariates:
         # k = 4 controls: 5 samples or fewer leave no residual degree of freedom
         rng = np.random.default_rng(1)
         cols, values = rng.standard_normal((4, n)), rng.standard_normal((2, n))
-        got = _controlled_mean_and_se(values, lambda lo, hi: cols[:, lo:hi])
+        got = _controlled_mean_and_se(values, cols)
         mean, se, n_indep = _mean_and_se(values)
         assert repr(got) == repr((mean, se, n_indep, se))
 
     def test_matches_a_least_squares_reference(self):
-        # more samples than one block; a constant control explains nothing and
-        # is left out, so the fit has k = 2
-        n = 2 * _CONTROL_BLOCK + 123
+        # a constant control explains nothing and is left out, so the fit has
+        # k = 2; the caller's arrays, which the reference reuses, are unchanged
+        n = 16_507
         rng = np.random.default_rng(2)
         x = rng.standard_normal(n)
         cols = np.vstack([x, x * x - 1.0, np.full(n, 0.25)])
         y = 3.0 + 0.5 * x + 0.2 * (x * x - 1.0) + 0.1 * rng.standard_normal(n)
         values = np.vstack([y + 0.01, y - 0.01])
-        mean, se, _, se_plain = _controlled_mean_and_se(values, lambda lo, hi: cols[:, lo:hi])
+        cols_in, values_in = cols.copy(), values.copy()
+        mean, se, _, se_plain = _controlled_mean_and_se(values, cols)
+        assert np.array_equal(cols, cols_in) and np.array_equal(values, values_in)
         design = np.column_stack([np.ones(n), cols[0], cols[1]])
         coef, rss, _, _ = np.linalg.lstsq(design, y, rcond=None)
         assert mean == pytest.approx(coef[0], rel=1e-12)
