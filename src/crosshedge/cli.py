@@ -9,7 +9,6 @@ the same config and seed reproduces the CSVs byte for byte.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -21,6 +20,7 @@ from .config import (
     ConfigError,
     EXPERIMENTS,
     ExperimentConfig,
+    _write_artifact,
     load_config,
     make_manifest,
 )
@@ -42,14 +42,21 @@ from .verify import run_verification
 __all__ = ["main", "build_strategy", "run_linear_path", "run_paths", "run_distribution", "run_stats", "run_sweep_theta", "run_verify"]
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
+def _cell(value) -> str:
+    """One CSV cell: a string as is, None empty, a bool in lower case, any
+    other number to 17 significant digits."""
+    if isinstance(value, str):
+        return value
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    return format(float(value), ".17g")
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row))
+    lines.extend(",".join(map(_cell, row)) for row in rows)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -110,17 +117,17 @@ def run_paths(cfg: ExperimentConfig, outdir: Path) -> list[str]:
     ]
     outputs = []
     for i, b in enumerate(bundles):
-        rows = []
-        for j in range(b.n_steps + 1):
-            nu_cell = _fmt(b.nu_path[j]) if j < b.n_steps else ""
-            rows.append((b.times[j], b.q_path[j], nu_cell, b.u_path[j]))
+        rows = (
+            (b.times[j], b.q_path[j], b.nu_path[j] if j < b.n_steps else None, b.u_path[j])
+            for j in range(b.n_steps + 1)
+        )
         name = f"path_{i:02d}.csv"
         _write_csv(outdir / name, ["t", "Q", "nu", "U"], rows)
         outputs.append(name)
     u_terminal = np.array([b.u_path[-1] for b in bundles])
     ranks = np.argsort(np.argsort(u_terminal))
     summary_rows = [
-        (str(i), str(i), str(int(ranks[i])), bundles[i].u_path[-1], bundles[i].q_path[-1], bundles[i].x_path[-1])
+        (i, i, ranks[i], bundles[i].u_path[-1], bundles[i].q_path[-1], bundles[i].x_path[-1])
         for i in range(n_paths)
     ]
     _write_csv(
@@ -138,7 +145,7 @@ def run_distribution(cfg: ExperimentConfig, outdir: Path) -> list[str]:
         raise ConfigError("n_paths: distribution runs need at least 1000 paths")
     strategy = build_strategy(cfg)
     ens = simulate_ensemble(cfg.model, cfg.exposure, strategy, cfg.initial, cfg.n_paths, cfg.n_steps, cfg.seed)
-    rows = ((str(i), ens["q_T"][i], ens["u_T"][i]) for i in range(cfg.n_paths))
+    rows = ((i, ens["q_T"][i], ens["u_T"][i]) for i in range(cfg.n_paths))
     out = outdir / "distribution.csv"
     _write_csv(out, ["path_index", "Q_T", "U_T"], rows)
     return [out.name]
@@ -167,61 +174,39 @@ def run_sweep_theta(cfg: ExperimentConfig, outdir: Path) -> list[str]:
         cfg.model, cfg.exposure, cfg.thetas, cfg.n_paths, cfg.seed,
         n_steps=cfg.n_steps, initial=cfg.initial,
     )
-    table = [
-        (
-            r["theta"],
-            r["ce_nu_hat"],
-            r["ce_nu_prime"],
-            r["gap"],
-            r["gap_se"],
-            "" if r["gap_over_theta2"] is None else _fmt(r["gap_over_theta2"]),
-            str(bool(r["noise_bounded"])).lower(),
-            r["kind"],
-            r["clamp_events_nu_hat"],
-            r["clamp_events_nu_prime"],
-        )
-        for r in rows
-    ]
+    # the row keys are the columns, in order; the schema asks for at least one theta
     out = outdir / "sweep_theta.csv"
-    _write_csv(
-        out,
-        ["theta", "ce_nu_hat", "ce_nu_prime", "gap", "gap_se", "gap_over_theta2", "noise_bounded", "kind",
-         "clamp_events_nu_hat", "clamp_events_nu_prime"],
-        table,
-    )
+    _write_csv(out, list(rows[0]), (r.values() for r in rows))
     return [out.name]
 
 
-def run_verify(cfg: ExperimentConfig, outdir: Path, scale: str = "fast") -> tuple[list[str], bool]:
+def run_verify(cfg: ExperimentConfig, outdir: Path, scale: str) -> tuple[list[str], bool]:
     """Run the oracle suite, print one line per check, emit the JSON report."""
     report = run_verification(seed=cfg.seed, scale=scale)
     for check in report.checks:
         print(check.line())
-    doc = report.validated_json()
     out = outdir / "verify_report.json"
-    out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_artifact(report.to_json(), "verify_report.schema.json", out)
     status = "all checks passed" if report.passed else "FAILURES present"
     print(f"verify: {status} in {report.wall_clock_seconds:.1f}s -> {out}")
     return [out.name], report.passed
 
 
+# the file-writing subcommands; verify returns a pass flag and takes a scale
+_RUNNERS = {
+    "linear-path": run_linear_path,
+    "paths": run_paths,
+    "distribution": run_distribution,
+    "stats": run_stats,
+    "sweep-theta": run_sweep_theta,
+}
+
+_GNUPLOT_HEADER = 'set datafile separator ","\nset key autotitle columnhead\n'
 _GNUPLOT_SNIPPETS = {
-    "linear-path": (
-        'set datafile separator ","\nset key autotitle columnhead\n'
-        'plot "linear_path.csv" using 1:2 with lines, "" using 1:3 with lines, "" using 1:4 with lines\n'
-    ),
-    "stats": (
-        'set datafile separator ","\nset key autotitle columnhead\n'
-        'plot "stats.csv" using 1:2 with lines, "" using 1:3 with lines\n'
-    ),
-    "distribution": (
-        'set datafile separator ","\nset key autotitle columnhead\n'
-        'plot "distribution.csv" using 3:2 with points pointtype 7 pointsize 0.2\n'
-    ),
-    "paths": (
-        'set datafile separator ","\nset key autotitle columnhead\n'
-        'plot for [i=0:{last_path}] sprintf("path_%02d.csv", i) using 1:2 with lines\n'
-    ),
+    "linear-path": 'plot "linear_path.csv" using 1:2 with lines, "" using 1:3 with lines, "" using 1:4 with lines\n',
+    "stats": 'plot "stats.csv" using 1:2 with lines, "" using 1:3 with lines\n',
+    "distribution": 'plot "distribution.csv" using 3:2 with points pointtype 7 pointsize 0.2\n',
+    "paths": 'plot for [i=0:{last_path}] sprintf("path_%02d.csv", i) using 1:2 with lines\n',
 }
 
 
@@ -265,27 +250,18 @@ def main(argv: list[str] | None = None) -> int:
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    ok = True
     try:
-        if cfg.experiment == "linear-path":
-            outputs = run_linear_path(cfg, outdir)
-        elif cfg.experiment == "paths":
-            outputs = run_paths(cfg, outdir)
-        elif cfg.experiment == "distribution":
-            outputs = run_distribution(cfg, outdir)
-        elif cfg.experiment == "stats":
-            outputs = run_stats(cfg, outdir)
-        elif cfg.experiment == "sweep-theta":
-            outputs = run_sweep_theta(cfg, outdir)
+        if cfg.experiment == "verify":
+            outputs, ok = run_verify(cfg, outdir, "full" if args.full else "fast")
         else:
-            outputs, ok = run_verify(cfg, outdir, scale="full" if getattr(args, "full", False) else "fast")
+            outputs, ok = _RUNNERS[cfg.experiment](cfg, outdir), True
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
 
     if getattr(args, "gnuplot", False):
         gp = outdir / "plot.gp"
-        gp.write_text(_GNUPLOT_SNIPPETS[cfg.experiment].format(last_path=cfg.n_paths - 1))
+        gp.write_text(_GNUPLOT_HEADER + _GNUPLOT_SNIPPETS[cfg.experiment].format(last_path=cfg.n_paths - 1))
         outputs.append(gp.name)
 
     manifest = make_manifest(cfg, outputs, time.perf_counter() - start)

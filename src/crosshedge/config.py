@@ -89,6 +89,8 @@ _GLOBAL_DEFAULTS = {
     "thetas": [0.2, 0.1, 0.05],
     "output_dir": "hedge-out",
     "constant_speed": 0.0,
+    # the start is t = 0 unless given; t stays out so preset manifests keep their content
+    "initial": {"x": 0.0, "q": 0.0, "s": 10.0, "u": 1.0},
 }
 
 # paths runs mirror the five-path figures; distribution runs the documented
@@ -125,6 +127,13 @@ def _validate_document(doc: dict, name: str) -> None:
     error = jsonschema.exceptions.best_match(_validator(name).iter_errors(doc))
     if error is not None:
         raise error
+
+
+def _write_artifact(doc: dict, schema_name: str, path: Path) -> None:
+    """Check ``doc`` against the shipped schema ``schema_name``, then write it
+    as indented JSON with sorted keys: the one format of every JSON artifact."""
+    _validate_document(doc, schema_name)
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 @dataclass(frozen=True)
@@ -164,9 +173,7 @@ class RunManifest:
         return asdict(self)
 
     def write(self, path: Path) -> None:
-        doc = self.to_json()
-        _validate_document(doc, "manifest.schema.json")
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        _write_artifact(self.to_json(), "manifest.schema.json", path)
 
 
 def _parse_value(text: str) -> Any:
@@ -257,15 +264,8 @@ def resolve_config(doc: dict, experiment: str | None = None) -> ExperimentConfig
         exposure = _build_exposure(merged["exposure"])
     except (KeyError, ValueError) as err:
         raise ConfigError(f"exposure: {err}") from err
-    init = merged.get("initial", {})
     try:
-        initial = State(
-            t=float(init.get("t", 0.0)),
-            x=float(init.get("x", 0.0)),
-            q=float(init.get("q", 0.0)),
-            s=float(init.get("s", 10.0)),
-            u=float(init.get("u", 1.0)),
-        )
+        initial = State(**{k: float(v) for k, v in {"t": 0.0, **merged["initial"]}.items()})
     except ValueError as err:
         raise ConfigError(f"initial: {err}") from err
     if initial.t >= model.T:
@@ -310,6 +310,8 @@ def load_config(
             raise ConfigError(f"config file {path} cannot be read: {err}") from err
         except json.JSONDecodeError as err:
             raise ConfigError(f"config file {path} is not valid JSON: {err}") from err
+        if not isinstance(doc, dict):
+            raise ConfigError(f"config file {path} must hold a JSON object, got {type(doc).__name__}")
     if overrides:
         doc = apply_overrides(doc, overrides)
     if seed is not None:

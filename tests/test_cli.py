@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+import crosshedge.cli as cli_mod
 from crosshedge.cli import build_strategy, main
 import crosshedge.config as config_mod
 from crosshedge.config import (
     DEFAULT_SEED,
+    EXPERIMENTS,
     PRESETS,
     ConfigError,
     _validate_document,
@@ -19,6 +21,7 @@ from crosshedge.config import (
     load_schema,
     resolve_config,
 )
+from crosshedge.market import State
 from crosshedge.verify import riccati_vs_rk4
 
 
@@ -150,7 +153,6 @@ class TestRngLayoutInArtifacts:
             jsonschema.validate(doc, load_schema("manifest.schema.json"))
 
     def test_verify_report_carries_layout(self, tmp_path, monkeypatch):
-        import crosshedge.cli as cli_mod
         from crosshedge.market import RNG_LAYOUT
         from crosshedge.verify import CheckResult, VerifyReport
 
@@ -347,7 +349,6 @@ class TestVerifyPlumbing:
         assert measured["sup_error"] > 0.99e-6
 
     def test_cli_verify_nonzero_exit_on_failure(self, tmp_path, monkeypatch):
-        import crosshedge.cli as cli_mod
         from crosshedge.verify import CheckResult, VerifyReport
 
         fake = VerifyReport(
@@ -366,7 +367,6 @@ class TestVerifyPlumbing:
 
     @pytest.mark.parametrize("flags, scale", [([], "fast"), (["--full"], "full")])
     def test_verify_scale_reaches_suite(self, tmp_path, monkeypatch, flags, scale):
-        import crosshedge.cli as cli_mod
         from crosshedge.verify import CheckResult, VerifyReport
 
         calls = []
@@ -450,6 +450,24 @@ def test_every_schema_strategy_tag_builds(tag):
     assert strategy.coeffs is not None
 
 
+def test_experiment_names_agree():
+    # the schema enum, the subcommands, the path-count defaults and the runner table name the same experiments
+    names = sorted(set(cli_mod._RUNNERS) | {"verify"})
+    assert sorted(load_schema("config.schema.json")["properties"]["experiment"]["enum"]) == names
+    assert sorted(EXPERIMENTS) == names
+    assert sorted(config_mod._N_PATHS_DEFAULT) == names
+
+
+def test_manifest_records_default_initial_state_without_preset(tmp_path):
+    # a config with neither preset nor initial starts at the documented state, and the manifest says so
+    doc = {key: value for key, value in PRESETS["fig3"].items() if key != "initial"}
+    cfg = write_config(tmp_path, {**doc, "n_steps": 20, "n_paths": 1})
+    assert main(["paths", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["resolved_config"]["initial"] == {"x": 0.0, "q": 0.0, "s": 10.0, "u": 1.0}
+    assert resolve_config(doc, experiment="paths").initial == State(0.0, 0.0, 0.0, 10.0, 1.0)
+
+
 class TestDefaultPresets:
     """Without --config a run starts from a preset: fig1_right for linear-path, fig3 otherwise."""
 
@@ -479,6 +497,8 @@ class TestDefaultPresets:
         (["verify", "--config", "{tmp}/missing.json"], "missing.json"),
         (["verify", "--config", "{tmp}"], "config file"),
         (["verify", "--config", "{tmp}/latin1.json"], "latin1.json"),
+        (["paths", "--config", "{tmp}/list.json"], "must hold a JSON object, got list"),
+        (["paths", "--config", "{tmp}/string.json"], "must hold a JSON object, got str"),
         (["paths", "--set", "initial.t=1.0"], "initial.t"),
         (["paths", "--set", "n_paths=0", "--gnuplot"], "n_paths"),
         (["sweep-theta", "--set", "n_paths=0"], "n_paths"),
@@ -494,13 +514,17 @@ class TestDefaultPresets:
         (["sweep-theta", "--set", "preset=fig7", "--set", "n_paths=4", "--set", "n_steps=4",
           "--set", "thetas=[0.2, NaN]"], "thetas.1: must be finite"),
     ],
-    ids=["missing-config", "directory-config", "undecodable-config", "start-at-horizon", "paths-no-paths",
-         "sweep-no-paths", "linear-path-late-start", "nan-model-field", "infinite-horizon", "infinite-initial-state",
-         "infinite-theta", "nan-strike", "infinite-option-count", "nan-constant-speed", "nan-sweep-theta"],
+    ids=["missing-config", "directory-config", "undecodable-config", "list-config", "string-config",
+         "start-at-horizon", "paths-no-paths", "sweep-no-paths", "linear-path-late-start", "nan-model-field",
+         "infinite-horizon", "infinite-initial-state", "infinite-theta", "nan-strike", "infinite-option-count",
+         "nan-constant-speed", "nan-sweep-theta"],
 )
 def test_bad_input_is_config_error(tmp_path, capsys, argv, field):
     # a config written in Latin-1, which is not valid UTF-8
     (tmp_path / "latin1.json").write_bytes('{"preset": "fig3", "output_dir": "d\xe9j\xe0"}'.encode("latin-1"))
+    # valid JSON that is not an object
+    (tmp_path / "list.json").write_text("[1, 2]")
+    (tmp_path / "string.json").write_text('"fig3"')
     out = tmp_path / "out"
     argv = [a.format(tmp=tmp_path) for a in argv]
     assert main([*argv, "--out", str(out)]) == 2
