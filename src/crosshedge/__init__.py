@@ -9,7 +9,6 @@ verification-oracle suite.
 from .market import (
     BachelierCallExposure,
     CustomSmoothExposure,
-    DerivedConstants,
     Exposure,
     LinearExposure,
     ModelParams,
@@ -18,7 +17,6 @@ from .market import (
     State,
     Strategy,
     constant_strategy,
-    derived_constants,
     make_rng,
     payoff_eval,
     simulate_path,
@@ -80,4 +78,4 @@ from .oracles import (
     theta_sweep,
 )
 
-__version__ = "0.6.2"
+__version__ = "0.7.0"

@@ -248,7 +248,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        print(f"config error: output_dir: {err}", file=sys.stderr)
+        return 2
     start = time.perf_counter()
     try:
         if cfg.experiment == "verify":

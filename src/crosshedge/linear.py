@@ -10,8 +10,12 @@ risk-adjusted drift zeta and the cross impact, and h0 integrates the
 squared forcing.  All three admit explicit solutions built from the
 constants omega = sqrt(k*gamma*sigma^2/2) and phi_± = omega ± alpha ∓ b/2.
 
-For gamma = 0 the expressions above divide by omega; this module switches
-to the analytic omega -> 0 limits below a small omega threshold.  Those
+``_constants`` computes omega, phi_± and the switch once per evaluation,
+and ``_riccati`` builds h1's two parts and h2 from them; h1, h2, h0's
+integrand and the optimal speed all read it, and the optimal inventory
+reads ``_constants`` directly.  For gamma = 0 the expressions above divide
+by omega, so below a small omega threshold (``OMEGA_SWITCH``) the switch
+selects the analytic omega -> 0 limits instead.  Those
 limits are rationals in time-to-go tau and are the zero-order expansion
 coefficients: the h2 limit is f2, the h1 drift gain at forcing mu is f1,
 and the cross-impact gain is the lambda_1 weight.  They are defined here
@@ -36,11 +40,9 @@ from .market import (
     State,
     Strategy,
     _check_time,
-    derived_constants,
 )
 
 __all__ = [
-    "uses_zero_gamma_branch",
     "h0",
     "h1",
     "h2",
@@ -56,12 +58,6 @@ OMEGA_SWITCH = 1e-8
 
 # Gauss-Legendre nodes in log(2k + m*tau) for h0's time integral
 _LOG_A_NODES = 32
-
-
-def uses_zero_gamma_branch(params: ModelParams) -> bool:
-    """True when omega is small enough that the gamma=0 limit formulas apply."""
-    omega = math.sqrt(params.k * params.gamma * params.sigma**2 / 2.0)
-    return omega < OMEGA_SWITCH * max(1.0, params.m)
 
 
 @lru_cache(maxsize=16)
@@ -117,55 +113,57 @@ def _cross_gain_limit(params: ModelParams, tau):
     return -params.m * tau / (2.0 * params.k + params.m * tau)
 
 
-def h2(params: ModelParams, t) -> np.ndarray | float:
-    """Quadratic-in-inventory coefficient of the certainty-equivalent value.
-
-    Exponentials are evaluated in decayed form (largest factored out) so the
-    expression stays finite for omega*T/k beyond the naive overflow range.
-    At gamma = 0 this returns the analytic limit -k*m/(2k + m*(T-t)) - b/2.
-    """
-    out = _h2(params, _check_time(params, t))
-    return out if np.ndim(out) else float(out)
-
-
-def _h2(params: ModelParams, t):
-    """h2 at an already validated time (float or array)."""
-    tau = params.T - t
-    if uses_zero_gamma_branch(params):
-        return _h2_limit(params)(tau)
-    d = derived_constants(params)
-    e = np.exp(-d.omega * tau / params.k)
-    e2 = e * e
-    return (
-        d.omega
-        * (d.phi_minus * e2 - d.phi_plus)
-        / (d.phi_minus * e2 + d.phi_plus)
-        - params.b / 2.0
-    )
+def _constants(params: ModelParams) -> tuple[float, float, float, bool]:
+    """(omega, phi_plus, phi_minus, limit): omega = sqrt(k*gamma*sigma^2/2),
+    phi_± = omega ± (alpha - b/2), and whether omega is small enough that the
+    analytic gamma = 0 limits apply instead of the exponential forms."""
+    omega = math.sqrt(params.k * params.gamma * params.sigma**2 / 2.0)
+    half_b = params.b / 2.0
+    limit = omega < OMEGA_SWITCH * max(1.0, params.m)
+    return omega, omega + params.alpha - half_b, omega - params.alpha + half_b, limit
 
 
-def _h1_parts(params: ModelParams, t) -> tuple[np.ndarray, np.ndarray]:
-    """(drift, per_unit) with h1(frak_n, t) = drift(t) + per_unit(t) * frak_n.
+def _riccati(params: ModelParams, t):
+    """(drift, per_unit, h2) at an already validated time (float or array),
+    with h1(frak_n, t) = drift(t) + per_unit(t) * frak_n.
 
     h1 is zeta*G(t) + c*frak_n*H(t) with zeta = mu - gamma*rho*sigma*eta*frak_n,
-    so it is affine in frak_n; the two parts split the mu forcing from the
-    per-unit hedging and cross-impact forcing.  t is already validated.
+    so it is affine in frak_n; its two parts split the mu forcing from the
+    per-unit hedging and cross-impact forcing.  Exponentials are evaluated in
+    decayed form (largest factored out), so h1 and h2 stay finite for
+    omega*T/k beyond the naive overflow range.
     """
     tau = params.T - t
     hedge = params.gamma * params.rho * params.sigma * params.eta
-    if uses_zero_gamma_branch(params):
+    omega, phi_plus, phi_minus, limit = _constants(params)
+    if limit:
         return (
             _drift_gain_limit(params, params.mu, tau),
             params.c * _cross_gain_limit(params, tau) - _drift_gain_limit(params, hedge, tau),
+            _h2_limit(params)(tau),
         )
     k = params.k
-    d = derived_constants(params)
-    x = d.omega * tau / k
+    x = omega * tau / k
     e = np.exp(-x)
-    denom = d.phi_minus * e * e + d.phi_plus
-    zeta_gain = (k / d.omega) * -np.expm1(-x) * (d.phi_minus * e + d.phi_plus) / denom
-    cross_gain = 2.0 * d.omega * e / denom - 1.0
-    return params.mu * zeta_gain, params.c * cross_gain - hedge * zeta_gain
+    e2 = e * e
+    # h1's phi_minus*e*e and h2's phi_minus*e2 round differently; each keeps its own
+    denom = phi_minus * e * e + phi_plus
+    zeta_gain = (k / omega) * -np.expm1(-x) * (phi_minus * e + phi_plus) / denom
+    cross_gain = 2.0 * omega * e / denom - 1.0
+    return (
+        params.mu * zeta_gain,
+        params.c * cross_gain - hedge * zeta_gain,
+        omega * (phi_minus * e2 - phi_plus) / (phi_minus * e2 + phi_plus) - params.b / 2.0,
+    )
+
+
+def h2(params: ModelParams, t) -> np.ndarray | float:
+    """Quadratic-in-inventory coefficient of the certainty-equivalent value.
+
+    At gamma = 0 this is the analytic limit -k*m/(2k + m*(T-t)) - b/2.
+    """
+    out = _riccati(params, _check_time(params, t))[2]
+    return out if np.ndim(out) else float(out)
 
 
 def h1(params: ModelParams, frak_n, t) -> np.ndarray | float:
@@ -174,7 +172,7 @@ def h1(params: ModelParams, frak_n, t) -> np.ndarray | float:
     Forced by the risk-adjusted drift zeta = mu - gamma*rho*sigma*eta*frak_n
     and by the cross impact c*frak_n; vanishes at the horizon.
     """
-    drift, per_unit = _h1_parts(params, _check_time(params, t))
+    drift, per_unit, _ = _riccati(params, _check_time(params, t))
     out = drift + per_unit * np.asarray(frak_n, dtype=float)
     return out if np.ndim(out) else float(out)
 
@@ -194,7 +192,7 @@ def h0(params: ModelParams, frak_n: float, t) -> np.ndarray | float:
         return base
 
     def squared_forcing(x, a):
-        drift, per_unit = _h1_parts(params, params.T - x)
+        drift, per_unit, _ = _riccati(params, params.T - x)
         w = drift + per_unit * frak_n + params.c * frak_n
         return w * w
 
@@ -206,8 +204,8 @@ def _optimal_speed_coeffs(params: ModelParams, t) -> Affine:
     Hamiltonian's maximiser (h_q + c*h_u + b*q)/(2k) at h_q = h1 + 2*h2*q and
     h_u = frak_n; at an already validated time, broadcasting over an array t."""
     two_k = 2.0 * params.k
-    drift, per_unit = _h1_parts(params, t)
-    return drift / two_k, (params.c + per_unit) / two_k, (2.0 * _h2(params, t) + params.b) / two_k
+    drift, per_unit, h2_t = _riccati(params, t)
+    return drift / two_k, (params.c + per_unit) / two_k, (2.0 * h2_t + params.b) / two_k
 
 
 def optimal_speed_linear(params: ModelParams, frak_n, t, q) -> np.ndarray | float:
@@ -231,23 +229,24 @@ def optimal_inventory_linear(params: ModelParams, frak_n: float, q0: float, t) -
     """
     t = _check_time(params, t)
     k, m, c = params.k, params.m, params.c
-    d = derived_constants(params, frak_n)
-    if uses_zero_gamma_branch(params):
+    zeta = params.mu - params.gamma * params.rho * params.sigma * params.eta * frak_n
+    omega, phi_plus, phi_minus, limit = _constants(params)
+    if limit:
         u_t = 2.0 * k + m * (params.T - t)
         u_0 = 2.0 * k + m * params.T
         j1 = (1.0 / u_t - 1.0 / u_0) / m
         j2 = ((u_0 + 4.0 * k * k / u_0) - (u_t + 4.0 * k * k / u_t)) / (m * m)
-        out = (u_t / u_0) * (q0 + c * frak_n * u_0 * j1 + d.zeta * u_0 * j2 / (4.0 * k))
+        out = (u_t / u_0) * (q0 + c * frak_n * u_0 * j1 + zeta * u_0 * j2 / (4.0 * k))
     else:
-        r = d.omega / k
+        r = omega / k
         decay_2t = math.exp(-2.0 * r * params.T)
-        denom = d.phi_plus + d.phi_minus * decay_2t
-        lead = -d.zeta * k * m / (4.0 * d.omega**2) + c * frak_n / 2.0
+        denom = phi_plus + phi_minus * decay_2t
+        lead = -zeta * k * m / (4.0 * omega**2) + c * frak_n / 2.0
         sinh_part = (np.exp(-r * (params.T - t)) - np.exp(-r * (params.T + t))) / denom
-        ell_ratio = (d.phi_plus * np.exp(-r * t) + d.phi_minus * np.exp(-r * (2.0 * params.T - t))) / denom
+        ell_ratio = (phi_plus * np.exp(-r * t) + phi_minus * np.exp(-r * (2.0 * params.T - t))) / denom
         out = (
             lead * sinh_part
-            - (d.zeta * k / (2.0 * d.omega**2)) * (ell_ratio - 1.0)
+            - (zeta * k / (2.0 * omega**2)) * (ell_ratio - 1.0)
             + q0 * ell_ratio
         )
     return out if np.ndim(out) else float(out)

@@ -17,8 +17,6 @@ import numpy as np
 
 __all__ = [
     "ModelParams",
-    "DerivedConstants",
-    "derived_constants",
     "LinearExposure",
     "BachelierCallExposure",
     "CustomSmoothExposure",
@@ -105,37 +103,6 @@ class ModelParams:
     def m(self) -> float:
         """Effective terminal stiffness 2*alpha - b (positive by construction)."""
         return 2.0 * self.alpha - self.b
-
-
-@dataclass(frozen=True)
-class DerivedConstants:
-    """Constants derived from ModelParams (and a linear exposure size).
-
-    m         : 2*alpha - b
-    zeta      : risk-adjusted drift mu - gamma*rho*sigma*eta*frak_n
-    omega     : sqrt(k * gamma * sigma^2 / 2)
-    phi_plus  : omega + alpha - b/2
-    phi_minus : omega - alpha + b/2
-    """
-
-    m: float
-    zeta: float
-    omega: float
-    phi_plus: float
-    phi_minus: float
-
-
-def derived_constants(params: ModelParams, frak_n: float = 0.0) -> DerivedConstants:
-    """Compute the derived constants for a linear exposure of ``frak_n`` units."""
-    omega = math.sqrt(params.k * params.gamma * params.sigma**2 / 2.0)
-    half_b = params.b / 2.0
-    return DerivedConstants(
-        m=params.m,
-        zeta=params.mu - params.gamma * params.rho * params.sigma * params.eta * frak_n,
-        omega=omega,
-        phi_plus=omega + params.alpha - half_b,
-        phi_minus=omega - params.alpha + half_b,
-    )
 
 
 def _check_time(params: ModelParams, t) -> float | np.ndarray:

@@ -159,16 +159,12 @@ def random_well_posed_params(rng: np.random.Generator) -> ModelParams:
 # ---------------------------------------------------------------------------
 
 
-def riccati_vs_rk4(
-    seed: int = 0,
-    n_random: int = 20,
-    step_count: int = 10_000,
-    tol: float = 1e-8,
-) -> tuple[bool, dict, str]:
+def riccati_vs_rk4(seed: int, n_random: int = 20) -> tuple[bool, dict, str]:
     """Closed-form h0, h1, h2 against RK4 backward integration of the coupled
     terminal-value system, on figure parameters plus randomized sets (with
     drift: mu, beta and c nonzero).  h1 and h2 are compared at 401 times per
     set; h0 at every 10th of them, t = T included."""
+    step_count, tol = 10_000, 1e-8
     rng = make_rng(seed, 900)
     cases = [(FIG1, 1.0)] + [(random_well_posed_params(rng), float(rng.uniform(-2, 2))) for _ in range(n_random)]
     sol = rk4_backward(riccati_h_system(*zip(*cases), step_count))
@@ -208,7 +204,7 @@ def inventory_speed_consistency() -> tuple[bool, dict, str]:
     return worst < tol, {"sup_error": worst}, f"sup|dQ/dt - nu*| = {worst:.2e} (tol {tol:g})"
 
 
-def euler_vs_closed_inventory(seed: int = 7) -> tuple[bool, dict, str]:
+def euler_vs_closed_inventory(seed: int) -> tuple[bool, dict, str]:
     """Euler-simulated inventory under the optimal rule tracks the closed form."""
     strat = linear_optimal_strategy(FIG1, 1.0)
     bundle = simulate_path(FIG1, LinearExposure(1.0), strat, State(0.0, 0.0, 0.0, 10.0, 5.0), 3000, seed)
@@ -218,7 +214,7 @@ def euler_vs_closed_inventory(seed: int = 7) -> tuple[bool, dict, str]:
     return err < tol, {"sup_error": err, "tol": tol}, f"sup|Q_euler - Q_closed| = {err:.2e} (tol 10*dt = {tol:g})"
 
 
-def value_function_mc(seed: int = 11, n_paths: int = 30_000, n_steps: int = 1000) -> tuple[bool, dict, str]:
+def value_function_mc(seed: int, n_paths: int, n_steps: int) -> tuple[bool, dict, str]:
     """Monte Carlo certainty equivalent of the optimal strategy vs the closed
     form x + q*S + frak_n*U + h(0, q).  The SE is mc_performance's;
     se_plain (on the same CE scale) and the variance factor of the controls
@@ -242,7 +238,7 @@ def value_function_mc(seed: int = 11, n_paths: int = 30_000, n_steps: int = 1000
     )
 
 
-def bachelier_call_mc(seed: int = 13) -> tuple[bool, dict, str]:
+def bachelier_call_mc(seed: int) -> tuple[bool, dict, str]:
     """Closed-form call value against a direct Monte Carlo of the payoff."""
     t, u, n_samples = 0.5, 1.2, 1_000_000
     rng = make_rng(seed, 901)
@@ -267,8 +263,9 @@ def call_delta_vs_fd() -> tuple[bool, dict, str]:
     return worst < tol_rel, {"rel_error": worst}, f"max rel|FD - delta| = {worst:.2e} (tol {tol_rel:g})"
 
 
-def delta_martingale(seed: int = 17, n_triples: int = 100, tol: float = 1e-6) -> tuple[bool, dict, str]:
+def delta_martingale(seed: int) -> tuple[bool, dict, str]:
     """Future-delta martingale property at random (t, s, u) triples."""
+    n_triples, tol = 100, 1e-6
     rng = make_rng(seed, 902)
     law = AuxiliaryProcessLaw.from_params(FIG3)
     curve = call_payoff_curve(FIG3, CALL_100)
@@ -282,7 +279,7 @@ def delta_martingale(seed: int = 17, n_triples: int = 100, tol: float = 1e-6) ->
     return worst < tol, {"max_residual": worst, "n": n_triples}, f"max residual = {worst:.2e} (tol {tol:g})"
 
 
-def lemma_reduction_equivalence(seed: int = 19, n_points: int = 50) -> tuple[bool, dict, str]:
+def lemma_reduction_equivalence(seed: int, n_points: int) -> tuple[bool, dict, str]:
     """Martingale-reduced lambda_0, lambda_1 and Lambda_1 vs nested quadrature
     of the defining expectations at the same random (t, u) on FIG7 and on
     FIG7 with drift (mu = 0.1, beta = 0.05).
@@ -365,11 +362,10 @@ def pde_residual_linear_exact() -> tuple[bool, dict, str]:
     return max(measured.values()) < tol, measured, f"{'; '.join(details)} (tol {tol:g})"
 
 
-def pde_residual_order(
-    thetas: tuple[float, ...] = (0.2, 0.1, 0.05), window: tuple[float, float] = (3.3, 4.8)
-) -> tuple[bool, dict, str]:
+def pde_residual_order() -> tuple[bool, dict, str]:
     """First-order truncation: halving theta divides the HJB residual by ~4,
     on FIG7 and on FIG7 with drift (mu = 0.1, beta = 0.05)."""
+    thetas, window = (0.2, 0.1, 0.05), (3.3, 4.8)
     measured = {"thetas": list(map(float, thetas))}
     details = []
     ok = True
@@ -384,13 +380,12 @@ def pde_residual_order(
     return ok, measured, f"{'; '.join(details)} (window [{window[0]}, {window[1]}])"
 
 
-def strategy_gap_order(
-    seed: int = 23, n_paths: int = 30_000, n_steps: int = 500, factor: float = 4.0
-) -> tuple[bool, dict, str]:
+def strategy_gap_order(seed: int, n_paths: int, n_steps: int = 500) -> tuple[bool, dict, str]:
     """CE gap between the expansion and delta-substitution strategies under
     common random numbers shrinks by >= factor when theta halves: the check
     passes if the ratio or its 3-sigma upper bound reaches factor, and
     reports both.  A gap inside 3 SE earns no pass of its own."""
+    factor = 4.0
     initial = State(t=0.0, x=0.0, q=0.0, s=10.0, u=CALL_100.strike)
     rows = theta_sweep(FIG7, CALL_100, (0.2, 0.1), n_paths, seed, n_steps=n_steps, initial=initial)
     (g02, s02), (g01, s01) = ((r["gap"], r["gap_se"]) for r in rows)
@@ -406,11 +401,7 @@ def strategy_gap_order(
     )
 
 
-def cross_impact_target(
-    seed: int = DEFAULT_SEED,
-    itm_window: tuple[float, float] = (1.0, 1.22),
-    otm_tol: float = 0.05,
-) -> tuple[bool, dict, str]:
+def cross_impact_target(seed: int) -> tuple[bool, dict, str]:
     """Deep in-the-money paths park inventory near (c/m)*N; deep out-of-the-
     money paths liquidate.
 
@@ -418,6 +409,7 @@ def cross_impact_target(
     risk-neutral cross-impact rule is screened at the horizon; the first path with
     U_T - K above 2*eta*sqrt(T) (deep ITM) and the first below minus that
     (deep OTM) are reported by their index in the ensemble."""
+    itm_window, otm_tol = (1.0, 1.22), 0.05
     curve = call_payoff_curve(FIG3, CALL_100)
     strat = risk_neutral_cross_impact_strategy(FIG3, curve)
     initial = State(t=0.0, x=0.0, q=0.0, s=10.0, u=CALL_100.strike)
@@ -441,9 +433,10 @@ def cross_impact_target(
     }, f"ITM Q_T = {itm_q:.3f} (target {target:.3f}), OTM Q_T = {otm_q:.4f}"
 
 
-def opposing_effects(seed: int = 29, n_paths: int = 10_000, n_steps: int = 500) -> tuple[bool, dict, str]:
+def opposing_effects(seed: int) -> tuple[bool, dict, str]:
     """Cross impact pushes long, risk aversion pushes short; inventory spread
     across paths peaks at interior times."""
+    n_paths, n_steps = 10_000, 500
     curve = call_payoff_curve(FIG7, CALL_100)
     sc = ExpansionScale.from_params(FIG7, 1.0)
     t_probe = 0.25 * FIG7.T
@@ -479,7 +472,7 @@ def rk4_convergence_order() -> tuple[bool, dict, str]:
     )
 
 
-def mc_se_scaling(seed: int = 31) -> tuple[bool, dict, str]:
+def mc_se_scaling(seed: int) -> tuple[bool, dict, str]:
     """Doubling the path count shrinks the standard error by about sqrt(2).
 
     Each rep simulates 2n paths in chunks of n; its n-path sample is the
@@ -501,7 +494,7 @@ def mc_se_scaling(seed: int = 31) -> tuple[bool, dict, str]:
     return ok, {"mean_ratio": mean_ratio, "reps": reps}, f"mean SE ratio = {mean_ratio:.3f} (window [1.3, 1.5])"
 
 
-def crn_self_gap(seed: int = 37) -> tuple[bool, dict, str]:
+def crn_self_gap(seed: int) -> tuple[bool, dict, str]:
     """Comparing a strategy to itself under common random numbers is exactly zero."""
     strat = linear_optimal_strategy(FIG1, 1.0)
     initial = State(t=0.0, x=0.0, q=0.0, s=10.0, u=5.0)
@@ -510,7 +503,7 @@ def crn_self_gap(seed: int = 37) -> tuple[bool, dict, str]:
     return ok, {"gap": res.gap}, f"self gap = {res.gap} (exact zero required)"
 
 
-def seed_determinism(seed: int = 43) -> tuple[bool, dict, str]:
+def seed_determinism(seed: int) -> tuple[bool, dict, str]:
     """Identical inputs reproduce bit-identical paths; streams differ."""
     strat = linear_optimal_strategy(FIG1, 1.0)
     initial = State(0.0, 0.0, 0.0, 10.0, 5.0)
@@ -526,7 +519,7 @@ def seed_determinism(seed: int = 43) -> tuple[bool, dict, str]:
     return ok, {"identical": same, "stream_differs": differs}, "bit-identical replay; substreams independent"
 
 
-def antithetic_symmetry(seed: int = 47) -> tuple[bool, dict, str]:
+def antithetic_symmetry(seed: int) -> tuple[bool, dict, str]:
     """With zero drifts and no trading, negating the shocks negates the paths.
 
     Exact negation is asserted from zero initial levels (measuring deviations
@@ -545,7 +538,7 @@ def antithetic_symmetry(seed: int = 47) -> tuple[bool, dict, str]:
     return ok, {}, "negated shocks exactly negate (S - S0) and (U - U0)"
 
 
-def market_conservation(seed: int = 53) -> tuple[bool, dict, str]:
+def market_conservation(seed: int) -> tuple[bool, dict, str]:
     """Cash-flow and inventory bookkeeping identities, and round-trip
     cross-impact neutrality for a speed integrating to zero."""
     strat = linear_optimal_strategy(FIG1, 1.0)

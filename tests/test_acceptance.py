@@ -12,6 +12,7 @@ import pytest
 
 from crosshedge import State, optimal_inventory_linear
 from crosshedge.cli import main
+from crosshedge.config import DEFAULT_SEED
 from crosshedge.verify import (
     CALL_100,
     FIG1,
@@ -43,7 +44,7 @@ def test_criterion_1_long_horizon_level():
 
 def test_criterion_2_riccati_oracle_equivalence():
     start = time.perf_counter()
-    ok, measured, detail = riccati_vs_rk4(seed=0, n_random=20, step_count=10_000, tol=1e-8)
+    ok, measured, detail = riccati_vs_rk4(seed=0, n_random=20)
     elapsed = time.perf_counter() - start
     report(2, "Riccati oracle equivalence", ok, elapsed, 10.0, detail)
 
@@ -58,35 +59,35 @@ def test_criterion_3_value_function_mc():
 
 def test_criterion_4_delta_martingale():
     start = time.perf_counter()
-    ok, measured, detail = delta_martingale(seed=17, n_triples=100, tol=1e-6)
+    ok, measured, detail = delta_martingale(seed=17)
     elapsed = time.perf_counter() - start
     report(4, "future-delta martingale", ok, elapsed, 5.0, detail)
 
 
 def test_criterion_5_expansion_residual_order():
     start = time.perf_counter()
-    ok, measured, detail = pde_residual_order(thetas=(0.2, 0.1, 0.05), window=(3.3, 4.8))
+    ok, measured, detail = pde_residual_order()
     elapsed = time.perf_counter() - start
     report(5, "expansion residual order", ok, elapsed, 30.0, detail)
 
 
 def test_criterion_6_strategy_agreement_order():
     start = time.perf_counter()
-    ok, measured, detail = strategy_gap_order(seed=23, n_paths=100_000, n_steps=500, factor=4.0)
+    ok, measured, detail = strategy_gap_order(seed=23, n_paths=100_000, n_steps=500)
     elapsed = time.perf_counter() - start
     report(6, "strategy agreement order", ok, elapsed, 300.0, detail)
 
 
 def test_criterion_7_cross_impact_target():
     start = time.perf_counter()
-    ok, measured, detail = cross_impact_target(itm_window=(1.0, 1.22), otm_tol=0.05)
+    ok, measured, detail = cross_impact_target(DEFAULT_SEED)
     elapsed = time.perf_counter() - start
     report(7, "cross-impact target inventory", ok, elapsed, 10.0, detail)
 
 
 def test_criterion_8_opposing_effects():
     start = time.perf_counter()
-    ok, measured, detail = opposing_effects(seed=29, n_paths=10_000, n_steps=500)
+    ok, measured, detail = opposing_effects(seed=29)
     elapsed = time.perf_counter() - start
     report(8, "opposing effects and interior variance peak", ok, elapsed, 120.0, detail)
 

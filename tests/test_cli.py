@@ -513,11 +513,12 @@ class TestDefaultPresets:
          "constant_speed: must be finite"),
         (["sweep-theta", "--set", "preset=fig7", "--set", "n_paths=4", "--set", "n_steps=4",
           "--set", "thetas=[0.2, NaN]"], "thetas.1: must be finite"),
+        (["paths", "--out", "{tmp}/taken"], "output_dir: "),
     ],
     ids=["missing-config", "directory-config", "undecodable-config", "list-config", "string-config",
          "start-at-horizon", "paths-no-paths", "sweep-no-paths", "linear-path-late-start", "nan-model-field",
          "infinite-horizon", "infinite-initial-state", "infinite-theta", "nan-strike", "infinite-option-count",
-         "nan-constant-speed", "nan-sweep-theta"],
+         "nan-constant-speed", "nan-sweep-theta", "file-as-out"],
 )
 def test_bad_input_is_config_error(tmp_path, capsys, argv, field):
     # a config written in Latin-1, which is not valid UTF-8
@@ -525,9 +526,12 @@ def test_bad_input_is_config_error(tmp_path, capsys, argv, field):
     # valid JSON that is not an object
     (tmp_path / "list.json").write_text("[1, 2]")
     (tmp_path / "string.json").write_text('"fig3"')
+    # a regular file where the output directory should go
+    (tmp_path / "taken").write_text("")
     out = tmp_path / "out"
     argv = [a.format(tmp=tmp_path) for a in argv]
-    assert main([*argv, "--out", str(out)]) == 2
+    # a case's own --out comes later on the line, so it wins
+    assert main([argv[0], "--out", str(out), *argv[1:]]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and field in err
     assert not (out / "manifest.json").exists() and not (out / "paths_summary.csv").exists()

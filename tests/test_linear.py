@@ -19,7 +19,7 @@ from crosshedge import (
     optimal_speed_linear,
 )
 from crosshedge.config import PRESETS
-from crosshedge.market import derived_constants
+from crosshedge.linear import OMEGA_SWITCH, _constants
 from crosshedge.verify import pde_residual_linear_exact, random_well_posed_params
 
 # Oracle-computed reference values (frozen):
@@ -80,6 +80,25 @@ class TestH2:
             dev = max(abs(float(h2(pg, t)) - float(h2(p0, t))) for t in np.linspace(0, 1, 11))
             ks.append(dev / g)
         assert ks[0] == pytest.approx(ks[1], rel=0.05)
+
+
+@pytest.mark.parametrize("preset", ["fig1_left", "fig1_right", "fig7"])
+def test_continuous_across_gamma_switch(preset):
+    # omega = OMEGA_SWITCH*max(1, m) at gamma_switch; 0.81x and 1.21x of it put
+    # omega at 0.9x and 1.1x of the switch, on the limit and exponential sides
+    p = replace(ModelParams(**PRESETS[preset]["model"]), mu=0.1)
+    gamma_switch = 2.0 * (OMEGA_SWITCH * max(1.0, p.m)) ** 2 / (p.k * p.sigma**2)
+    below, above = (replace(p, gamma=f * gamma_switch) for f in (0.81, 1.21))
+    assert _constants(below)[3] and not _constants(above)[3]
+    ts = np.linspace(0.0, p.T, 9)
+    for coefficient in (
+        lambda params: h0(params, 1.5, ts),
+        lambda params: h1(params, 1.5, ts),
+        lambda params: h2(params, ts),
+        lambda params: optimal_speed_linear(params, 1.5, ts, 0.5),
+    ):
+        lo, hi = coefficient(below), coefficient(above)
+        assert np.max(np.abs(lo - hi)) <= 1e-9 * max(np.max(np.abs(lo)), np.max(np.abs(hi)))
 
 
 class TestH1:
@@ -146,7 +165,7 @@ class TestH0:
         cancellation against the exact linear part does not inflate the error."""
         worst = 0.0
         for p, frak_n in cases:
-            omega = derived_constants(p).omega
+            omega = math.sqrt(p.k * p.gamma * p.sigma**2 / 2)
             scales = [2 * p.k / p.m] + ([p.k / omega] if omega > 0 else [])
             for frac in (0.0, 0.3, 0.9):
                 t = frac * p.T

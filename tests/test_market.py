@@ -16,7 +16,6 @@ from crosshedge import (
     Strategy,
     call_payoff_curve,
     constant_strategy,
-    derived_constants,
     lambda1,
     linear_optimal_strategy,
     optimal_inventory_linear,
@@ -50,15 +49,10 @@ class TestModelParams:
         with pytest.raises(ValueError, match=rf"\b{field}\b"):
             params_with(**{field: value})
 
-    def test_derived_constants(self):
+    def test_m_is_terminal_stiffness(self):
         p = params_with()
-        d = derived_constants(p, frak_n=1.0)
-        assert d.m == pytest.approx(2 * p.alpha - p.b)
-        assert d.m > 0
-        assert d.omega == pytest.approx(math.sqrt(p.k * p.gamma * p.sigma**2 / 2))
-        assert d.phi_plus + d.phi_minus == pytest.approx(2 * d.omega)
-        assert d.phi_minus - d.phi_plus == pytest.approx(p.b - 2 * p.alpha)
-        assert d.zeta == pytest.approx(p.mu - p.gamma * p.rho * p.sigma * p.eta)
+        assert p.m == pytest.approx(2 * p.alpha - p.b)
+        assert p.m > 0
 
 
 @pytest.mark.parametrize("field,value", [("t", math.nan), ("x", math.inf), ("u", -math.inf), ("s", math.nan)])

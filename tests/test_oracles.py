@@ -688,7 +688,7 @@ class TestStrategyGapOrder:
                  "clamp_events_nu_hat": 0, "clamp_events_nu_prime": 0}
                 for th, gap, se in ((0.2, -1.05e-5, 1e-6), (0.1, -3e-6, 2e-7))]
         monkeypatch.setattr(verify_mod, "theta_sweep", lambda *args, **kwargs: rows)
-        ok, measured, detail = strategy_gap_order()
+        ok, measured, detail = strategy_gap_order(23, 30_000)
         assert ok and measured["outcome"] == "measured"
         assert measured["ratio"] == pytest.approx(3.5, rel=1e-12)
         assert measured["ratio_upper"] == pytest.approx(5.625, rel=1e-12)
@@ -703,7 +703,7 @@ class TestStrategyGapOrder:
                  "clamp_events_nu_hat": 0, "clamp_events_nu_prime": 0}
                 for th, gap, se, noise_bounded in ((0.2, 2e-6, 1e-6, True), (0.1, -3e-6, 2e-7, False))]
         monkeypatch.setattr(verify_mod, "theta_sweep", lambda *args, **kwargs: rows)
-        ok, measured, _ = strategy_gap_order()
+        ok, measured, _ = strategy_gap_order(23, 30_000)
         assert not ok and measured["outcome"] == "measured"
         assert measured["ratio_upper"] == pytest.approx(5e-6 / 2.4e-6, rel=1e-12)
 
